@@ -49,6 +49,7 @@ from .graphs import (
 )
 from .hom_cover import (
     check_poset_covering_local,
+    deck_transformations,
     enumerate_Ef_bounded,
     gamma_elements_bounded,
     gamma_identity,
@@ -111,10 +112,20 @@ def emit_report(obj, out):
 
 
 def resolve_cap(args):
+    """The enumeration cap: --cap, else HOMCX_CAP, else the default."""
     if args.cap is not None:
-        return args.cap
-    env = os.environ.get("HOMCX_CAP")
-    return int(env) if env else DEFAULT_CAP
+        setting, cap = "--cap", args.cap
+    elif os.environ.get("HOMCX_CAP"):
+        setting, text = "HOMCX_CAP", os.environ["HOMCX_CAP"]
+        try:
+            cap = int(text)
+        except ValueError:
+            raise ValueError(f"HOMCX_CAP must be an integer, got {text!r}") from None
+    else:
+        return DEFAULT_CAP
+    if cap <= 0:
+        raise ValueError(f"{setting} must be a positive integer, got {cap}")
+    return cap
 
 
 def run_check(args):
@@ -161,9 +172,8 @@ def run_ef(args):
     G = load_graph(args.domain)
     H = load_graph(args.codomain)
     f = load_hom(G, H, args.seed_hom)
-    cap = resolve_cap(args)
-    elements = enumerate_Ef_bounded(f, args.max_norm, cap=cap)
-    gamma = gamma_elements_bounded(f, 0, args.max_norm, cap=cap)
+    elements = enumerate_Ef_bounded(f, args.max_norm, cap=resolve_cap(args))
+    gamma = deck_transformations(f, 0, elements)
     report = {
         "count": len(elements),
         "deck_count": len(gamma),

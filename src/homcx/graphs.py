@@ -9,7 +9,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import GraphInputError, NotConnected, NotHomomorphism, NotSquareFree
+from .errors import (
+    ExplosionGuard,
+    GraphInputError,
+    NotConnected,
+    NotHomomorphism,
+    NotSquareFree,
+)
 
 
 class Graph:
@@ -249,6 +255,98 @@ def bfs_parents(G, root):
     return parents
 
 
+def bfs_order(G):
+    """Breadth-first vertex order over every component, neighbors in increasing order."""
+    order = []
+    seen = [False] * G.n
+    for start in range(G.n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        queue = [start]
+        for u in queue:
+            for v in G.neighbors(u):
+                if not seen[v]:
+                    seen[v] = True
+                    queue.append(v)
+        order.extend(queue)
+    return order
+
+
+# ---------------------------------------------------------------------------
+# the search engine
+
+
+def neighbor_masks(H):
+    """mask[x] is the neighborhood of x as an int bitmask over V(H)."""
+    return [sum(1 << y for y in H.neighbors(x)) for x in H.vertices()]
+
+
+def mask_bits(mask):
+    """The set bits of an int bitmask, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _over_cap(stage, count, cap):
+    return ExplosionGuard(f"{stage}: reached {count}, over the cap of {cap}")
+
+
+def backtrack(order, candidates, cap=None, stage="search"):
+    """Every complete assignment of values to the keys in order, depth first.
+
+    candidates(u, partial) returns the ordered list of values for u that are
+    compatible with partial, the dict of keys already assigned (exactly those
+    before u in order). Assignments are yielded in first-found order as the
+    live dict, which the next step changes: copy what you keep. More than cap
+    of them raises ExplosionGuard; cap None means no cap.
+    """
+    partial = {}
+    if not order:
+        if cap is not None and cap < 1:
+            raise _over_cap(stage, 1, cap)
+        yield partial
+        return
+    count = 0
+    stack = [iter(candidates(order[0], partial))]
+    while stack:
+        k = len(stack) - 1
+        u = order[k]
+        for x in stack[k]:
+            partial[u] = x
+            if k + 1 < len(order):
+                stack.append(iter(candidates(order[k + 1], partial)))
+                break
+            count += 1
+            if cap is not None and count > cap:
+                raise _over_cap(stage, count, cap)
+            yield partial
+        else:
+            stack.pop()
+            partial.pop(u, None)
+
+
+def closure(start, moves, cap=None, stage="closure"):
+    """The set of states reachable from start through moves(state).
+
+    More than cap states raises ExplosionGuard; cap None means no cap.
+    """
+    seen = {start}
+    queue = [start]
+    while queue:
+        for nxt in moves(queue.pop()):
+            if nxt not in seen:
+                seen.add(nxt)
+                if cap is not None and len(seen) > cap:
+                    raise _over_cap(stage, len(seen), cap)
+                queue.append(nxt)
+    return seen
+
+
 def tree_path_vertices(parents, root, v):
     """Vertex sequence of the unique tree path root -> v."""
     back = [v]
@@ -386,33 +484,19 @@ def find_isomorphism(G, H):
     if sorted(map(G.degree, G.vertices())) != sorted(map(H.degree, H.vertices())):
         return None
     order = sorted(G.vertices(), key=lambda u: (-G.degree(u), u))
-    mapping = [None] * G.n
-    used = [False] * H.n
 
-    def extend(k):
-        if k == len(order):
-            return True
-        u = order[k]
-        for x in H.vertices():
-            if used[x] or H.degree(x) != G.degree(u):
-                continue
-            ok = True
-            for v in order[:k]:
-                if G.has_edge(u, v) != H.has_edge(x, mapping[v]):
-                    ok = False
-                    break
-            if ok:
-                mapping[u] = x
-                used[x] = True
-                if extend(k + 1):
-                    return True
-                mapping[u] = None
-                used[x] = False
-        return False
+    def candidates(u, partial):
+        used = set(partial.values())
+        return [
+            x
+            for x in H.vertices()
+            if x not in used
+            and H.degree(x) == G.degree(u)
+            and all(G.has_edge(u, v) == H.has_edge(x, y) for v, y in partial.items())
+        ]
 
-    if extend(0):
-        return tuple(mapping)
-    return None
+    mapping = next(backtrack(order, candidates), None)
+    return None if mapping is None else tuple(mapping[u] for u in G.vertices())
 
 
 # ---------------------------------------------------------------------------

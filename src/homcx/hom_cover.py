@@ -20,16 +20,24 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import (
-    ExplosionGuard,
     InvariantViolation,
     NoSink,
     NotConnected,
     NotInDomain,
     NotInFiber,
     NotNeighbor,
-    NotSquareFree,
 )
-from .graphs import GraphHom, is_connected, require_square_free
+from .graphs import (
+    GraphHom,
+    backtrack,
+    bfs_order,
+    closure,
+    is_connected,
+    is_square_free,
+    mask_bits,
+    neighbor_masks,
+    require_square_free,
+)
 from .hom_poset import DEFAULT_CAP, SetValuedHom
 from .pi_graph import Homotopy, classify_adjacency
 from .walks import (
@@ -316,35 +324,43 @@ def reduce_to_identity(h):
 # bounded enumeration
 
 
+def _extensions(f, u, eta):
+    """Walks at u through the walk eta at a neighbor of u: the edge
+    (f(u), s(eta)), then eta, then one more step from its target."""
+    H = f.codomain
+    first_leg = walk_product(edge_walk(H, f(u), eta.source), eta)
+    return [
+        walk_product(first_leg, edge_walk(H, eta.target, y))
+        for y in H.neighbors(eta.target)
+    ]
+
+
 def _addition_candidates(phi, u, max_norm):
     """Walks that could be added at u: adjacent to every walk at every neighbor."""
-    f = phi.base_hom
-    G, H = f.domain, f.codomain
+    G = phi.base_hom.domain
     nbrs = G.neighbors(u)
     if not nbrs:
         return []
-    v0 = nbrs[0]
-    eta0 = min(phi.sets[v0], key=lambda w: w.vertices)
+    eta0 = min(phi.sets[nbrs[0]], key=lambda w: w.vertices)
     base_norm = phi.norm() - phi.len_at(u)
-    out = []
-    first_leg = walk_product(edge_walk(H, f(u), eta0.source), eta0)
-    for y in H.neighbors(eta0.target):
-        cand = walk_product(first_leg, edge_walk(H, eta0.target, y))
-        if cand in phi.sets[u]:
-            continue
-        if base_norm + max(phi.len_at(u), cand.length) > max_norm:
-            continue
-        ok = True
-        for v in nbrs:
-            for eta in phi.sets[v]:
-                if not classify_adjacency(cand, eta):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(cand)
-    return out
+    return [
+        cand
+        for cand in _extensions(phi.base_hom, u, eta0)
+        if cand not in phi.sets[u]
+        and base_norm + max(phi.len_at(u), cand.length) <= max_norm
+        and all(classify_adjacency(cand, eta) for v in nbrs for eta in phi.sets[v])
+    ]
+
+
+def _fiber_moves(phi, max_norm):
+    """Elements one walk away from phi: remove a walk, or add one within the bound."""
+    moves = []
+    for u in phi.base_hom.domain.vertices():
+        if len(phi.sets[u]) >= 2:
+            moves.extend(phi.with_set(u, phi.sets[u] - {w}) for w in phi.sets[u])
+        for cand in _addition_candidates(phi, u, max_norm):
+            moves.append(phi.with_set(u, phi.sets[u] | {cand}))
+    return moves
 
 
 def fiber_component_bounded(f, max_norm, cap=DEFAULT_CAP):
@@ -356,24 +372,9 @@ def fiber_component_bounded(f, max_norm, cap=DEFAULT_CAP):
     """
     if f.domain.n < 2 or not is_connected(f.domain):
         raise NotConnected("the domain must be connected with at least two vertices")
-    start = identity_element(f)
-    seen = {start}
-    queue = [start]
-    while queue:
-        phi = queue.pop()
-        moves = []
-        for u in f.domain.vertices():
-            if len(phi.sets[u]) >= 2:
-                for w in sorted(phi.sets[u], key=lambda w: w.vertices):
-                    moves.append(phi.with_set(u, phi.sets[u] - {w}))
-            for cand in _addition_candidates(phi, u, max_norm):
-                moves.append(phi.with_set(u, phi.sets[u] | {cand}))
-        for nxt in moves:
-            if nxt not in seen:
-                seen.add(nxt)
-                if len(seen) > cap:
-                    raise ExplosionGuard(f"fiber enumeration exceeded the cap of {cap}")
-                queue.append(nxt)
+    seen = closure(
+        identity_element(f), lambda phi: _fiber_moves(phi, max_norm), cap, "fiber elements"
+    )
     return sorted(seen, key=lambda e: e.key())
 
 
@@ -396,107 +397,58 @@ def enumerate_Ef_bounded(f, max_norm, cap=DEFAULT_CAP):
 def fiber_candidates_bounded(f, max_norm, cap=DEFAULT_CAP):
     """Every structurally valid fiber element with norm <= max_norm.
 
-    Built without any connectivity search: singleton assignments first by
-    backtracking, then all ways to enlarge them. Serves as the independent
+    Built without any connectivity search, by one backtrack over two passes
+    of the domain: keys (0, u) pick a single walk at u, then keys (1, u) pick
+    a set of walks at u containing that walk. Serves as the independent
     cross-check for the BFS enumeration.
     """
     _require_cover_setting(f)
     G, H = f.domain, f.codomain
-    order = []
-    seen = [False] * G.n
-    queue = [0]
-    seen[0] = True
-    while queue:
-        u = queue.pop(0)
-        order.append(u)
-        for v in G.neighbors(u):
-            if not seen[v]:
-                seen[v] = True
-                queue.append(v)
+    order = bfs_order(G)
 
-    singles = []
-    assignment = {}
-
-    def extend(k, used_norm):
-        if k == len(order):
-            singles.append(dict(assignment))
-            if len(singles) > cap:
-                raise ExplosionGuard(f"more than {cap} singleton assignments")
-            return
-        u = order[k]
-        assigned_nbrs = [v for v in G.neighbors(u) if v in assignment]
-        if not assigned_nbrs:
-            pool = reduced_walks_from(H, f(u), max_norm - used_norm)
+    def single_walks(u, partial):
+        used = sum(w.length for w in partial.values())
+        anchors = [partial[0, v] for v in G.neighbors(u) if (0, v) in partial]
+        if anchors:
+            pool = _extensions(f, u, anchors[0])
         else:
-            anchor = assignment[assigned_nbrs[0]]
-            pool = []
-            if H.has_edge(f(u), anchor.source):
-                first_leg = walk_product(edge_walk(H, f(u), anchor.source), anchor)
-                for y in H.neighbors(anchor.target):
-                    pool.append(walk_product(first_leg, edge_walk(H, anchor.target, y)))
-        for w in pool:
-            if used_norm + w.length > max_norm:
-                continue
-            if any(
-                not classify_adjacency(w, assignment[v]) for v in assigned_nbrs
+            pool = reduced_walks_from(H, f(u), max_norm - used)
+        return [
+            w
+            for w in pool
+            if used + w.length <= max_norm
+            and all(classify_adjacency(w, a) for a in anchors)
+        ]
+
+    def walk_sets(u, partial):
+        nbrs = G.neighbors(u)
+        h = partial[0, u]
+        extras = {
+            w
+            for w in _extensions(f, u, partial[0, nbrs[0]])
+            if w != h
+            and w.length <= max_norm
+            and all(classify_adjacency(w, partial[0, v]) for v in nbrs)
+        }
+        placed = [partial[1, v] for v in nbrs if (1, v) in partial]
+        used = sum(max(w.length for w in s) for (phase, _), s in partial.items() if phase)
+        out = []
+        for extra in _subsets(extras):
+            s = frozenset((h, *extra))
+            if used + max(w.length for w in s) <= max_norm and all(
+                classify_adjacency(a, b) for t in placed for a in s for b in t
             ):
-                continue
-            assignment[u] = w
-            extend(k + 1, used_norm + w.length)
-            del assignment[u]
+                out.append(s)
+        return out
 
-    extend(0, 0)
-
-    found = set()
-    for h in singles:
-        extras = {}
-        for u in G.vertices():
-            nbrs = G.neighbors(u)
-            anchor = h[nbrs[0]]
-            options = []
-            if H.has_edge(f(u), anchor.source):
-                first_leg = walk_product(edge_walk(H, f(u), anchor.source), anchor)
-                for y in H.neighbors(anchor.target):
-                    cand = walk_product(first_leg, edge_walk(H, anchor.target, y))
-                    if cand == h[u] or cand.length > max_norm:
-                        continue
-                    if all(classify_adjacency(cand, h[v]) for v in nbrs):
-                        options.append(cand)
-            extras[u] = sorted(set(options), key=lambda w: w.vertices)
-
-        chosen = {}
-
-        def grow(k):
-            if k == len(order):
-                norm = sum(max(w.length for w in chosen[u]) for u in G.vertices())
-                if norm <= max_norm:
-                    found.add(EfElement(f, (chosen[u] for u in G.vertices())))
-                    if len(found) > cap:
-                        raise ExplosionGuard(f"more than {cap} fiber candidates")
-                return
-            u = order[k]
-            for extra in _subsets(extras[u]):
-                candidate = frozenset({h[u]} | set(extra))
-                ok = True
-                for v in G.neighbors(u):
-                    if v not in chosen:
-                        continue
-                    for a in candidate:
-                        for b in chosen[v]:
-                            if not classify_adjacency(a, b):
-                                ok = False
-                                break
-                        if not ok:
-                            break
-                    if not ok:
-                        break
-                if ok:
-                    chosen[u] = candidate
-                    grow(k + 1)
-                    del chosen[u]
-
-        grow(0)
-    return sorted(found, key=lambda e: e.key())
+    found = backtrack(
+        [(0, u) for u in order] + [(1, u) for u in order],
+        lambda key, partial: (walk_sets if key[0] else single_walks)(key[1], partial),
+        cap,
+        "fiber candidates",
+    )
+    elements = {EfElement(f, (a[1, u] for u in G.vertices())) for a in found}
+    return sorted(elements, key=lambda e: e.key())
 
 
 def _subsets(items):
@@ -539,40 +491,35 @@ def down_lift(phi, psi):
 
 
 def _upsets_in_base(base, cap):
-    """All set-valued homomorphisms pointwise above base, by backtracking."""
+    """All set-valued homomorphisms pointwise above base, sorted by key.
+
+    Sets are int bitmasks over V(H). The set at u must lie in the common
+    neighborhood of the set at each neighbor v, which is the set chosen at v
+    or, before v is reached, base(v): every choice at v contains it.
+    """
     G, H = base.domain, base.codomain
-    chosen = {}
-    out = []
+    nbr = neighbor_masks(H)
+    everything = (1 << H.n) - 1
+    floor = [sum(1 << x for x in s) for s in base.sets]
 
-    def extend(u):
-        if u == G.n:
-            out.append(SetValuedHom(G, H, (chosen[v] for v in range(G.n))))
-            if len(out) > cap:
-                raise ExplosionGuard(f"more than {cap} elements above the base")
-            return
-        rest = sorted(set(range(H.n)) - base.sets[u])
-        for extra in _subsets(rest):
-            candidate = base.sets[u] | set(extra)
-            ok = True
-            for v in G.neighbors(u):
-                if v not in chosen:
-                    continue
-                for x in candidate:
-                    for y in chosen[v]:
-                        if not H.has_edge(x, y):
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if ok:
-                chosen[u] = candidate
-                extend(u + 1)
-                del chosen[u]
+    def candidates(u, partial):
+        room = everything
+        for v in G.neighbors(u):
+            for x in mask_bits(partial.get(v, floor[v])):
+                room &= nbr[x]
+        if floor[u] & ~room:
+            return []
+        free = room & ~floor[u]
+        out = [floor[u] | free]
+        sub = free
+        while sub:
+            sub = (sub - 1) & free
+            out.append(floor[u] | sub)
+        return out
 
-    extend(0)
-    return sorted(out, key=lambda s: s.key())
+    found = backtrack(G.vertices(), candidates, cap, "elements above the base")
+    upsets = [SetValuedHom(G, H, (mask_bits(a[u]) for u in G.vertices())) for a in found]
+    return sorted(upsets, key=lambda s: s.key())
 
 
 def _count_down_lifts(phi, psi):
@@ -592,64 +539,35 @@ def _count_down_lifts(phi, psi):
 def _count_up_lifts(phi, psi):
     """Number of elements above phi whose projection is exactly psi."""
     f = phi.base_hom
-    G, H = f.domain, f.codomain
-    candidates = {}
+    G = f.domain
+    optional = []
     for u in G.vertices():
         nbrs = G.neighbors(u)
-        v0 = nbrs[0]
-        pool = set(phi.sets[u])
-        for eta0 in phi.sets[v0]:
-            if not H.has_edge(f(u), eta0.source):
-                continue
-            first_leg = walk_product(edge_walk(H, f(u), eta0.source), eta0)
-            for y in H.neighbors(eta0.target):
-                pool.add(walk_product(first_leg, edge_walk(H, eta0.target, y)))
-        good = []
-        for w in sorted(pool, key=lambda w: w.vertices):
-            if w.target not in psi.sets[u]:
-                continue
-            if all(
-                classify_adjacency(w, eta)
-                for v in nbrs
-                for eta in phi.sets[v]
+        pool = {w for eta in phi.sets[nbrs[0]] for w in _extensions(f, u, eta)}
+        optional.append(
+            [
+                w
+                for w in pool - phi.sets[u]
+                if w.target in psi.sets[u]
+                and all(classify_adjacency(w, eta) for v in nbrs for eta in phi.sets[v])
+            ]
+        )
+
+    def candidates(u, partial):
+        out = []
+        for extra in _subsets(optional[u]):
+            s = phi.sets[u].union(extra)
+            if {w.target for w in s} == psi.sets[u] and all(
+                classify_adjacency(a, b)
+                for v in G.neighbors(u)
+                if v in partial
+                for a in s
+                for b in partial[v]
             ):
-                good.append(w)
-        candidates[u] = good
+                out.append(s)
+        return out
 
-    chosen = {}
-    count = 0
-
-    def extend(u):
-        nonlocal count
-        if u == G.n:
-            count += 1
-            return
-        fixed = phi.sets[u]
-        optional = [w for w in candidates[u] if w not in fixed]
-        for extra in _subsets(optional):
-            candidate = frozenset(fixed | set(extra))
-            if {w.target for w in candidate} != set(psi.sets[u]):
-                continue
-            ok = True
-            for v in G.neighbors(u):
-                if v not in chosen:
-                    continue
-                for a in candidate:
-                    for b in chosen[v]:
-                        if not classify_adjacency(a, b):
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if ok:
-                chosen[u] = candidate
-                extend(u + 1)
-                del chosen[u]
-
-    extend(0)
-    return count
+    return sum(1 for _ in backtrack(G.vertices(), candidates))
 
 
 def check_poset_covering_local(f, max_norm, cap=DEFAULT_CAP):
@@ -670,7 +588,7 @@ def check_poset_covering_local(f, max_norm, cap=DEFAULT_CAP):
         "up_checks": 0,
         "elements": len(elements),
         "max_norm": max_norm,
-        "square_free": require_square_free_flag(H),
+        "square_free": is_square_free(H),
         "violations": [],
     }
     for phi in elements:
@@ -709,14 +627,6 @@ def check_poset_covering_local(f, max_norm, cap=DEFAULT_CAP):
     return report
 
 
-def require_square_free_flag(H):
-    try:
-        require_square_free(H)
-        return True
-    except NotSquareFree:
-        return False
-
-
 # ---------------------------------------------------------------------------
 # the filtration operators
 
@@ -726,15 +636,11 @@ def simple_path_ordering(G):
     length and then lexicographically. The position of a path in this list
     is its 1-based stage index in the filtration."""
     paths = []
-
-    def extend(seq):
+    stack = [(v,) for v in G.vertices()]
+    while stack:
+        seq = stack.pop()
         paths.append(seq)
-        for w in G.neighbors(seq[-1]):
-            if w not in seq:
-                extend(seq + (w,))
-
-    for v in G.vertices():
-        extend((v,))
+        stack.extend(seq + (w,) for w in G.neighbors(seq[-1]) if w not in seq)
     return tuple(sorted(paths, key=lambda p: (len(p), p)))
 
 
@@ -892,13 +798,19 @@ def gamma_elements_bounded(f, u, max_norm, cap=DEFAULT_CAP):
     These correspond one to one with their walk at the chosen base vertex u;
     the list is closed under inverses and sorted by norm, then by key.
     """
-    out = []
-    for e in enumerate_Ef_bounded(f, max_norm, cap=cap):
-        if not e.is_singleton():
-            continue
-        if any(next(iter(s)).target != f(v) for v, s in enumerate(e.sets)):
-            continue
-        out.append(GammaElement(e))
+    return deck_transformations(f, u, enumerate_Ef_bounded(f, max_norm, cap=cap))
+
+
+def deck_transformations(f, u, elements):
+    """The deck transformations among fiber elements of f, as in
+    gamma_elements_bounded, checking that their walks at u are distinct and
+    that the set is closed under inverses."""
+    out = [
+        GammaElement(e)
+        for e in elements
+        if e.is_singleton()
+        and all(next(iter(s)).target == f(v) for v, s in enumerate(e.sets))
+    ]
     base_walks = {g.walks[u] for g in out}
     if len(base_walks) != len(out):
         raise InvariantViolation("two deck transformations share a base walk")

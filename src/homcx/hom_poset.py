@@ -13,8 +13,17 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .errors import ExplosionGuard, InvariantViolation, NotHomomorphism
-from .graphs import Graph, GraphHom, graph_to_json, is_square_free
+from .errors import InvariantViolation, NotHomomorphism
+from .graphs import (
+    GraphHom,
+    backtrack,
+    bfs_order,
+    closure,
+    graph_to_json,
+    is_square_free,
+    mask_bits,
+    neighbor_masks,
+)
 from .homology import OrderComplex, betti_numbers, complex_from_chains
 
 DEFAULT_CAP = 200_000
@@ -109,47 +118,21 @@ def enumerate_graph_homs(G, H, cap=DEFAULT_CAP, first_only=False):
     Vertices are assigned in breadth-first order so each new vertex is
     constrained by an already-assigned neighbor whenever possible.
     """
-    order = []
-    seen = [False] * G.n
-    for start in range(G.n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        queue = [start]
-        while queue:
-            u = queue.pop(0)
-            order.append(u)
-            for v in G.neighbors(u):
-                if not seen[v]:
-                    seen[v] = True
-                    queue.append(v)
-    assignment = [None] * G.n
-    out = []
+    nbr = neighbor_masks(H)
+    everything = (1 << H.n) - 1
 
-    def extend(k):
-        if k == len(order):
-            out.append(GraphHom(G, H, list(assignment)))
-            if len(out) > cap:
-                raise ExplosionGuard(f"more than {cap} homomorphisms")
-            return bool(first_only)
-        u = order[k]
-        candidates = None
+    def candidates(u, partial):
+        mask = everything
         for v in G.neighbors(u):
-            if assignment[v] is not None:
-                nbrs = set(H.neighbors(assignment[v]))
-                candidates = nbrs if candidates is None else candidates & nbrs
-        if candidates is None:
-            candidates = range(H.n)
-        for x in sorted(candidates):
-            assignment[u] = x
-            if extend(k + 1):
-                return True
-            assignment[u] = None
-        return False
+            if v in partial:
+                mask &= nbr[partial[v]]
+        return mask_bits(mask)
 
-    extend(0)
-    out.sort(key=lambda f: f.mapping)
-    return out
+    found = backtrack(bfs_order(G), candidates, cap, "graph homomorphisms")
+    homs = (GraphHom(G, H, [a[u] for u in G.vertices()]) for a in found)
+    if first_only:
+        return list(itertools.islice(homs, 1))
+    return sorted(homs, key=lambda f: f.mapping)
 
 
 def has_hom(G, H):
@@ -182,7 +165,7 @@ class HomPoset:
         n = len(self.elements)
         greater = [[] for _ in range(n)]
         for i, j in itertools.permutations(range(n), 2):
-            if self.elements[i] != self.elements[j] and self.leq(i, j):
+            if self.leq(i, j):
                 greater[i].append(j)
         return [sorted(g) for g in greater]
 
@@ -226,17 +209,14 @@ def enumerate_component(G, H, f, cap=DEFAULT_CAP):
     else:
         start = f
     square_free_target = is_square_free(H)
-    seen = {start}
-    queue = [start]
-    while queue:
-        current = queue.pop()
-        for nxt in _single_moves(current, square_free_target):
-            if nxt not in seen:
-                seen.add(nxt)
-                if len(seen) > cap:
-                    raise ExplosionGuard(f"component exceeded the cap of {cap}")
-                queue.append(nxt)
-    return HomPoset.from_elements(seen)
+    return HomPoset.from_elements(
+        closure(
+            start,
+            lambda e: _single_moves(e, square_free_target),
+            cap,
+            "component elements",
+        )
+    )
 
 
 def order_complex(P, cap=DEFAULT_CAP):

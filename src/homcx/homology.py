@@ -64,7 +64,7 @@ def complex_from_chains(n_vertices, greater, cap=200_000):
     while frontier:
         total += len(frontier)
         if total > cap:
-            raise ExplosionGuard(f"chain count exceeded the cap of {cap}")
+            raise ExplosionGuard(f"order complex: reached {total} chains, over the cap of {cap}")
         levels.append(tuple(sorted(tuple(sorted(chain)) for chain in frontier)))
         nxt = []
         for chain in frontier:

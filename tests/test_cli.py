@@ -184,6 +184,22 @@ class TestCaps:
         )
         assert code == 0
 
+    def test_nonpositive_cap_is_bad_input(self, monkeypatch, capsys):
+        base = ["census", "--domain", "K2", "--codomain", "C5"]
+        for cap in ("0", "-3"):
+            assert main(base + ["--cap", cap]) == 1
+            assert "--cap" in capsys.readouterr().err
+        for env in ("0", "many"):
+            monkeypatch.setenv("HOMCX_CAP", env)
+            assert main(base) == 1
+            assert "HOMCX_CAP" in capsys.readouterr().err
+
+    def test_deep_domain(self, capsys):
+        # the search is iterative, so a long path does not hit the recursion limit
+        code, rep = run(capsys, "census", "--domain", "P1200", "--codomain", "K2")
+        assert code == 0
+        assert [c["size"] for c in rep["components"]] == [1, 1]
+
 
 class TestParser:
     def test_unknown_command_exits_two(self):

@@ -1,0 +1,91 @@
+"""The shared search engine: backtrack and closure, and the callers built on it.
+
+Each caller is compared with a brute-force oracle that shares no code with
+the engine, and a tripped cap must say which stage tripped, how far the
+count got, and what the cap was.
+"""
+
+import itertools
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from homcx import (
+    ExplosionGuard,
+    Graph,
+    GraphHom,
+    complete_graph,
+    cycle_graph,
+    enumerate_component,
+    enumerate_graph_homs,
+    path_graph,
+)
+from homcx.graphs import backtrack, bfs_order, closure
+from homcx.hom_cover import _upsets_in_base
+
+from test_hom_poset import all_set_valued, brute_homs
+
+
+@st.composite
+def graphs(draw, min_n, max_n):
+    n = draw(st.integers(min_n, max_n))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [e for e, k in zip(pairs, keep) if k])
+
+
+class TestEngine:
+    def test_bfs_order_covers_every_component(self):
+        G = Graph(6, [(0, 3), (3, 1), (0, 2), (4, 5)])
+        assert bfs_order(G) == [0, 2, 3, 1, 4, 5]
+
+    def test_backtrack_first_found_order(self):
+        found = backtrack("ab", lambda u, partial: [2, 1] if u == "a" else [partial["a"], 0])
+        assert [dict(a) for a in found] == [
+            {"a": 2, "b": 2}, {"a": 2, "b": 0}, {"a": 1, "b": 1}, {"a": 1, "b": 0}
+        ]
+
+    def test_backtrack_empty_order_has_one_assignment(self):
+        assert list(backtrack([], None)) == [{}]
+        assert enumerate_graph_homs(Graph(0), cycle_graph(3)) == [
+            GraphHom(Graph(0), cycle_graph(3), ())
+        ]
+
+    def test_closure(self):
+        assert closure(0, lambda x: [(x + 3) % 10]) == set(range(10))
+
+
+class TestCallers:
+    @settings(max_examples=60, deadline=None)
+    @given(graphs(0, 5), graphs(1, 5))
+    def test_graph_homs_match_brute_force(self, G, H):
+        assert enumerate_graph_homs(G, H) == sorted(
+            brute_homs(G, H), key=lambda f: f.mapping
+        )
+
+    def test_upsets_in_base_match_brute_force(self):
+        for G, H, f in [
+            (complete_graph(2), cycle_graph(5), (0, 1)),
+            (path_graph(3), path_graph(4), (0, 1, 0)),
+            (path_graph(3), cycle_graph(5), (0, 1, 2)),
+            (complete_graph(2), cycle_graph(4), (0, 1)),
+        ]:
+            everything = all_set_valued(G, H)
+            for e in enumerate_component(G, H, GraphHom(G, H, f)).elements:
+                expected = sorted(
+                    (x for x in everything if e.leq(x)), key=lambda x: x.key()
+                )
+                assert _upsets_in_base(e, 10_000) == expected
+
+
+class TestGuardMessages:
+    def test_backtrack_names_stage_count_and_cap(self):
+        with pytest.raises(ExplosionGuard) as info:
+            enumerate_graph_homs(cycle_graph(6), cycle_graph(3), cap=10)
+        assert str(info.value) == "graph homomorphisms: reached 11, over the cap of 10"
+
+    def test_closure_names_stage_count_and_cap(self):
+        f = GraphHom(complete_graph(2), cycle_graph(5), (0, 1))
+        with pytest.raises(ExplosionGuard) as info:
+            enumerate_component(complete_graph(2), cycle_graph(5), f, cap=5)
+        assert str(info.value) == "component elements: reached 6, over the cap of 5"
