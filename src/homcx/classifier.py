@@ -4,8 +4,9 @@ With a connected domain and a square-free target, every component of the
 homomorphism poset realizes a point, a circle, or a wedge of circles; the
 wedge case occurs exactly for components containing a homomorphism that
 factors through a single edge, and its rank is the cycle rank of the
-target's tensor double. The classifier computes exact homology, checks each
-component against this trichotomy, and raises rather than mislabel anything.
+target's tensor double. The classifier computes the exact homology of each
+component's cells in every degree, checks it against this trichotomy, and
+raises rather than mislabel anything.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .graphs import (
 )
 from .hom_poset import (
     DEFAULT_CAP,
-    component_betti,
+    cellular_betti,
     component_census,
     enumerate_component,
     has_hom,
@@ -114,13 +115,14 @@ def _rank_at(H, image_vertex):
     return expected_rank(induced_component(H, comp))
 
 
-def _homotopy_type(betti, k2_factoring, H, image_vertex):
+def _homotopy_type(betti, k2_factoring, r):
+    """Classify by every Betti number of the component; r is the rank the
+    target component predicts for the edge-factoring case."""
     if betti[0] != 1:
         raise InvariantViolation(f"component has {betti[0]} pieces, expected one")
     if any(b != 0 for b in betti[2:]):
         raise InvariantViolation(f"homology above degree one: {betti}")
-    r = _rank_at(H, image_vertex)
-    b1 = betti[1]
+    b1 = betti[1] if len(betti) > 1 else 0
     if k2_factoring:
         if b1 != r:
             raise InvariantViolation(
@@ -137,7 +139,7 @@ def _homotopy_type(betti, k2_factoring, H, image_vertex):
     )
 
 
-def classify_component(G, H, f, cap=DEFAULT_CAP, max_dim=2):
+def classify_component(G, H, f, cap=DEFAULT_CAP):
     """The homotopy type of the component of f, via exact homology.
 
     An edgeless domain makes every component a full simplex, so the
@@ -146,10 +148,10 @@ def classify_component(G, H, f, cap=DEFAULT_CAP, max_dim=2):
     """
     require_square_free(H)
     P = enumerate_component(G, H, f, cap=cap)
-    betti = component_betti(P, max_dim=max_dim, cap=cap)
+    betti = cellular_betti(P)
     members = [s.as_graph_hom() for s in P.singletons()]
     k2 = G.edge_count > 0 and any(h.factors_through_edge() for h in members)
-    return _homotopy_type(betti, k2, H, f.mapping[0])
+    return _homotopy_type(betti, k2, _rank_at(H, f.mapping[0]))
 
 
 def full_case_report(G, H, cap=DEFAULT_CAP, max_dim=2):
@@ -162,12 +164,17 @@ def full_case_report(G, H, cap=DEFAULT_CAP, max_dim=2):
     empty.)
     """
     facts = validate_instance(G, H)
+    rank_of = {
+        v: r
+        for comp, r in zip(connected_components(H), facts["codomain_component_ranks"])
+        for v in comp
+    }
     summaries = component_census(G, H, cap=cap, max_dim=max_dim)
     classified = []
     n_factoring = 0
     for s in summaries:
         k2 = s.k2_factoring and G.edge_count > 0
-        ht = _homotopy_type(s.betti, k2, H, s.representative.mapping[0])
+        ht = _homotopy_type(s.cell_betti, k2, rank_of[s.representative.mapping[0]])
         if ht.case_tag == EDGE_COMPONENT:
             n_factoring += 1
         entry = s.to_json()

@@ -1,11 +1,15 @@
 """The poset of set-valued homomorphisms between two graphs.
 
 A set-valued homomorphism assigns each vertex of G a nonempty set of vertices
-of H so that every cross pair along an edge of G is an edge of H. Ordered by
-pointwise inclusion, these form the face poset whose order complex realizes
-the space of homomorphisms G -> H. Connected components are discovered by
-single-element moves: adding or removing one image vertex at a time, which
-reaches exactly the elements connected through comparability zigzags.
+of H so that every cross pair along an edge of G is an edge of H. Each one is
+a cell of the polyhedral complex Hom(G, H): the product over u of the simplex
+on its image set, of dimension sum_u (|eta(u)| - 1). Ordered by pointwise
+inclusion, the cells form the face poset of that complex. Connected
+components are discovered by single-element moves: adding or removing one
+image vertex at a time, which reaches exactly the elements connected through
+comparability zigzags. Homology is computed on the cellular chain complex of
+each component; the order complex of its face poset, the barycentric
+subdivision, is kept as an independent oracle.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from .graphs import (
     mask_bits,
     neighbor_masks,
 )
-from .homology import OrderComplex, betti_numbers, complex_from_chains
+from .homology import ChainComplex, complex_from_chains
 
 DEFAULT_CAP = 200_000
 
@@ -220,20 +224,82 @@ def enumerate_component(G, H, f, cap=DEFAULT_CAP):
 
 
 def order_complex(P, cap=DEFAULT_CAP):
-    """Chains of the poset, as an abstract simplicial complex."""
+    """Chains of the poset, as an abstract simplicial complex.
+
+    For a component this is the barycentric subdivision of its cells, so it
+    serves as an independent oracle for `cellular_chain_complex`.
+    """
     return complex_from_chains(len(P), P.strict_upsets(), cap=cap)
 
 
-def component_betti(P, max_dim=2, cap=DEFAULT_CAP):
-    return betti_numbers(order_complex(P, cap=cap), max_dim)
+def cellular_chain_complex(P):
+    """The cellular chain complex of a component of Hom(G, H).
+
+    The d-cells are the elements of dimension d, in key order. Each cell is
+    a product of simplices, so its boundary removes one image vertex at a
+    time: dropping the i-th smallest element of eta(u) (counting from 0),
+    where |eta(u)| >= 2, carries the sign (-1)^(i + sum over v < u of
+    (|eta(v)| - 1)).
+    """
+    levels = {}
+    for e in P.elements:
+        key = e.key()
+        levels.setdefault(sum(len(s) - 1 for s in key), []).append(key)
+    grades = [levels.get(d, []) for d in range(max(levels, default=-1) + 1)]
+    boundaries = [tuple(() for _ in grades[0])] if grades else []
+    for d in range(1, len(grades)):
+        index = {key: i for i, key in enumerate(grades[d - 1])}
+        cols = []
+        for key in grades[d]:
+            entries = []
+            shift = 0
+            for u, s in enumerate(key):
+                if len(s) >= 2:
+                    for i in range(len(s)):
+                        face = index.get(key[:u] + (s[:i] + s[i + 1 :],) + key[u + 1 :])
+                        if face is None:
+                            raise InvariantViolation(f"a face of {key} is not in the component")
+                        entries.append((face, -1 if (i + shift) % 2 else 1))
+                shift += len(s) - 1
+            cols.append(tuple(entries))
+        boundaries.append(tuple(cols))
+    return ChainComplex(tuple(map(len, grades)), tuple(boundaries))
+
+
+def cellular_betti(P):
+    """Every Betti number b_0 .. b_top of the component's cell complex.
+
+    The alternating sum of the Betti numbers must equal that of the cell
+    counts; a mismatch raises InvariantViolation.
+    """
+    C = cellular_chain_complex(P)
+    betti = C.betti(len(C.counts) - 1)
+    euler = sum((-1) ** d * n for d, n in enumerate(C.counts))
+    if sum((-1) ** d * b for d, b in enumerate(betti)) != euler:
+        raise InvariantViolation(
+            f"Betti numbers {betti} disagree with the Euler characteristic {euler}"
+        )
+    return betti
+
+
+def component_betti(P, max_dim=2):
+    """Betti numbers b_0 .. b_max_dim of the component, zero above its top cell."""
+    return _truncate(cellular_betti(P), max_dim)
+
+
+def _truncate(betti, max_dim):
+    return betti[: max_dim + 1] + (0,) * (max_dim + 1 - len(betti))
 
 
 @dataclass(frozen=True)
 class ComponentSummary:
+    """One component; betti is b_0 .. b_max_dim, cell_betti every degree."""
+
     poset: HomPoset
     betti: tuple
     k2_factoring: bool
     representative: GraphHom
+    cell_betti: tuple
 
     def to_json(self):
         return {
@@ -260,12 +326,14 @@ def component_census(G, H, cap=DEFAULT_CAP, max_dim=2):
         members = [s.as_graph_hom() for s in P.singletons()]
         assigned.update(members)
         rep = min(members, key=lambda h: h.mapping)
+        cell_betti = cellular_betti(P)
         summaries.append(
             ComponentSummary(
                 poset=P,
-                betti=component_betti(P, max_dim=max_dim, cap=cap),
+                betti=_truncate(cell_betti, max_dim),
                 k2_factoring=any(h.factors_through_edge() for h in members),
                 representative=rep,
+                cell_betti=cell_betti,
             )
         )
     summaries.sort(key=lambda s: s.representative.mapping)

@@ -1,10 +1,13 @@
-"""Order complexes of finite posets and their integer simplicial homology.
+"""Chain complexes, their exact Betti numbers, and order complexes of posets.
 
-Simplices of the order complex are the chains of the poset. Boundary maps
-carry the usual alternating signs, so every entry is +1 or -1. Betti numbers
-are computed over the rationals with exact integer arithmetic: rows are
-combined fraction-free and rescaled by their gcd, so no floating point is
-involved anywhere.
+A `ChainComplex` holds sparse boundary matrices with +1/-1 entries. The
+production path builds one from the cells of a component of Hom(G, H)
+(`hom_poset.cellular_chain_complex`). The order complex of a finite poset,
+whose simplices are the chains of the poset, is kept as an independent
+oracle: it is the barycentric subdivision of the same space, so both must
+give the same Betti numbers. Betti numbers are computed over the rationals
+with exact integer arithmetic: rows are combined fraction-free and rescaled
+by their gcd, so no floating point is involved anywhere.
 """
 
 from __future__ import annotations
@@ -76,10 +79,10 @@ def complex_from_chains(n_vertices, greater, cap=200_000):
 
 @dataclass(frozen=True)
 class ChainComplex:
-    """Boundary matrices of a simplicial complex, stored column-sparse.
+    """Boundary matrices of a cell complex, stored column-sparse.
 
-    boundaries[d] describes the boundary of each d-simplex as a list of
-    (row, sign) pairs into the (d-1)-simplices; boundaries[0] is the zero map.
+    boundaries[d] describes the boundary of each d-cell as a list of
+    (row, sign) pairs into the (d-1)-cells; boundaries[0] is the zero map.
     """
 
     counts: tuple
@@ -106,6 +109,21 @@ class ChainComplex:
                 if any(v != 0 for v in acc.values()):
                     raise InvariantViolation("boundary of a boundary is nonzero")
         return True
+
+    def betti(self, max_dim):
+        """Betti numbers b_0 .. b_max_dim, exactly.
+
+        b_d = (number of d-cells) - rank(boundary_d) - rank(boundary_{d+1}).
+        """
+        ranks = {0: 0}
+        for d in range(1, min(len(self.counts) - 1, max_dim + 1) + 1):
+            ranks[d] = exact_rank(self.boundary_rows(d))
+        return tuple(
+            (self.counts[d] if d < len(self.counts) else 0)
+            - ranks.get(d, 0)
+            - ranks.get(d + 1, 0)
+            for d in range(max_dim + 1)
+        )
 
 
 def chain_complex(K):
@@ -184,20 +202,8 @@ def exact_rank(rows):
 
 
 def betti_numbers(K, max_dim):
-    """Betti numbers b_0 .. b_max_dim of an order complex, exactly.
-
-    b_d = (number of d-simplices) - rank(boundary_d) - rank(boundary_{d+1}).
-    """
-    C = chain_complex(K)
-    ranks = {0: 0}
-    top = min(K.dim, max_dim + 1)
-    for d in range(1, top + 1):
-        ranks[d] = exact_rank(C.boundary_rows(d))
-    out = []
-    for d in range(max_dim + 1):
-        n_d = C.counts[d] if d < len(C.counts) else 0
-        out.append(n_d - ranks.get(d, 0) - ranks.get(d + 1, 0))
-    return tuple(out)
+    """Betti numbers b_0 .. b_max_dim of an order complex, exactly."""
+    return chain_complex(K).betti(max_dim)
 
 
 def elementary_divisors(matrix):

@@ -14,6 +14,7 @@ from homcx import (
     EmptyHomSet,
     Graph,
     GraphHom,
+    InvariantViolation,
     NotConnected,
     NotSquareFree,
     classify_component,
@@ -28,6 +29,7 @@ from homcx import (
     petersen_graph,
     validate_instance,
 )
+from homcx.classifier import _homotopy_type
 
 K1 = Graph(1, [])
 K2 = Graph(2, [(0, 1)])
@@ -114,6 +116,15 @@ class TestClassifyComponent:
         # the whole poset is one simplex on all five image sets: a point,
         # even though a vertex map vacuously factors through any edge
         t = classify_component(K1, C5, GraphHom(K1, C5, (0,)))
+        assert (t.case_tag, t.circles) == ("Point", 0)
+
+
+class TestGates:
+    def test_every_degree_is_gated(self):
+        # a degree above the reported b_0 .. b_2 still fails the gate
+        with pytest.raises(InvariantViolation, match="above degree one"):
+            _homotopy_type((1, 1, 0, 1), True, 1)
+        t = _homotopy_type((1,), False, 1)
         assert (t.case_tag, t.circles) == ("Point", 0)
 
 

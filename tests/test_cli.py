@@ -194,6 +194,15 @@ class TestCaps:
             assert main(base) == 1
             assert "HOMCX_CAP" in capsys.readouterr().err
 
+    def test_component_cap_is_the_only_cap(self, capsys):
+        # the order complex of this component has more chains than the
+        # default cap; its 3470 cells do not
+        code, rep = run(capsys, "classify", "--domain", "K1,3", "--codomain", "petersen")
+        assert code == 0
+        assert [(c["case"], c["size"], c["betti"]) for c in rep["components"]] == [
+            ("HxK2Component", 3470, [1, 11, 0])
+        ]
+
     def test_deep_domain(self, capsys):
         # the search is iterative, so a long path does not hit the recursion limit
         code, rep = run(capsys, "census", "--domain", "P1200", "--codomain", "K2")

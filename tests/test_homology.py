@@ -1,8 +1,10 @@
-"""Exact homology of order complexes.
+"""Exact homology of order complexes and of the cells of Hom(G, H).
 
 The sparse fraction-free rank is cross-checked against a dense elimination
 over Fraction on a batch of seeded random matrices before any Betti number
 is trusted; Smith form outputs are checked against hand-reduced matrices.
+The cellular Betti numbers of each component are checked against the order
+complex of its face poset, which subdivides the same space.
 """
 
 import itertools
@@ -10,6 +12,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from homcx import (
     ExplosionGuard,
@@ -19,13 +22,20 @@ from homcx import (
     OrderComplex,
     betti_numbers,
     chain_complex,
+    complete_graph,
     complex_from_chains,
+    component_betti,
     cycle_graph,
     elementary_divisors,
     enumerate_component,
+    enumerate_graph_homs,
     exact_rank,
     order_complex,
+    petersen_graph,
 )
+from homcx.hom_poset import cellular_betti, cellular_chain_complex
+
+from test_engine import graphs
 
 
 def dense_rank(rows, n_cols):
@@ -185,3 +195,59 @@ class TestHomComponentHomology:
         divs = elementary_divisors(dense)
         assert divs == [1] * 19
         assert betti_numbers(K, 2) == (1, 1, 0)
+
+
+@st.composite
+def small_instances(draw):
+    """A small domain, a target (random, or one with squares or triangles)
+    and one homomorphism between them."""
+    G = draw(graphs(1, 3))
+    H = draw(
+        st.one_of(
+            st.sampled_from([complete_graph(3), complete_graph(4), cycle_graph(4)]),
+            graphs(1, 5),
+        )
+    )
+    homs = enumerate_graph_homs(G, H)
+    assume(homs)
+    return G, H, homs[draw(st.integers(0, len(homs) - 1))]
+
+
+class TestCellularHomology:
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(small_instances())
+    def test_matches_order_complex(self, instance):
+        G, H, f = instance
+        try:
+            P = enumerate_component(G, H, f, cap=120)
+            K = order_complex(P, cap=20_000)
+        except ExplosionGuard:
+            assume(False)
+        cells = cellular_betti(P)
+        assert len(cells) == K.dim + 1
+        assert cells == betti_numbers(K, K.dim)
+        assert component_betti(P, max_dim=K.dim + 2) == cells + (0, 0)
+
+    @pytest.mark.parametrize(
+        "G, H, f",
+        [
+            (complete_graph(2), complete_graph(5), (0, 1)),
+            (complete_graph(2), complete_graph(4), (0, 1)),
+            (cycle_graph(6), cycle_graph(3), (0, 1, 0, 1, 0, 1)),
+            (Graph(3, [(0, 1), (1, 2)]), petersen_graph(), (0, 1, 0)),
+        ],
+    )
+    def test_boundary_squared_vanishes(self, G, H, f):
+        C = cellular_chain_complex(enumerate_component(G, H, GraphHom(G, H, f)))
+        assert len(C.counts) >= 3
+        assert C.check_boundary_squared()
+
+    @pytest.mark.parametrize(
+        "n, betti", [(3, (1, 1, 0)), (4, (1, 0, 1, 0)), (5, (1, 0, 0, 1, 0))]
+    )
+    def test_edge_into_complete_graph_is_a_sphere(self, n, betti):
+        # Hom(K2, K_n) is the sphere of dimension n - 2, so the top degree
+        # checks the signs of the boundary in degree n - 2
+        K2, Kn = complete_graph(2), complete_graph(n)
+        P = enumerate_component(K2, Kn, GraphHom(K2, Kn, (0, 1)))
+        assert component_betti(P, max_dim=n - 1) == betti
