@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import EmptyHomSet, InvariantViolation, NotConnected
+from .errors import EmptyHomSet, GraphInputError, InvariantViolation, NotConnected
 from .graphs import (
     Graph,
     connected_components,
@@ -85,13 +85,15 @@ def induced_component(H, comp):
 def validate_instance(G, H):
     """Check the standing hypotheses and collect instance-level facts.
 
-    Raises NotSquareFree when the target contains a 4-cycle and EmptyHomSet
-    when there is no homomorphism at all. A single-vertex domain makes every
-    component a point; a disconnected domain factors as a product over its
-    components; a disconnected target only meets one of its components per
-    component of the domain image. These are reported as facts rather than
-    rejected.
+    Raises GraphInputError for a domain without vertices, NotSquareFree when
+    the target contains a 4-cycle and EmptyHomSet when there is no
+    homomorphism at all. A single-vertex domain makes every component a
+    point; a disconnected domain factors as a product over its components; a
+    disconnected target only meets one of its components per component of
+    the domain image. These are reported as facts rather than rejected.
     """
+    if G.n == 0:
+        raise GraphInputError("the domain needs at least one vertex")
     require_square_free(H)
     facts = {
         "codomain_bipartite": is_bipartite(H) is not None,

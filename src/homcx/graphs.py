@@ -292,6 +292,17 @@ def mask_bits(mask):
     return out
 
 
+def common_neighbors(nbr, mask):
+    """The vertices adjacent to every vertex of mask, as an int bitmask.
+
+    nbr is neighbor_masks(H). An empty mask leaves every vertex of H.
+    """
+    room = (1 << len(nbr)) - 1
+    for x in mask_bits(mask):
+        room &= nbr[x]
+    return room
+
+
 def _over_cap(stage, count, cap):
     return ExplosionGuard(f"{stage}: reached {count}, over the cap of {cap}")
 
@@ -510,4 +521,6 @@ def graph_to_json(G):
 def graph_from_json(data):
     if not isinstance(data, dict) or "n" not in data or "edges" not in data:
         raise GraphInputError("graph JSON must be an object with 'n' and 'edges'")
-    return Graph(data["n"], [tuple(e) for e in data["edges"]])
+    if not isinstance(data["edges"], (list, tuple)):
+        raise GraphInputError("graph JSON 'edges' must be a list of vertex pairs")
+    return Graph(data["n"], data["edges"])

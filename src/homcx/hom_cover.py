@@ -32,6 +32,7 @@ from .graphs import (
     backtrack,
     bfs_order,
     closure,
+    common_neighbors,
     is_connected,
     is_square_free,
     mask_bits,
@@ -232,8 +233,14 @@ def tight_vertices(f):
 
 def is_in_Ef(phi):
     """Closed-form membership test for the identity component of the fiber."""
+    _require_cover_setting(phi.base_hom)
+    return _passes_membership_test(phi)
+
+
+def _passes_membership_test(phi):
+    """is_in_Ef without re-checking the cover setting: even walk lengths,
+    and only trivial walks at tight vertices."""
     f = phi.base_hom
-    _require_cover_setting(f)
     for s in phi.sets:
         for w in s:
             if w.length % 2 != 0:
@@ -370,6 +377,8 @@ def fiber_component_bounded(f, max_norm, cap=DEFAULT_CAP):
     bound, which is enough to reach every member of the component whose norm
     fits (walks shrink monotonically along the deformation to the identity).
     """
+    if max_norm < 0:
+        raise ValueError(f"max_norm must be a nonnegative integer, got {max_norm}")
     if f.domain.n < 2 or not is_connected(f.domain):
         raise NotConnected("the domain must be connected with at least two vertices")
     seen = closure(
@@ -387,7 +396,7 @@ def enumerate_Ef_bounded(f, max_norm, cap=DEFAULT_CAP):
     _require_cover_setting(f)
     elements = fiber_component_bounded(f, max_norm, cap=cap)
     for e in elements:
-        if not is_in_Ef(e):
+        if not _passes_membership_test(e):
             raise InvariantViolation(
                 "BFS reached an element the membership test rejects"
             )
@@ -499,14 +508,13 @@ def _upsets_in_base(base, cap):
     """
     G, H = base.domain, base.codomain
     nbr = neighbor_masks(H)
-    everything = (1 << H.n) - 1
     floor = [sum(1 << x for x in s) for s in base.sets]
 
     def candidates(u, partial):
-        room = everything
+        near = 0
         for v in G.neighbors(u):
-            for x in mask_bits(partial.get(v, floor[v])):
-                room &= nbr[x]
+            near |= partial.get(v, floor[v])
+        room = common_neighbors(nbr, near)
         if floor[u] & ~room:
             return []
         free = room & ~floor[u]

@@ -5,17 +5,19 @@ of H so that every cross pair along an edge of G is an edge of H. Each one is
 a cell of the polyhedral complex Hom(G, H): the product over u of the simplex
 on its image set, of dimension sum_u (|eta(u)| - 1). Ordered by pointwise
 inclusion, the cells form the face poset of that complex. Connected
-components are discovered by single-element moves: adding or removing one
-image vertex at a time, which reaches exactly the elements connected through
-comparability zigzags. Homology is computed on the cellular chain complex of
-each component; the order complex of its face poset, the barycentric
-subdivision, is kept as an independent oracle.
+components are discovered by a walk over cells held as tuples of int
+bitmasks over V(H): each move removes one image vertex, or adds one
+adjacent to every vertex in the sets at the neighbors, which reaches
+exactly the elements connected through comparability zigzags.
+Homology is computed on the cellular chain complex of each component; the
+order complex of its face poset, the barycentric subdivision, is kept as an
+independent oracle.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InvariantViolation, NotHomomorphism
 from .graphs import (
@@ -23,8 +25,8 @@ from .graphs import (
     backtrack,
     bfs_order,
     closure,
+    common_neighbors,
     graph_to_json,
-    is_square_free,
     mask_bits,
     neighbor_masks,
 )
@@ -148,12 +150,10 @@ class HomPoset:
     """A set of set-valued homomorphisms, closed under comparability zigzags."""
 
     elements: tuple
-    index: dict = field(repr=False)
 
     @classmethod
     def from_elements(cls, elements):
-        elements = tuple(sorted(elements, key=lambda e: e.key()))
-        return cls(elements, {e: i for i, e in enumerate(elements)})
+        return cls(tuple(sorted(elements, key=lambda e: e.key())))
 
     def __len__(self):
         return len(self.elements)
@@ -174,52 +174,37 @@ class HomPoset:
         return [sorted(g) for g in greater]
 
 
-def _single_moves(element, square_free_target):
-    """All elements one set-element away from this one (either direction)."""
-    G, H = element.domain, element.codomain
-    sets = element.sets
-    out = []
-    for u in range(G.n):
-        s = sets[u]
-        if len(s) >= 2:
-            for x in sorted(s):
-                out.append(
-                    SetValuedHom(
-                        G, H, sets[:u] + (s - {x},) + sets[u + 1 :]
-                    )
-                )
-        for x in range(H.n):
-            if x in s:
-                continue
-            if square_free_target and s:
-                # growing u to two or more values forces all its neighbors
-                # to carry one common singleton
-                nbr_sets = [sets[v] for v in G.neighbors(u)]
-                if nbr_sets and (
-                    any(len(t) != 1 for t in nbr_sets) or len(set().union(*nbr_sets)) != 1
-                ):
-                    continue
-            if all(sets[v] <= frozenset(H.neighbors(x)) for v in G.neighbors(u)):
-                out.append(
-                    SetValuedHom(G, H, sets[:u] + (s | {x},) + sets[u + 1 :])
-                )
-    return out
-
-
 def enumerate_component(G, H, f, cap=DEFAULT_CAP):
-    """The full poset component of the homomorphism f, found by BFS."""
+    """The full poset component of f, a GraphHom or a SetValuedHom.
+
+    Cells are walked as tuples of int bitmasks over V(H). A move removes one
+    element from a set of size at least two, or adds a vertex x at u when x
+    is adjacent to every vertex in the sets at the neighbors of u, which is
+    exactly when the result is again a set-valued homomorphism.
+    """
     if isinstance(f, GraphHom):
-        start = SetValuedHom.from_graph_hom(f)
-    else:
-        start = f
-    square_free_target = is_square_free(H)
+        f = SetValuedHom.from_graph_hom(f)
+    nbr = neighbor_masks(H)
+
+    def moves(cell):
+        out = []
+        for u, s in enumerate(cell):
+            if s & (s - 1):
+                out.extend(cell[:u] + (s ^ (1 << x),) + cell[u + 1 :] for x in mask_bits(s))
+            near = 0
+            for v in G.neighbors(u):
+                near |= cell[v]
+            room = common_neighbors(nbr, near) & ~s
+            out.extend(cell[:u] + (s | (1 << x),) + cell[u + 1 :] for x in mask_bits(room))
+        return out
+
+    start = tuple(sum(1 << x for x in s) for s in f.sets)
+    cells = closure(start, moves, cap, "component elements")
+    # one frozenset per distinct mask, shared by every cell that uses it,
+    # so the returned poset holds far fewer sets than cells
+    frozen = {s: frozenset(mask_bits(s)) for s in {s for cell in cells for s in cell}}
     return HomPoset.from_elements(
-        closure(
-            start,
-            lambda e: _single_moves(e, square_free_target),
-            cap,
-            "component elements",
-        )
+        SetValuedHom(G, H, (frozen[s] for s in cell)) for cell in cells
     )
 
 

@@ -49,6 +49,10 @@ class TreeCover:
 
     @classmethod
     def build(cls, base, basepoint, radius):
+        if radius < 0:
+            raise ValueError(f"radius must be a nonnegative integer, got {radius}")
+        if not (0 <= basepoint < base.n):
+            raise GraphInputError(f"basepoint {basepoint} is not a vertex of the base graph")
         if not is_connected(base):
             raise NotConnected("covers are built over connected graphs")
         walks = tuple(reduced_walks_from(base, basepoint, radius))

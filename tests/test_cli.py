@@ -6,10 +6,14 @@ conventions: 0 success, 1 unusable input, 2 violated invariant or cap,
 input where a connected one is needed).
 """
 
+import contextlib
+import io
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from homcx.cli import load_graph, main
 from homcx import Graph, complete_bipartite, cycle_graph, path_graph, petersen_graph
@@ -218,3 +222,91 @@ class TestParser:
     def test_missing_required_flag(self):
         with pytest.raises(SystemExit):
             main(["census", "--domain", "K2"])
+
+
+class TestBounds:
+    def test_negative_max_norm_is_bad_input(self, capsys):
+        argv = ["ef", "--domain", "K2", "--codomain", "C5", "--seed-hom", "0,1"]
+        assert main(argv + ["--max-norm", "-1"]) == 1
+        assert "max_norm" in capsys.readouterr().err
+
+    def test_negative_radius_is_bad_input(self, capsys):
+        assert main(["cover", "--graph", "C5", "--radius", "-1"]) == 1
+        assert "radius" in capsys.readouterr().err
+
+    def test_basepoint_out_of_range(self, capsys):
+        assert main(["cover", "--graph", "C5", "--radius", "2", "--basepoint", "9"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("edges", [[5], None, 7, [[0, 1, 2]]])
+    def test_malformed_edges(self, tmp_path, capsys, edges):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({"n": 3, "edges": edges}))
+        assert main(["check", "--graph", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 6) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=6,
+)
+vertex_pairs = st.lists(st.integers(-1, 5), min_size=2, max_size=2)
+graph_files = st.one_of(
+    st.fixed_dictionaries(
+        {"n": st.integers(0, 5), "edges": st.lists(vertex_pairs | json_values, max_size=6)}
+    ),
+    st.fixed_dictionaries({"n": json_values, "edges": json_values}),
+    json_values,
+).map(lambda data: ("json", data))
+graph_specs = st.sampled_from(["K1", "K2", "K3", "C4", "C5", "P3", "K1,3", "petersen"]) | graph_files
+seed_homs = st.text(max_size=5) | st.lists(st.integers(-1, 10), max_size=5).map(
+    lambda xs: ",".join(map(str, xs))
+)
+
+
+@st.composite
+def invocations(draw):
+    """One CLI argv, with ("json", data) standing for a graph file holding data."""
+    command = draw(st.sampled_from(["check", "product", "census", "classify", "ef", "cover"]))
+    if command in ("check", "product"):
+        return [command, "--graph", draw(graph_specs)]
+    if command == "cover":
+        return [
+            command, "--graph", draw(graph_specs),
+            f"--basepoint={draw(st.integers(-2, 11))}", f"--radius={draw(st.integers(-2, 4))}",
+        ]
+    argv = [command, "--domain", draw(graph_specs), "--codomain", draw(graph_specs)]
+    argv.append(f"--cap={draw(st.integers(-2, 300))}")
+    if command == "ef":
+        argv += [f"--seed-hom={draw(seed_homs)}", f"--max-norm={draw(st.integers(-2, 6))}"]
+    return argv
+
+
+class TestFuzz:
+    """Graphs, caps, radii and norms are drawn small, so each example takes
+    milliseconds."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(invocations())
+    @example(["cover", "--graph", "C5", "--basepoint=9", "--radius=2"])
+    @example(["check", "--graph", ("json", {"n": 3, "edges": [5]})])
+    @example(["check", "--graph", ("json", {"n": 3, "edges": None})])
+    @example(["classify", "--domain", ("json", {"n": 0, "edges": []}), "--codomain", "K1", "--cap=1"])
+    def test_exit_codes_without_tracebacks(self, argv):
+        with tempfile.TemporaryDirectory() as tmp:
+            resolved = []
+            for i, arg in enumerate(argv):
+                if isinstance(arg, tuple):
+                    path = os.path.join(tmp, f"graph{i}.json")
+                    with open(path, "w") as fh:
+                        json.dump(arg[1], fh)
+                    arg = path
+                resolved.append(arg)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(resolved)
+        assert code in (0, 1, 2, 3)
+        assert err.getvalue().count("\n") <= 1

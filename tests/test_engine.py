@@ -5,10 +5,8 @@ the engine, and a tripped cap must say which stage tripped, how far the
 count got, and what the cap was.
 """
 
-import itertools
-
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from homcx import (
     ExplosionGuard,
@@ -23,15 +21,7 @@ from homcx import (
 from homcx.graphs import backtrack, bfs_order, closure
 from homcx.hom_cover import _upsets_in_base
 
-from test_hom_poset import all_set_valued, brute_homs
-
-
-@st.composite
-def graphs(draw, min_n, max_n):
-    n = draw(st.integers(min_n, max_n))
-    pairs = list(itertools.combinations(range(n), 2))
-    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    return Graph(n, [e for e, k in zip(pairs, keep) if k])
+from test_hom_poset import all_set_valued, brute_homs, graphs
 
 
 class TestEngine:

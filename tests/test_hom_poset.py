@@ -2,14 +2,14 @@
 
 Component discovery by single moves is cross-checked against a zigzag
 oracle that materializes every set-valued homomorphism by brute force and
-joins them with union-find over comparability. The oracle ignores the
-square-free pruning entirely, so it also exercises the unpruned path on a
-four-cycle codomain.
+joins them with union-find over comparability. The oracle knows nothing of
+the move rule, so it also checks that rule on targets with four-cycles.
 """
 
 import itertools
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from homcx import (
     ExplosionGuard,
@@ -58,6 +58,14 @@ def all_set_valued(G, H):
         except NotHomomorphism:
             pass
     return out
+
+
+@st.composite
+def graphs(draw, min_n, max_n):
+    n = draw(st.integers(min_n, max_n))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [e for e, k in zip(pairs, keep) if k])
 
 
 def zigzag_components(elements):
@@ -190,6 +198,31 @@ class TestComponents:
     def test_cap(self):
         with pytest.raises(ExplosionGuard):
             enumerate_component(K2, C5, GraphHom(K2, C5, (0, 1)), cap=5)
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(
+        graphs(1, 3),
+        st.one_of(
+            st.sampled_from([complete_graph(3), cycle_graph(4), complete_graph(4)]),
+            graphs(1, 4),
+        ),
+        st.data(),
+    )
+    def test_mask_walk_matches_zigzag_oracle(self, G, H, data):
+        # targets with four-cycles included; start from a homomorphism and
+        # from a larger element of the same component
+        elements = all_set_valued(G, H)
+        assume(elements and len(elements) <= 400)
+        group = data.draw(st.sampled_from(zigzag_components(elements)))
+        expected = sorted(e.key() for e in group)
+        f = data.draw(st.sampled_from([e for e in group if e.is_singleton()]))
+        wide = [e for e in group if not e.is_singleton()]
+        start = data.draw(st.sampled_from(wide or group))
+        for seed in (f.as_graph_hom(), start):
+            P = enumerate_component(G, H, seed)
+            assert [e.key() for e in P.elements] == expected
+            sets = [s for e in P.elements for s in e.sets]
+            assert len({id(s) for s in sets}) == len(set(sets))  # one frozenset per mask
 
 
 class TestCensus:
