@@ -3,10 +3,13 @@
 The pipeline: finite graphs and their homomorphisms (`graphs`), reduced
 walks and their groupoid (`walks`), the reduced-walk graph with its
 adjacency shapes and homotopies (`pi_graph`), the poset of set-valued
-homomorphisms with its order complex and homology (`hom_poset`,
+homomorphisms with the cellular homology of each component (`hom_poset`,
 `homology`), the universal cover fiber with its deformation and deck group
 (`hom_cover`), tree covers of the graphs themselves (`tree_covers`), and
 the homotopy-type classifier (`classifier`).
+
+The slower reference implementations that the tests check the package
+against live in tests/oracles.py, not here.
 """
 
 from .classifier import (
@@ -46,7 +49,6 @@ from .graphs import (
     connected_components,
     cycle_graph,
     disjoint_union,
-    find_isomorphism,
     find_square,
     graph_from_json,
     graph_to_json,
@@ -69,7 +71,6 @@ from .hom_cover import (
     check_poset_covering_local,
     down_lift,
     enumerate_Ef_bounded,
-    fiber_candidates_bounded,
     fiber_component_bounded,
     gamma_act,
     gamma_elements_bounded,
@@ -96,14 +97,11 @@ from .hom_poset import (
     enumerate_component,
     enumerate_graph_homs,
     has_hom,
-    hom_adjacent,
-    order_complex,
     post_compose,
 )
 from .homology import (
     ChainComplex,
     OrderComplex,
-    betti_numbers,
     chain_complex,
     complex_from_chains,
     elementary_divisors,
@@ -121,7 +119,6 @@ from .pi_graph import (
     inverse_homotopy,
     is_topologically_valid,
     materialize_pi,
-    pi_adjacent,
     pi_neighbor,
     transport,
 )

@@ -156,7 +156,7 @@ def classify_component(G, H, f, cap=DEFAULT_CAP):
     return _homotopy_type(betti, k2, _rank_at(H, f.mapping[0]))
 
 
-def full_case_report(G, H, cap=DEFAULT_CAP, max_dim=2):
+def full_case_report(G, H, cap=DEFAULT_CAP):
     """Census plus classification plus the global counting checks.
 
     The number of edge-factoring components is forced by bipartiteness: two
@@ -171,7 +171,7 @@ def full_case_report(G, H, cap=DEFAULT_CAP, max_dim=2):
         for comp, r in zip(connected_components(H), facts["codomain_component_ranks"])
         for v in comp
     }
-    summaries = component_census(G, H, cap=cap, max_dim=max_dim)
+    summaries = component_census(G, H, cap=cap)
     classified = []
     n_factoring = 0
     for s in summaries:

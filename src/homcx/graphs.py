@@ -18,13 +18,18 @@ from .errors import (
 )
 
 
+def _is_int(x):
+    """An int that is not a bool: JSON true and false are not vertex labels."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 class Graph:
     """Immutable simple undirected graph on vertex set {0, ..., n-1}."""
 
     __slots__ = ("n", "edges", "_adj", "_hash")
 
     def __init__(self, n, edges=()):
-        if not isinstance(n, int) or n < 0:
+        if not _is_int(n) or n < 0:
             raise GraphInputError(f"vertex count must be a nonnegative integer, got {n!r}")
         seen = set()
         for e in edges:
@@ -32,7 +37,7 @@ class Graph:
                 u, v = e
             except (TypeError, ValueError):
                 raise GraphInputError(f"edge {e!r} is not a vertex pair") from None
-            if not (isinstance(u, int) and isinstance(v, int)):
+            if not (_is_int(u) and _is_int(v)):
                 raise GraphInputError(f"edge {e!r} has non-integer endpoints")
             if u == v:
                 raise GraphInputError(f"loop at vertex {u} rejected")
@@ -478,36 +483,6 @@ def _check_component_iso(P, comp, mapping, H):
     for p, q in comp_edges:
         if not H.has_edge(mapping[p], mapping[q]):
             raise NotHomomorphism("component edge maps to a non-edge of H")
-
-
-# ---------------------------------------------------------------------------
-# isomorphism search
-
-
-def find_isomorphism(G, H):
-    """A vertex bijection G -> H preserving edges both ways, or None.
-
-    Backtracking with degree pruning; intended for small graphs (say up to
-    a dozen vertices).
-    """
-    if G.n != H.n or G.edge_count != H.edge_count:
-        return None
-    if sorted(map(G.degree, G.vertices())) != sorted(map(H.degree, H.vertices())):
-        return None
-    order = sorted(G.vertices(), key=lambda u: (-G.degree(u), u))
-
-    def candidates(u, partial):
-        used = set(partial.values())
-        return [
-            x
-            for x in H.vertices()
-            if x not in used
-            and H.degree(x) == G.degree(u)
-            and all(G.has_edge(u, v) == H.has_edge(x, y) for v, y in partial.items())
-        ]
-
-    mapping = next(backtrack(order, candidates), None)
-    return None if mapping is None else tuple(mapping[u] for u in G.vertices())
 
 
 # ---------------------------------------------------------------------------

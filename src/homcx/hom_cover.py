@@ -30,7 +30,6 @@ from .errors import (
 from .graphs import (
     GraphHom,
     backtrack,
-    bfs_order,
     closure,
     common_neighbors,
     is_connected,
@@ -44,7 +43,6 @@ from .pi_graph import Homotopy, classify_adjacency
 from .walks import (
     ReducedWalk,
     edge_walk,
-    reduced_walks_from,
     trivial_walk,
     walk_inverse,
     walk_product,
@@ -401,63 +399,6 @@ def enumerate_Ef_bounded(f, max_norm, cap=DEFAULT_CAP):
                 "BFS reached an element the membership test rejects"
             )
     return elements
-
-
-def fiber_candidates_bounded(f, max_norm, cap=DEFAULT_CAP):
-    """Every structurally valid fiber element with norm <= max_norm.
-
-    Built without any connectivity search, by one backtrack over two passes
-    of the domain: keys (0, u) pick a single walk at u, then keys (1, u) pick
-    a set of walks at u containing that walk. Serves as the independent
-    cross-check for the BFS enumeration.
-    """
-    _require_cover_setting(f)
-    G, H = f.domain, f.codomain
-    order = bfs_order(G)
-
-    def single_walks(u, partial):
-        used = sum(w.length for w in partial.values())
-        anchors = [partial[0, v] for v in G.neighbors(u) if (0, v) in partial]
-        if anchors:
-            pool = _extensions(f, u, anchors[0])
-        else:
-            pool = reduced_walks_from(H, f(u), max_norm - used)
-        return [
-            w
-            for w in pool
-            if used + w.length <= max_norm
-            and all(classify_adjacency(w, a) for a in anchors)
-        ]
-
-    def walk_sets(u, partial):
-        nbrs = G.neighbors(u)
-        h = partial[0, u]
-        extras = {
-            w
-            for w in _extensions(f, u, partial[0, nbrs[0]])
-            if w != h
-            and w.length <= max_norm
-            and all(classify_adjacency(w, partial[0, v]) for v in nbrs)
-        }
-        placed = [partial[1, v] for v in nbrs if (1, v) in partial]
-        used = sum(max(w.length for w in s) for (phase, _), s in partial.items() if phase)
-        out = []
-        for extra in _subsets(extras):
-            s = frozenset((h, *extra))
-            if used + max(w.length for w in s) <= max_norm and all(
-                classify_adjacency(a, b) for t in placed for a in s for b in t
-            ):
-                out.append(s)
-        return out
-
-    found = backtrack(
-        [(0, u) for u in order] + [(1, u) for u in order],
-        lambda key, partial: (walk_sets if key[0] else single_walks)(key[1], partial),
-        cap,
-        "fiber candidates",
-    )
-    elements = {EfElement(f, (a[1, u] for u in G.vertices())) for a in found}
-    return sorted(elements, key=lambda e: e.key())
 
 
 def _subsets(items):

@@ -10,8 +10,8 @@ bitmasks over V(H): each move removes one image vertex, or adds one
 adjacent to every vertex in the sets at the neighbors, which reaches
 exactly the elements connected through comparability zigzags.
 Homology is computed on the cellular chain complex of each component; the
-order complex of its face poset, the barycentric subdivision, is kept as an
-independent oracle.
+order complex of its face poset, the barycentric subdivision, is the tests'
+independent oracle (tests/oracles.py), built from `HomPoset.strict_upsets`.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .graphs import (
     mask_bits,
     neighbor_masks,
 )
-from .homology import ChainComplex, complex_from_chains
+from .homology import ChainComplex
 
 DEFAULT_CAP = 200_000
 
@@ -100,13 +100,6 @@ class SetValuedHom:
 
     def to_json(self):
         return {"sets": [list(s) for s in self.key()]}
-
-
-def hom_adjacent(f, g):
-    """Do two singleton elements differ at exactly one vertex?"""
-    fm = f.mapping if isinstance(f, GraphHom) else f.as_graph_hom().mapping
-    gm = g.mapping if isinstance(g, GraphHom) else g.as_graph_hom().mapping
-    return sum(a != b for a, b in zip(fm, gm)) == 1
 
 
 def post_compose(k, phi):
@@ -208,15 +201,6 @@ def enumerate_component(G, H, f, cap=DEFAULT_CAP):
     )
 
 
-def order_complex(P, cap=DEFAULT_CAP):
-    """Chains of the poset, as an abstract simplicial complex.
-
-    For a component this is the barycentric subdivision of its cells, so it
-    serves as an independent oracle for `cellular_chain_complex`.
-    """
-    return complex_from_chains(len(P), P.strict_upsets(), cap=cap)
-
-
 def cellular_chain_complex(P):
     """The cellular chain complex of a component of Hom(G, H).
 
@@ -278,7 +262,7 @@ def _truncate(betti, max_dim):
 
 @dataclass(frozen=True)
 class ComponentSummary:
-    """One component; betti is b_0 .. b_max_dim, cell_betti every degree."""
+    """One component; betti is b_0 .. b_2, cell_betti every degree."""
 
     poset: HomPoset
     betti: tuple
@@ -296,7 +280,7 @@ class ComponentSummary:
         }
 
 
-def component_census(G, H, cap=DEFAULT_CAP, max_dim=2):
+def component_census(G, H, cap=DEFAULT_CAP):
     """Every component of the homomorphism poset, with homology and markers.
 
     Components are listed by their lexicographically least homomorphism.
@@ -315,7 +299,7 @@ def component_census(G, H, cap=DEFAULT_CAP, max_dim=2):
         summaries.append(
             ComponentSummary(
                 poset=P,
-                betti=_truncate(cell_betti, max_dim),
+                betti=_truncate(cell_betti, 2),
                 k2_factoring=any(h.factors_through_edge() for h in members),
                 representative=rep,
                 cell_betti=cell_betti,
@@ -330,8 +314,8 @@ def component_census(G, H, cap=DEFAULT_CAP, max_dim=2):
     return summaries
 
 
-def census_report(G, H, cap=DEFAULT_CAP, max_dim=2):
-    summaries = component_census(G, H, cap=cap, max_dim=max_dim)
+def census_report(G, H, cap=DEFAULT_CAP):
+    summaries = component_census(G, H, cap=cap)
     return {
         "components": [s.to_json() for s in summaries],
         "graph_meta": {"codomain": graph_to_json(H), "domain": graph_to_json(G)},

@@ -3,11 +3,13 @@
 A `ChainComplex` holds sparse boundary matrices with +1/-1 entries. The
 production path builds one from the cells of a component of Hom(G, H)
 (`hom_poset.cellular_chain_complex`). The order complex of a finite poset,
-whose simplices are the chains of the poset, is kept as an independent
-oracle: it is the barycentric subdivision of the same space, so both must
-give the same Betti numbers. Betti numbers are computed over the rationals
-with exact integer arithmetic: rows are combined fraction-free and rescaled
-by their gcd, so no floating point is involved anywhere.
+whose simplices are the chains of the poset, is the barycentric subdivision
+of the same space, so both must give the same Betti numbers; the tests use
+it as an independent oracle (`order_complex` and `betti_numbers` in
+tests/oracles.py), and the benchmark's traced pass times it. Betti numbers
+are computed over the rationals with exact integer arithmetic: rows are
+combined fraction-free and rescaled by their gcd, so no floating point is
+involved anywhere.
 """
 
 from __future__ import annotations
@@ -199,11 +201,6 @@ def exact_rank(rows):
                 nxt_keys.append(_row_pick_key(new))
         work, keys = nxt, nxt_keys
     return rank
-
-
-def betti_numbers(K, max_dim):
-    """Betti numbers b_0 .. b_max_dim of an order complex, exactly."""
-    return chain_complex(K).betti(max_dim)
 
 
 def elementary_divisors(matrix):

@@ -8,6 +8,8 @@ two connecting edges gives back xi:
 
 Adjacent pairs fall into five explicit shapes (A1 to A5 below), and only a
 pair of length-1 walks can match two shapes at once (A2 and A4 together).
+Finite windows take their edges from pi_neighbor; the tests keep the
+conjugation equation and an all-pairs window scan as references.
 
 The endpoint maps s, t send a walk to its source and target; length-zero
 walks embed H into this graph. A homotopy between homomorphisms f, g: G -> H
@@ -17,7 +19,7 @@ is a homomorphism from G into the reduced-walk graph lying over (f, g).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     EndpointMismatch,
@@ -58,22 +60,6 @@ class AdjacencyType(enum.Enum):
     A3 = "A3"
     A4 = "A4"
     A5 = "A5"
-
-
-def pi_adjacent(xi, eta):
-    """Adjacency test straight from the definition (conjugation equation)."""
-    H = xi.graph
-    if eta.graph != H:
-        raise ValueError("walks live in different graphs")
-    if not H.has_edge(xi.source, eta.source):
-        return False
-    if not H.has_edge(xi.target, eta.target):
-        return False
-    conj = walk_product(
-        walk_product(edge_walk(H, xi.source, eta.source), eta),
-        edge_walk(H, eta.target, xi.target),
-    )
-    return conj == xi
 
 
 def classify_adjacency(xi, eta):
@@ -307,13 +293,6 @@ class PiWindow:
     max_len: int
     walks: tuple
     edges: tuple  # pairs of indices (i, j), i < j
-    index: dict = field(compare=False, repr=False)
-
-    @property
-    def boundary(self):
-        return tuple(
-            i for i, w in enumerate(self.walks) if w.length >= self.max_len - 1
-        )
 
     @property
     def interior(self):
@@ -330,9 +309,6 @@ class PiWindow:
                 out.append(a)
         return sorted(out)
 
-    def graph(self):
-        return Graph(len(self.walks), self.edges)
-
     def to_json(self):
         return {
             "edges": [list(e) for e in self.edges],
@@ -342,7 +318,12 @@ class PiWindow:
 
 
 def materialize_pi(H, max_len, cap=200_000):
-    """Build the finite window of the reduced-walk graph up to max_len."""
+    """Build the finite window of the reduced-walk graph up to max_len.
+
+    The neighbors of a walk xi are pi_neighbor(xi, x, y) for x adjacent to
+    s(xi) and y adjacent to t(xi); those longer than max_len fall outside
+    the window.
+    """
     walks = all_reduced_walks(H, max_len)
     if len(walks) > cap:
         raise ExplosionGuard(
@@ -351,16 +332,9 @@ def materialize_pi(H, max_len, cap=200_000):
     index = {w: i for i, w in enumerate(walks)}
     edges = []
     for i, xi in enumerate(walks):
-        for j in range(i + 1, len(walks)):
-            eta = walks[j]
-            if eta.length - xi.length > 2:
-                break  # sorted by length, no later walk can be adjacent
-            if (eta.length - xi.length) % 2 != 0:
-                continue
-            if not H.has_edge(xi.source, eta.source):
-                continue
-            if not H.has_edge(xi.target, eta.target):
-                continue
-            if classify_adjacency(xi, eta):
-                edges.append((i, j))
-    return PiWindow(H, max_len, tuple(walks), tuple(edges), index)
+        for x in H.neighbors(xi.source):
+            for y in H.neighbors(xi.target):
+                j = index.get(pi_neighbor(xi, x, y))
+                if j is not None and j > i:
+                    edges.append((i, j))
+    return PiWindow(H, max_len, tuple(walks), tuple(sorted(edges)))

@@ -28,8 +28,6 @@ from homcx import (
     cycle_graph,
     enumerate_Ef_bounded,
     expected_rank,
-    fiber_candidates_bounded,
-    find_isomorphism,
     full_case_report,
     gamma_elements_bounded,
     gamma_identity,
@@ -55,6 +53,8 @@ from homcx import (
     Walk,
 )
 from homcx.cli import main as cli_main
+
+from oracles import fiber_candidates_bounded, find_isomorphism
 
 K2 = Graph(2, [(0, 1)])
 C3 = cycle_graph(3)

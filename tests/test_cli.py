@@ -239,10 +239,18 @@ class TestBounds:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("edges", [[5], None, 7, [[0, 1, 2]]])
+    @pytest.mark.parametrize("edges", [[5], None, 7, [[0, 1, 2]], [[False, True]]])
     def test_malformed_edges(self, tmp_path, capsys, edges):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({"n": 3, "edges": edges}))
+        assert main(["check", "--graph", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_boolean_vertex_count(self, tmp_path, capsys):
+        # JSON true is an int to Python, but not a vertex count
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({"n": True, "edges": []}))
         assert main(["check", "--graph", str(p)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1

@@ -21,7 +21,6 @@ from homcx import (
     connected_components,
     cycle_graph,
     disjoint_union,
-    find_isomorphism,
     find_square,
     graph_from_json,
     graph_to_json,
@@ -36,6 +35,8 @@ from homcx import (
     require_square_free,
     times_k2,
 )
+
+from oracles import find_isomorphism
 
 
 def brute_square(G):

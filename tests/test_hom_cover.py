@@ -30,7 +30,6 @@ from homcx import (
     cycle_graph,
     down_lift,
     enumerate_Ef_bounded,
-    fiber_candidates_bounded,
     gamma_act,
     gamma_elements_bounded,
     gamma_identity,
@@ -48,6 +47,8 @@ from homcx import (
     tight_vertices,
     trivial_walk,
 )
+
+from oracles import fiber_candidates_bounded
 
 K2 = Graph(2, [(0, 1)])
 C3 = cycle_graph(3)

@@ -24,10 +24,11 @@ from homcx import (
     enumerate_component,
     enumerate_graph_homs,
     has_hom,
-    hom_adjacent,
     path_graph,
     post_compose,
 )
+
+from oracles import hom_adjacent
 
 K2 = Graph(2, [(0, 1)])
 C3 = cycle_graph(3)

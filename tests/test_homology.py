@@ -20,7 +20,6 @@ from homcx import (
     GraphHom,
     InvariantViolation,
     OrderComplex,
-    betti_numbers,
     chain_complex,
     complete_graph,
     complex_from_chains,
@@ -30,11 +29,11 @@ from homcx import (
     enumerate_component,
     enumerate_graph_homs,
     exact_rank,
-    order_complex,
     petersen_graph,
 )
 from homcx.hom_poset import cellular_betti, cellular_chain_complex
 
+from oracles import betti_numbers, order_complex
 from test_engine import graphs
 
 

@@ -1,10 +1,12 @@
 """The reduced-walk graph: adjacency shapes, homotopies, finite windows.
 
 Two independent routes to adjacency exist, and the tests hold them against
-each other everywhere: the conjugation equation (pi_adjacent) versus the
-five explicit shapes (classify_adjacency). The validity test for spanning
-homotopies is checked against brute force over every closed walk, not just
-the chord loops it inspects.
+each other everywhere: the conjugation equation (pi_adjacent, a reference
+kept in tests/oracles.py) versus the five explicit shapes
+(classify_adjacency). A window's edges, which materialize_pi builds from
+pi_neighbor, are checked against a scan of every pair of its walks. The
+validity test for spanning homotopies is checked against brute force over
+every closed walk, not just the chord loops it inspects.
 """
 
 import itertools
@@ -34,7 +36,7 @@ from homcx import (
     is_topologically_valid,
     materialize_pi,
     path_graph,
-    pi_adjacent,
+    petersen_graph,
     pi_neighbor,
     pushed_walk,
     transport,
@@ -42,6 +44,8 @@ from homcx import (
     walk_inverse,
     walk_product,
 )
+
+from oracles import pi_adjacent, window_edges
 
 C5 = cycle_graph(5)
 C3 = cycle_graph(3)
@@ -132,6 +136,14 @@ class TestWindows:
             for i, j in W.edges:
                 a, b = W.walks[i], W.walks[j]
                 assert sq.has_edge(a.source * H.n + a.target, b.source * H.n + b.target)
+
+    def test_edges_match_the_all_pairs_scan(self):
+        # boundary walks included: their neighbors beyond the window must be
+        # left out, and every neighbor inside it kept
+        star = Graph(4, [(0, 1), (0, 2), (0, 3)])
+        for H, L in [(C5, 4), (P4, 3), (C3, 4), (petersen_graph(), 3), (star, 2)]:
+            W = materialize_pi(H, L)
+            assert list(W.edges) == window_edges(W.walks)
 
     def test_interior_walks_keep_their_full_neighborhood(self):
         W = materialize_pi(C5, 3)
