@@ -4,13 +4,16 @@ A set-valued homomorphism assigns each vertex of G a nonempty set of vertices
 of H so that every cross pair along an edge of G is an edge of H. Each one is
 a cell of the polyhedral complex Hom(G, H): the product over u of the simplex
 on its image set, of dimension sum_u (|eta(u)| - 1). Ordered by pointwise
-inclusion, the cells form the face poset of that complex. Connected
-components are discovered by a walk over cells held as tuples of int
-bitmasks over V(H): each move removes one image vertex, or adds one
-adjacent to every vertex in the sets at the neighbors, which reaches
-exactly the elements connected through comparability zigzags.
-Homology is computed on the cellular chain complex of each component; the
-order complex of its face poset, the barycentric subdivision, is the tests'
+inclusion, the cells form the face poset of that complex.
+
+A cell is a tuple of int bitmasks over V(H), one per vertex of G, from the
+component walk to the boundary matrix. The walk's moves remove one image
+vertex, or add one adjacent to every vertex in the sets at the neighbors,
+which reaches exactly the cells connected through comparability zigzags.
+`HomPoset` keeps the masks the walk returns, and the cellular chain complex
+grades them by popcount and finds faces by clearing one bit. Only the
+homomorphisms, the cells of one-point sets, become `SetValuedHom`s. The
+order complex of the face poset, the barycentric subdivision, is the tests'
 independent oracle (tests/oracles.py), built from `HomPoset.strict_upsets`.
 """
 
@@ -21,6 +24,7 @@ from dataclasses import dataclass
 
 from .errors import InvariantViolation, NotHomomorphism
 from .graphs import (
+    Graph,
     GraphHom,
     backtrack,
     bfs_order,
@@ -60,7 +64,7 @@ class SetValuedHom:
         self.domain = domain
         self.codomain = codomain
         self.sets = sets
-        self._hash = hash((domain, codomain, self.key()))
+        self._hash = hash((domain, codomain, sets))
 
     def key(self):
         return tuple(tuple(sorted(s)) for s in self.sets)
@@ -140,31 +144,39 @@ def has_hom(G, H):
 
 @dataclass(frozen=True)
 class HomPoset:
-    """A set of set-valued homomorphisms, closed under comparability zigzags."""
+    """A component of Hom(G, H): its cells as tuples of int bitmasks over V(H).
 
-    elements: tuple
+    cells[i][u] is the image set of vertex u. Cells are in key order, the
+    order of their image sets as sorted vertex lists.
+    """
 
-    @classmethod
-    def from_elements(cls, elements):
-        return cls(tuple(sorted(elements, key=lambda e: e.key())))
+    domain: Graph
+    codomain: Graph
+    cells: tuple
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.cells)
 
     def leq(self, i, j):
-        return self.elements[i].leq(self.elements[j])
+        return not any(a & ~b for a, b in zip(self.cells[i], self.cells[j]))
 
     def singletons(self):
-        return [e for e in self.elements if e.is_singleton()]
+        """The homomorphisms in the component: the cells of one-point sets."""
+        return [
+            SetValuedHom(self.domain, self.codomain, ({s.bit_length() - 1} for s in cell))
+            for cell in self.cells
+            if not any(s & (s - 1) for s in cell)
+        ]
 
     def strict_upsets(self):
         """greater[i] = indices strictly above element i."""
-        n = len(self.elements)
-        greater = [[] for _ in range(n)]
-        for i, j in itertools.permutations(range(n), 2):
-            if self.leq(i, j):
-                greater[i].append(j)
-        return [sorted(g) for g in greater]
+        n = len(self.cells)
+        return [[j for j in range(n) if j != i and self.leq(i, j)] for i in range(n)]
+
+
+def _bit_lists(cells):
+    """mask_bits of every distinct mask in cells."""
+    return {s: mask_bits(s) for s in {s for cell in cells for s in cell}}
 
 
 def enumerate_component(G, H, f, cap=DEFAULT_CAP):
@@ -175,8 +187,6 @@ def enumerate_component(G, H, f, cap=DEFAULT_CAP):
     is adjacent to every vertex in the sets at the neighbors of u, which is
     exactly when the result is again a set-valued homomorphism.
     """
-    if isinstance(f, GraphHom):
-        f = SetValuedHom.from_graph_hom(f)
     nbr = neighbor_masks(H)
 
     def moves(cell):
@@ -191,45 +201,42 @@ def enumerate_component(G, H, f, cap=DEFAULT_CAP):
             out.extend(cell[:u] + (s | (1 << x),) + cell[u + 1 :] for x in mask_bits(room))
         return out
 
-    start = tuple(sum(1 << x for x in s) for s in f.sets)
+    sets = ([x] for x in f.mapping) if isinstance(f, GraphHom) else f.sets
+    start = tuple(sum(1 << x for x in s) for s in sets)
     cells = closure(start, moves, cap, "component elements")
-    # one frozenset per distinct mask, shared by every cell that uses it,
-    # so the returned poset holds far fewer sets than cells
-    frozen = {s: frozenset(mask_bits(s)) for s in {s for cell in cells for s in cell}}
-    return HomPoset.from_elements(
-        SetValuedHom(G, H, (frozen[s] for s in cell)) for cell in cells
-    )
+    bits = _bit_lists(cells)
+    return HomPoset(G, H, tuple(sorted(cells, key=lambda cell: [bits[s] for s in cell])))
 
 
 def cellular_chain_complex(P):
     """The cellular chain complex of a component of Hom(G, H).
 
-    The d-cells are the elements of dimension d, in key order. Each cell is
-    a product of simplices, so its boundary removes one image vertex at a
-    time: dropping the i-th smallest element of eta(u) (counting from 0),
-    where |eta(u)| >= 2, carries the sign (-1)^(i + sum over v < u of
-    (|eta(v)| - 1)).
+    The d-cells are the cells of dimension d, sum over u of
+    (popcount(eta(u)) - 1), in key order. Each cell is a product of
+    simplices, so its boundary clears one bit at a time: clearing the i-th
+    lowest set bit of eta(u) (counting from 0), where eta(u) has at least
+    two, carries the sign (-1)^(i + sum over v < u of (popcount(eta(v)) - 1)).
     """
     levels = {}
-    for e in P.elements:
-        key = e.key()
-        levels.setdefault(sum(len(s) - 1 for s in key), []).append(key)
+    for cell in P.cells:
+        levels.setdefault(sum(s.bit_count() for s in cell) - P.domain.n, []).append(cell)
     grades = [levels.get(d, []) for d in range(max(levels, default=-1) + 1)]
     boundaries = [tuple(() for _ in grades[0])] if grades else []
+    bits = _bit_lists(P.cells)
     for d in range(1, len(grades)):
-        index = {key: i for i, key in enumerate(grades[d - 1])}
+        index = {cell: i for i, cell in enumerate(grades[d - 1])}
         cols = []
-        for key in grades[d]:
+        for cell in grades[d]:
             entries = []
             shift = 0
-            for u, s in enumerate(key):
-                if len(s) >= 2:
-                    for i in range(len(s)):
-                        face = index.get(key[:u] + (s[:i] + s[i + 1 :],) + key[u + 1 :])
+            for u, s in enumerate(cell):
+                if s & (s - 1):
+                    for i, x in enumerate(bits[s]):
+                        face = index.get(cell[:u] + (s ^ (1 << x),) + cell[u + 1 :])
                         if face is None:
-                            raise InvariantViolation(f"a face of {key} is not in the component")
+                            raise InvariantViolation(f"a face of {cell} is not in the component")
                         entries.append((face, -1 if (i + shift) % 2 else 1))
-                shift += len(s) - 1
+                shift += s.bit_count() - 1
             cols.append(tuple(entries))
         boundaries.append(tuple(cols))
     return ChainComplex(tuple(map(len, grades)), tuple(boundaries))
@@ -265,6 +272,7 @@ class ComponentSummary:
     """One component; betti is b_0 .. b_2, cell_betti every degree."""
 
     poset: HomPoset
+    homs: int
     betti: tuple
     k2_factoring: bool
     representative: GraphHom
@@ -273,7 +281,7 @@ class ComponentSummary:
     def to_json(self):
         return {
             "betti": list(self.betti),
-            "homs": len(self.poset.singletons()),
+            "homs": self.homs,
             "k2_factoring": self.k2_factoring,
             "representative": {"mapping": list(self.representative.mapping)},
             "size": len(self.poset),
@@ -299,6 +307,7 @@ def component_census(G, H, cap=DEFAULT_CAP):
         summaries.append(
             ComponentSummary(
                 poset=P,
+                homs=len(members),
                 betti=_truncate(cell_betti, 2),
                 k2_factoring=any(h.factors_through_edge() for h in members),
                 representative=rep,
@@ -306,7 +315,7 @@ def component_census(G, H, cap=DEFAULT_CAP):
             )
         )
     summaries.sort(key=lambda s: s.representative.mapping)
-    total = sum(len(s.poset.singletons()) for s in summaries)
+    total = sum(s.homs for s in summaries)
     if total != len(homs):
         raise InvariantViolation(
             "components do not partition the homomorphism set"

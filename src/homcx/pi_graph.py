@@ -300,15 +300,6 @@ class PiWindow:
             i for i, w in enumerate(self.walks) if w.length <= self.max_len - 2
         )
 
-    def neighbors(self, i):
-        out = []
-        for a, b in self.edges:
-            if a == i:
-                out.append(b)
-            elif b == i:
-                out.append(a)
-        return sorted(out)
-
     def to_json(self):
         return {
             "edges": [list(e) for e in self.edges],

@@ -9,7 +9,6 @@ the seam. Length-zero walks act as identities and reversal is inversion.
 from __future__ import annotations
 
 from .errors import NotClosed, SourceTargetMismatch
-from .graphs import Graph, GraphHom
 
 
 class Walk:

@@ -3,7 +3,8 @@
 Each one answers a question the package also answers, by a slower or more
 literal route: adjacency straight from the conjugation equation, a window's
 edges by scanning every pair of walks, the fiber by structural search with
-no connectivity walk, Betti numbers on the order complex instead of the
+no connectivity walk, the cellular chain complex from sorted vertex tuples
+instead of bitmasks, Betti numbers on the order complex instead of the
 cellular complex. None of them runs outside the tests.
 """
 
@@ -11,10 +12,11 @@ from __future__ import annotations
 
 import itertools
 
-from homcx.graphs import GraphHom, backtrack, bfs_order
+from homcx.errors import InvariantViolation
+from homcx.graphs import GraphHom, backtrack, bfs_order, mask_bits
 from homcx.hom_cover import EfElement, _require_cover_setting
 from homcx.hom_poset import DEFAULT_CAP
-from homcx.homology import chain_complex, complex_from_chains
+from homcx.homology import ChainComplex, chain_complex, complex_from_chains
 from homcx.pi_graph import classify_adjacency, pi_neighbor
 from homcx.walks import edge_walk, reduced_walks_from, walk_product
 
@@ -151,3 +153,40 @@ def order_complex(P, cap=DEFAULT_CAP):
 def betti_numbers(K, max_dim):
     """Betti numbers b_0 .. b_max_dim of an order complex, exactly."""
     return chain_complex(K).betti(max_dim)
+
+
+def cell_keys(P):
+    """Each cell of P as a tuple of sorted image-vertex tuples, in P's order."""
+    return [tuple(tuple(mask_bits(s)) for s in cell) for cell in P.cells]
+
+
+def keyed_chain_complex(P):
+    """The cellular chain complex of a component, built on vertex tuples.
+
+    The d-cells are the cells of dimension d, in key order. Dropping the
+    i-th smallest element of eta(u) (counting from 0), where |eta(u)| >= 2,
+    carries the sign (-1)^(i + sum over v < u of (|eta(v)| - 1)). The
+    reference for `hom_poset.cellular_chain_complex`, which works on masks.
+    """
+    levels = {}
+    for key in sorted(cell_keys(P)):
+        levels.setdefault(sum(len(s) - 1 for s in key), []).append(key)
+    grades = [levels.get(d, []) for d in range(max(levels, default=-1) + 1)]
+    boundaries = [tuple(() for _ in grades[0])] if grades else []
+    for d in range(1, len(grades)):
+        index = {key: i for i, key in enumerate(grades[d - 1])}
+        cols = []
+        for key in grades[d]:
+            entries = []
+            shift = 0
+            for u, s in enumerate(key):
+                if len(s) >= 2:
+                    for i in range(len(s)):
+                        face = index.get(key[:u] + (s[:i] + s[i + 1 :],) + key[u + 1 :])
+                        if face is None:
+                            raise InvariantViolation(f"a face of {key} is not in the component")
+                        entries.append((face, -1 if (i + shift) % 2 else 1))
+                shift += len(s) - 1
+            cols.append(tuple(entries))
+        boundaries.append(tuple(cols))
+    return ChainComplex(tuple(map(len, grades)), tuple(boundaries))

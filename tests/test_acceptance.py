@@ -15,14 +15,11 @@ import time
 from contextlib import contextmanager
 
 import networkx as nx
-import pytest
 
 from homcx import (
     Graph,
     GraphHom,
-    SetValuedHom,
     check_poset_covering_local,
-    classify_component,
     complete_bipartite,
     complete_graph,
     cycle_graph,
@@ -49,7 +46,6 @@ from homcx import (
     simple_path_ordering,
     times_k2,
     tree_cover,
-    trivial_walk,
     Walk,
 )
 from homcx.cli import main as cli_main

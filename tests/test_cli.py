@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from homcx.cli import load_graph, main
-from homcx import Graph, complete_bipartite, cycle_graph, path_graph, petersen_graph
+from homcx import complete_bipartite, cycle_graph, path_graph, petersen_graph
 
 
 def run(capsys, *argv):

@@ -12,6 +12,7 @@ from homcx import (
     ExplosionGuard,
     Graph,
     GraphHom,
+    SetValuedHom,
     complete_graph,
     cycle_graph,
     enumerate_component,
@@ -21,6 +22,7 @@ from homcx import (
 from homcx.graphs import backtrack, bfs_order, closure
 from homcx.hom_cover import _upsets_in_base
 
+from oracles import cell_keys
 from test_hom_poset import all_set_valued, brute_homs, graphs
 
 
@@ -61,7 +63,8 @@ class TestCallers:
             (complete_graph(2), cycle_graph(4), (0, 1)),
         ]:
             everything = all_set_valued(G, H)
-            for e in enumerate_component(G, H, GraphHom(G, H, f)).elements:
+            for key in cell_keys(enumerate_component(G, H, GraphHom(G, H, f))):
+                e = SetValuedHom(G, H, key)
                 expected = sorted(
                     (x for x in everything if e.leq(x)), key=lambda x: x.key()
                 )

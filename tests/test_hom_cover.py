@@ -16,8 +16,6 @@ from homcx import (
     EfElement,
     Graph,
     GraphHom,
-    InvariantViolation,
-    NoSink,
     NotConnected,
     NotInDomain,
     NotInFiber,

@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from homcx import (
     ExplosionGuard,
@@ -29,11 +29,12 @@ from homcx import (
     enumerate_component,
     enumerate_graph_homs,
     exact_rank,
+    path_graph,
     petersen_graph,
 )
 from homcx.hom_poset import cellular_betti, cellular_chain_complex
 
-from oracles import betti_numbers, order_complex
+from oracles import betti_numbers, keyed_chain_complex, order_complex
 from test_engine import graphs
 
 
@@ -212,6 +213,10 @@ def small_instances(draw):
     return G, H, homs[draw(st.integers(0, len(homs) - 1))]
 
 
+def hom_instance(G, H, mapping):
+    return G, H, GraphHom(G, H, mapping)
+
+
 class TestCellularHomology:
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
     @given(small_instances())
@@ -219,6 +224,9 @@ class TestCellularHomology:
         G, H, f = instance
         try:
             P = enumerate_component(G, H, f, cap=120)
+            # the order complex of a component of 93 or more cells can reach
+            # 15,000 simplices, whose ranks take seconds per example
+            assume(len(P) <= 90)
             K = order_complex(P, cap=20_000)
         except ExplosionGuard:
             assume(False)
@@ -226,6 +234,22 @@ class TestCellularHomology:
         assert len(cells) == K.dim + 1
         assert cells == betti_numbers(K, K.dim)
         assert component_betti(P, max_dim=K.dim + 2) == cells + (0, 0)
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(small_instances())
+    @example(hom_instance(cycle_graph(6), cycle_graph(3), (0, 1, 0, 1, 0, 1)))
+    @example(hom_instance(path_graph(3), petersen_graph(), (0, 1, 0)))
+    def test_masks_match_keyed_builder(self, instance):
+        # equal, not just isomorphic: same grades, same columns in the same
+        # order, same signs
+        G, H, f = instance
+        try:
+            P = enumerate_component(G, H, f, cap=2_000)
+        except ExplosionGuard:
+            assume(False)
+        C, ref = cellular_chain_complex(P), keyed_chain_complex(P)
+        assert C.counts == ref.counts
+        assert C.boundaries == ref.boundaries
 
     @pytest.mark.parametrize(
         "G, H, f",

@@ -5,7 +5,6 @@ import itertools
 import pytest
 
 from homcx import (
-    EfElement,
     Graph,
     GraphHom,
     GraphInputError,

@@ -5,8 +5,6 @@ patterns in every possible order; agreement on all orders is exactly the
 confluence claim the stack pass relies on.
 """
 
-import itertools
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,7 +17,6 @@ from homcx import (
     closed_reduced_walks_at,
     concat_walks,
     cycle_graph,
-    edge_walk,
     is_cyclically_reduced,
     is_f_tight,
     map_walk,
@@ -32,7 +29,6 @@ from homcx import (
     walk_inverse,
     walk_product,
     GraphHom,
-    Graph,
 )
 
 C5 = cycle_graph(5)
