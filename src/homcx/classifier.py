@@ -92,8 +92,7 @@ def validate_instance(G, H):
     disconnected target only meets one of its components per component of
     the domain image. These are reported as facts rather than rejected.
     """
-    if G.n == 0:
-        raise GraphInputError("the domain needs at least one vertex")
+    _require_domain_vertex(G)
     require_square_free(H)
     facts = {
         "codomain_bipartite": is_bipartite(H) is not None,
@@ -110,6 +109,11 @@ def validate_instance(G, H):
         expected_rank(induced_component(H, comp)) for comp in connected_components(H)
     ]
     return facts
+
+
+def _require_domain_vertex(G):
+    if G.n == 0:
+        raise GraphInputError("the domain needs at least one vertex")
 
 
 def _rank_at(H, image_vertex):
@@ -146,8 +150,10 @@ def classify_component(G, H, f, cap=DEFAULT_CAP):
 
     An edgeless domain makes every component a full simplex, so the
     edge-factoring case (which presumes an edge in the domain) is only
-    recognized when the domain has one.
+    recognized when the domain has one. A domain without vertices raises
+    GraphInputError.
     """
+    _require_domain_vertex(G)
     require_square_free(H)
     P = enumerate_component(G, H, f, cap=cap)
     betti = cellular_betti(P)

@@ -621,37 +621,38 @@ def _truncated_top_walk(phi, v):
     return ReducedWalk(H, tops.pop())
 
 
-def retraction_U(phi, n, i, paths=None):
-    """Closure half of stage (n, i): add the two-step truncation at the
-    terminal vertex of the stage path. Identity on earlier stages."""
-    G = phi.base_hom.domain
+def _retraction_step(phi, n, i, paths):
+    """The terminal vertex v of stage (n, i) and the two-step truncation of
+    phi's top walk there, or None when phi already lies in stage (n, i - 1)."""
     if paths is None:
-        paths = simple_path_ordering(G)
+        paths = simple_path_ordering(phi.base_hom.domain)
     if not 1 <= i <= len(paths):
         raise NotInDomain(f"stage index {i} out of range")
     if not is_in_Ef(phi) or not in_stage(phi, n, i, paths):
         raise NotInDomain("element is not in this stage of the filtration")
     if in_stage(phi, n, i - 1, paths):
-        return phi
+        return None
     v = paths[i - 1][-1]
-    shorter = _truncated_top_walk(phi, v)
+    return v, _truncated_top_walk(phi, v)
+
+
+def retraction_U(phi, n, i, paths=None):
+    """Closure half of stage (n, i): add the two-step truncation at the
+    terminal vertex of the stage path. Identity on earlier stages."""
+    step = _retraction_step(phi, n, i, paths)
+    if step is None:
+        return phi
+    v, shorter = step
     return phi.with_set(v, phi.sets[v] | {shorter})
 
 
 def retraction_D(phi, n, i, paths=None):
     """Interior half of stage (n, i): keep only the truncation at the
     terminal vertex. Defined on the image of the closure half."""
-    G = phi.base_hom.domain
-    if paths is None:
-        paths = simple_path_ordering(G)
-    if not 1 <= i <= len(paths):
-        raise NotInDomain(f"stage index {i} out of range")
-    if not is_in_Ef(phi) or not in_stage(phi, n, i, paths):
-        raise NotInDomain("element is not in this stage of the filtration")
-    if in_stage(phi, n, i - 1, paths):
+    step = _retraction_step(phi, n, i, paths)
+    if step is None:
         return phi
-    v = paths[i - 1][-1]
-    shorter = _truncated_top_walk(phi, v)
+    v, shorter = step
     if shorter not in phi.sets[v]:
         raise NotInDomain("element is not in the image of the closure operator")
     return phi.with_set(v, {shorter})

@@ -7,7 +7,8 @@ whose simplices are the chains of the poset, is the barycentric subdivision
 of the same space, so both must give the same Betti numbers; the tests use
 it as an independent oracle (`order_complex` and `betti_numbers` in
 tests/oracles.py), and the benchmark's traced pass times it. Betti numbers
-are computed over the rationals with exact integer arithmetic: rows are
+come from ranks over the rationals, taken by one echelon pass over the
+boundary columns (`exact_rank`) in exact integer arithmetic: columns are
 combined fraction-free and rescaled by their gcd, so no floating point is
 involved anywhere.
 """
@@ -91,7 +92,11 @@ class ChainComplex:
     boundaries: tuple
 
     def boundary_rows(self, d):
-        """Row-major sparse copy of the d-th boundary matrix."""
+        """Row-major sparse copy of the d-th boundary matrix.
+
+        `betti` ranks the stored columns directly; this copy is read by the
+        tests and by the benchmark's traced pass.
+        """
         rows = [dict() for _ in range(self.counts[d - 1])] if d >= 1 else []
         if 1 <= d < len(self.boundaries):
             for col, entries in enumerate(self.boundaries[d]):
@@ -119,7 +124,7 @@ class ChainComplex:
         """
         ranks = {0: 0}
         for d in range(1, min(len(self.counts) - 1, max_dim + 1) + 1):
-            ranks[d] = exact_rank(self.boundary_rows(d))
+            ranks[d] = exact_rank(dict(col) for col in self.boundaries[d])
         return tuple(
             (self.counts[d] if d < len(self.counts) else 0)
             - ranks.get(d, 0)
@@ -148,59 +153,33 @@ def chain_complex(K):
 # exact linear algebra
 
 
-def _row_pick_key(row):
-    best = None
-    for c, v in row.items():
-        k = (abs(v) != 1, abs(v), c)
-        if best is None or k < best:
-            best = k
-    return (best[0], best[1], len(row), best[2])
-
-
 def exact_rank(rows):
-    """Rank over the rationals of a sparse integer matrix (list of col->value dicts).
+    """Rank over the rationals of sparse integer rows (col -> value dicts).
 
-    Fraction-free: the eliminated row is scaled by the pivot before
-    subtraction and then divided by the gcd of its entries, so values stay
-    integral and small. Pivots prefer unit entries and short rows.
+    One echelon pass (Edelsbrunner, Letscher and Zomorodian, 2002): each row
+    is reduced against the row stored under its leading (largest) column
+    until that column is free, then stored there; the rank is the number of
+    stored rows. Fraction-free: p[c]*row - row[c]*p, divided by the gcd of
+    its entries. The given dicts are never modified, and rows may be any
+    iterable; columns give the same rank.
     """
-    work = [dict(r) for r in rows if r]
-    keys = [_row_pick_key(r) for r in work]
-    rank = 0
-    while work:
-        ri = min(range(len(work)), key=lambda i: (keys[i], i))
-        pivot_row = work.pop(ri)
-        keys.pop(ri)
-        c = min(
-            pivot_row, key=lambda col: (abs(pivot_row[col]) != 1, abs(pivot_row[col]), col)
-        )
-        a = pivot_row[c]
-        rank += 1
-        nxt, nxt_keys = [], []
-        for row, key in zip(work, keys):
-            b = row.get(c)
-            if b is None:
-                nxt.append(row)
-                nxt_keys.append(key)
-                continue
+    pivots = {}
+    for row in rows:
+        while row:
+            c = max(row)
+            p = pivots.get(c)
+            if p is None:
+                pivots[c] = row
+                break
+            a, b = p[c], row[c]
             new = {}
-            for cc, vv in row.items():
-                w = a * vv - b * pivot_row.get(cc, 0)
+            for k in row.keys() | p.keys():
+                w = a * row.get(k, 0) - b * p.get(k, 0)
                 if w:
-                    new[cc] = w
-            for cc, vv in pivot_row.items():
-                if cc not in row:
-                    w = -b * vv
-                    if w:
-                        new[cc] = w
-            if new:
-                g = math.gcd(*new.values()) if len(new) > 1 else abs(next(iter(new.values())))
-                if g > 1:
-                    new = {k: v // g for k, v in new.items()}
-                nxt.append(new)
-                nxt_keys.append(_row_pick_key(new))
-        work, keys = nxt, nxt_keys
-    return rank
+                    new[k] = w
+            g = math.gcd(*new.values())
+            row = {k: v // g for k, v in new.items()} if g > 1 else new
+    return len(pivots)
 
 
 def elementary_divisors(matrix):

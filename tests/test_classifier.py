@@ -14,6 +14,7 @@ from homcx import (
     EmptyHomSet,
     Graph,
     GraphHom,
+    GraphInputError,
     InvariantViolation,
     NotConnected,
     NotSquareFree,
@@ -117,6 +118,11 @@ class TestClassifyComponent:
         # even though a vertex map vacuously factors through any edge
         t = classify_component(K1, C5, GraphHom(K1, C5, (0,)))
         assert (t.case_tag, t.circles) == ("Point", 0)
+
+    def test_domain_without_vertices_is_bad_input(self):
+        K0 = Graph(0)
+        with pytest.raises(GraphInputError, match="at least one vertex"):
+            classify_component(K0, C5, GraphHom(K0, C5, ()))
 
 
 class TestGates:
