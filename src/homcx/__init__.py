@@ -121,6 +121,7 @@ from .pi_graph import (
     materialize_pi,
     pi_neighbor,
     transport,
+    walks_adjacent,
 )
 from .tree_covers import (
     TreeCover,
@@ -138,6 +139,7 @@ from .walks import (
     all_reduced_walks,
     closed_reduced_walks_at,
     concat_walks,
+    conjugate,
     edge_walk,
     is_cyclically_reduced,
     is_f_tight,

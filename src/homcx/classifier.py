@@ -157,7 +157,7 @@ def classify_component(G, H, f, cap=DEFAULT_CAP):
     require_square_free(H)
     P = enumerate_component(G, H, f, cap=cap)
     betti = cellular_betti(P)
-    members = [s.as_graph_hom() for s in P.singletons()]
+    members = P.homs()
     k2 = G.edge_count > 0 and any(h.factors_through_edge() for h in members)
     return _homotopy_type(betti, k2, _rank_at(H, f.mapping[0]))
 

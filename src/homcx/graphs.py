@@ -76,6 +76,8 @@ class Graph:
         return sorted(self.edges)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
 
     def __hash__(self):

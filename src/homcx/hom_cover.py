@@ -39,9 +39,10 @@ from .graphs import (
     require_square_free,
 )
 from .hom_poset import DEFAULT_CAP, SetValuedHom
-from .pi_graph import Homotopy, classify_adjacency
+from .pi_graph import Homotopy, classify_adjacency, walks_adjacent
 from .walks import (
     ReducedWalk,
+    conjugate,
     edge_walk,
     trivial_walk,
     walk_inverse,
@@ -333,39 +334,9 @@ def _extensions(f, u, eta):
     """Walks at u through the walk eta at a neighbor of u: the edge
     (f(u), s(eta)), then eta, then one more step from its target."""
     H = f.codomain
-    first_leg = walk_product(edge_walk(H, f(u), eta.source), eta)
     return [
-        walk_product(first_leg, edge_walk(H, eta.target, y))
-        for y in H.neighbors(eta.target)
+        ReducedWalk(H, conjugate(f(u), eta.vertices, y)) for y in H.neighbors(eta.target)
     ]
-
-
-def _addition_candidates(phi, u, max_norm):
-    """Walks that could be added at u: adjacent to every walk at every neighbor."""
-    G = phi.base_hom.domain
-    nbrs = G.neighbors(u)
-    if not nbrs:
-        return []
-    eta0 = min(phi.sets[nbrs[0]], key=lambda w: w.vertices)
-    base_norm = phi.norm() - phi.len_at(u)
-    return [
-        cand
-        for cand in _extensions(phi.base_hom, u, eta0)
-        if cand not in phi.sets[u]
-        and base_norm + max(phi.len_at(u), cand.length) <= max_norm
-        and all(classify_adjacency(cand, eta) for v in nbrs for eta in phi.sets[v])
-    ]
-
-
-def _fiber_moves(phi, max_norm):
-    """Elements one walk away from phi: remove a walk, or add one within the bound."""
-    moves = []
-    for u in phi.base_hom.domain.vertices():
-        if len(phi.sets[u]) >= 2:
-            moves.extend(phi.with_set(u, phi.sets[u] - {w}) for w in phi.sets[u])
-        for cand in _addition_candidates(phi, u, max_norm):
-            moves.append(phi.with_set(u, phi.sets[u] | {cand}))
-    return moves
 
 
 def fiber_component_bounded(f, max_norm, cap=DEFAULT_CAP):
@@ -374,15 +345,49 @@ def fiber_component_bounded(f, max_norm, cap=DEFAULT_CAP):
     Moves add or remove a single walk; both directions stay inside the norm
     bound, which is enough to reach every member of the component whose norm
     fits (walks shrink monotonically along the deformation to the identity).
+
+    States are tuples, over the domain vertices, of frozensets of reduced-walk
+    vertex tuples. A walk may be added at u when it is adjacent to every walk
+    at every neighbor of u. The walks adjacent to one walk eta are its
+    conjugates, so the candidates are the conjugates of the least walk at the
+    first neighbor that start at f(u). Each state reached is built into a
+    validated EfElement once, at the end, and equal walks and walk sets are
+    shared between the elements.
     """
     if max_norm < 0:
         raise ValueError(f"max_norm must be a nonnegative integer, got {max_norm}")
     if f.domain.n < 2 or not is_connected(f.domain):
         raise NotConnected("the domain must be connected with at least two vertices")
-    seen = closure(
-        identity_element(f), lambda phi: _fiber_moves(phi, max_norm), cap, "fiber elements"
-    )
-    return sorted(seen, key=lambda e: e.key())
+    G, H = f.domain, f.codomain
+    nbrs = [G.neighbors(u) for u in G.vertices()]
+
+    def moves(state):
+        lens = [max(map(len, s)) - 1 for s in state]
+        norm = sum(lens)
+        out = []
+        for u, s in enumerate(state):
+            if len(s) >= 2:
+                out.extend(state[:u] + (s - {w},) + state[u + 1 :] for w in s)
+            # the longest walk u may carry with the other vertices' norms fixed
+            room = max_norm - norm + lens[u]
+            eta = min(state[nbrs[u][0]])
+            for y in H.neighbors(eta[-1]):
+                cand = conjugate(f.mapping[u], eta, y)
+                if (
+                    len(cand) - 1 <= room
+                    and cand not in s
+                    and all(walks_adjacent(H, cand, b) for v in nbrs[u] for b in state[v])
+                ):
+                    out.append(state[:u] + (s | {cand},) + state[u + 1 :])
+        return out
+
+    start = tuple(frozenset({(x,)}) for x in f.mapping)
+    states = closure(start, moves, cap, "fiber elements")
+    distinct_sets = {s for state in states for s in state}
+    walk_of = {w: ReducedWalk(H, w) for w in {w for s in distinct_sets for w in s}}
+    set_of = {s: frozenset(map(walk_of.__getitem__, s)) for s in distinct_sets}
+    keyed = sorted(states, key=lambda state: tuple(tuple(sorted(s)) for s in state))
+    return [EfElement(f, map(set_of.__getitem__, state)) for state in keyed]
 
 
 def enumerate_Ef_bounded(f, max_norm, cap=DEFAULT_CAP):

@@ -12,7 +12,7 @@ vertex, or add one adjacent to every vertex in the sets at the neighbors,
 which reaches exactly the cells connected through comparability zigzags.
 `HomPoset` keeps the masks the walk returns, and the cellular chain complex
 grades them by popcount and finds faces by clearing one bit. Only the
-homomorphisms, the cells of one-point sets, become `SetValuedHom`s. The
+homomorphisms, the cells of one-point sets, become `GraphHom`s. The
 order complex of the face poset, the barycentric subdivision, is the tests'
 independent oracle (tests/oracles.py), built from `HomPoset.strict_upsets`.
 """
@@ -160,6 +160,15 @@ class HomPoset:
     def leq(self, i, j):
         return not any(a & ~b for a, b in zip(self.cells[i], self.cells[j]))
 
+    def homs(self):
+        """The homomorphisms in the component, built once from the cells of
+        one-point sets."""
+        return [
+            GraphHom(self.domain, self.codomain, (s.bit_length() - 1 for s in cell))
+            for cell in self.cells
+            if not any(s & (s - 1) for s in cell)
+        ]
+
     def singletons(self):
         """The homomorphisms in the component: the cells of one-point sets."""
         return [
@@ -300,7 +309,7 @@ def component_census(G, H, cap=DEFAULT_CAP):
         if f in assigned:
             continue
         P = enumerate_component(G, H, f, cap=cap)
-        members = [s.as_graph_hom() for s in P.singletons()]
+        members = P.homs()
         assigned.update(members)
         rep = min(members, key=lambda h: h.mapping)
         cell_betti = cellular_betti(P)

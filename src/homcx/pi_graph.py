@@ -8,8 +8,10 @@ two connecting edges gives back xi:
 
 Adjacent pairs fall into five explicit shapes (A1 to A5 below), and only a
 pair of length-1 walks can match two shapes at once (A2 and A4 together).
-Finite windows take their edges from pi_neighbor; the tests keep the
-conjugation equation and an all-pairs window scan as references.
+Finite windows take their edges from the conjugates of each walk's vertex
+tuple (walks.conjugate). pi_neighbor builds the same conjugates through walk
+products, and the tests keep the conjugation equation and an all-pairs
+window scan as references.
 
 The endpoint maps s, t send a walk to its source and target; length-zero
 walks embed H into this graph. A homotopy between homomorphisms f, g: G -> H
@@ -35,6 +37,7 @@ from .walks import (
     ReducedWalk,
     Walk,
     all_reduced_walks,
+    conjugate,
     edge_walk,
     pushed_walk,
     trivial_walk,
@@ -81,6 +84,20 @@ def classify_adjacency(xi, eta):
     if lx == ly == 0 and H.has_edge(x[0], y[0]):
         tags.add(AdjacencyType.A5)
     return frozenset(tags)
+
+
+def walks_adjacent(H, a, b):
+    """Are the reduced walks with vertex tuples a and b in H adjacent?
+
+    The shapes of classify_adjacency, tested by slicing the tuples.
+    """
+    if len(a) == len(b):
+        if len(a) == 1:
+            return H.has_edge(a[0], b[0])
+        return a[1:] == b[:-1] or a[:-1] == b[1:]
+    if len(b) == len(a) + 2:
+        return a == b[1:-1]
+    return len(a) == len(b) + 2 and a[1:-1] == b
 
 
 def adjacency_type(xi, eta):
@@ -311,21 +328,21 @@ class PiWindow:
 def materialize_pi(H, max_len, cap=200_000):
     """Build the finite window of the reduced-walk graph up to max_len.
 
-    The neighbors of a walk xi are pi_neighbor(xi, x, y) for x adjacent to
-    s(xi) and y adjacent to t(xi); those longer than max_len fall outside
-    the window.
+    The neighbors of a walk xi are its conjugates, pi_neighbor(xi, x, y) for
+    x adjacent to s(xi) and y adjacent to t(xi), computed on vertex tuples
+    by walks.conjugate; those longer than max_len fall outside the window.
     """
     walks = all_reduced_walks(H, max_len)
     if len(walks) > cap:
         raise ExplosionGuard(
             f"window holds {len(walks)} walks, over the cap of {cap}"
         )
-    index = {w: i for i, w in enumerate(walks)}
+    index = {w.vertices: i for i, w in enumerate(walks)}
     edges = []
     for i, xi in enumerate(walks):
         for x in H.neighbors(xi.source):
             for y in H.neighbors(xi.target):
-                j = index.get(pi_neighbor(xi, x, y))
+                j = index.get(conjugate(x, xi.vertices, y))
                 if j is not None and j > i:
                     edges.append((i, j))
     return PiWindow(H, max_len, tuple(walks), tuple(sorted(edges)))

@@ -101,6 +101,18 @@ def reduce_walk(walk):
     return ReducedWalk(walk.graph, stack)
 
 
+def conjugate(x, w, y):
+    """reduce((x,) + w + (y,)) for a reduced vertex tuple w.
+
+    x must neighbor w[0] and y must neighbor w[-1]. As w is reduced,
+    prepending x can cancel only against w[1], and appending y only against
+    the vertex left just before w[-1], so at most one cancellation happens
+    at each end.
+    """
+    v = w[1:] if len(w) >= 2 and w[1] == x else (x,) + w
+    return v[:-1] if len(v) >= 2 and v[-2] == y else v + (y,)
+
+
 def concat_walks(a, b):
     """Plain concatenation (no cancellation). Endpoints must meet."""
     if a.graph != b.graph:

@@ -3,7 +3,8 @@
 Each one answers a question the package also answers, by a slower or more
 literal route: adjacency straight from the conjugation equation, a window's
 edges by scanning every pair of walks, the fiber by structural search with
-no connectivity walk, the cellular chain complex from sorted vertex tuples
+no connectivity walk, the fiber's component walk over validated elements
+instead of vertex tuples, the cellular chain complex from sorted vertex tuples
 instead of bitmasks, Betti numbers on the order complex instead of the
 cellular complex. None of them runs outside the tests.
 """
@@ -12,9 +13,9 @@ from __future__ import annotations
 
 import itertools
 
-from homcx.errors import InvariantViolation
-from homcx.graphs import GraphHom, backtrack, bfs_order, mask_bits
-from homcx.hom_cover import EfElement, _require_cover_setting
+from homcx.errors import InvariantViolation, NotConnected
+from homcx.graphs import GraphHom, backtrack, bfs_order, closure, is_connected, mask_bits
+from homcx.hom_cover import EfElement, _require_cover_setting, identity_element
 from homcx.hom_poset import DEFAULT_CAP
 from homcx.homology import ChainComplex, chain_complex, complex_from_chains
 from homcx.pi_graph import classify_adjacency, pi_neighbor
@@ -139,6 +140,48 @@ def fiber_candidates_bounded(f, max_norm, cap=DEFAULT_CAP):
     )
     elements = {EfElement(f, (a[1, u] for u in G.vertices())) for a in found}
     return sorted(elements, key=lambda e: e.key())
+
+
+def _addition_candidates(phi, u, max_norm):
+    """Walks that could be added at u: adjacent to every walk at every neighbor."""
+    G, H = phi.base_hom.domain, phi.base_hom.codomain
+    nbrs = G.neighbors(u)
+    eta0 = min(phi.sets[nbrs[0]], key=lambda w: w.vertices)
+    base_norm = phi.norm() - phi.len_at(u)
+    return [
+        cand
+        for cand in (pi_neighbor(eta0, phi.base_hom(u), y) for y in H.neighbors(eta0.target))
+        if cand not in phi.sets[u]
+        and base_norm + max(phi.len_at(u), cand.length) <= max_norm
+        and all(classify_adjacency(cand, eta) for v in nbrs for eta in phi.sets[v])
+    ]
+
+
+def _fiber_moves(phi, max_norm):
+    """Elements one walk away from phi: remove a walk, or add one within the bound."""
+    moves = []
+    for u in phi.base_hom.domain.vertices():
+        if len(phi.sets[u]) >= 2:
+            moves.extend(phi.with_set(u, phi.sets[u] - {w}) for w in phi.sets[u])
+        for cand in _addition_candidates(phi, u, max_norm):
+            moves.append(phi.with_set(u, phi.sets[u] | {cand}))
+    return moves
+
+
+def fiber_component_reference(f, max_norm, cap=DEFAULT_CAP):
+    """The walk of `hom_cover.fiber_component_bounded` over validated elements.
+
+    Every move builds and validates the EfElement it reaches, and candidate
+    walks come from pi_neighbor's walk products rather than vertex tuples.
+    """
+    if max_norm < 0:
+        raise ValueError(f"max_norm must be a nonnegative integer, got {max_norm}")
+    if f.domain.n < 2 or not is_connected(f.domain):
+        raise NotConnected("the domain must be connected with at least two vertices")
+    seen = closure(
+        identity_element(f), lambda phi: _fiber_moves(phi, max_norm), cap, "fiber elements"
+    )
+    return sorted(seen, key=lambda e: e.key())
 
 
 def order_complex(P, cap=DEFAULT_CAP):

@@ -3,7 +3,8 @@
 Membership, the interaction digraph, the deformation to the identity, the
 local covering property, the filtration operators, and the deck group. The
 bounded BFS enumeration is held against an independent structural search
-(all candidate elements, filtered by the closed-form membership test), and
+(all candidate elements, filtered by the closed-form membership test) and
+against the same walk over validated elements instead of vertex tuples, and
 tight vertices against brute force over every closed walk long enough to
 see a cycle of the pair digraph.
 """
@@ -11,9 +12,11 @@ see a cycle of the pair digraph.
 import itertools
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from homcx import (
     EfElement,
+    ExplosionGuard,
     Graph,
     GraphHom,
     NotConnected,
@@ -25,9 +28,13 @@ from homcx import (
     Walk,
     aux_digraph,
     check_poset_covering_local,
+    complete_bipartite,
+    complete_graph,
     cycle_graph,
     down_lift,
     enumerate_Ef_bounded,
+    enumerate_graph_homs,
+    fiber_component_bounded,
     gamma_act,
     gamma_elements_bounded,
     gamma_identity,
@@ -38,6 +45,7 @@ from homcx import (
     is_f_tight,
     is_in_Ef,
     path_graph,
+    petersen_graph,
     reduce_to_identity,
     retraction_D,
     retraction_U,
@@ -46,7 +54,7 @@ from homcx import (
     trivial_walk,
 )
 
-from oracles import fiber_candidates_bounded
+from oracles import fiber_candidates_bounded, fiber_component_reference
 
 K2 = Graph(2, [(0, 1)])
 C3 = cycle_graph(3)
@@ -56,6 +64,17 @@ C6 = cycle_graph(6)
 EDGE_IN_C5 = GraphHom(K2, C5, (0, 1))
 WIND = GraphHom(C6, C3, (0, 1, 2, 0, 1, 2))
 FLAT = GraphHom(C6, C3, (0, 1, 0, 1, 0, 1))
+
+
+@st.composite
+def connected_graphs(draw, min_n, max_n):
+    """A random spanning tree on n vertices plus any further edges."""
+    n = draw(st.integers(min_n, max_n))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    for e in itertools.combinations(range(n), 2):
+        if e not in edges and draw(st.booleans()):
+            edges.add(e)
+    return Graph(n, edges)
 
 
 def brute_tight(f):
@@ -185,6 +204,43 @@ class TestBoundedEnumeration:
         bfs = enumerate_Ef_bounded(f, 6)
         structural = [e for e in fiber_candidates_bounded(f, 6) if is_in_Ef(e)]
         assert bfs == structural
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        connected_graphs(2, 4),
+        st.one_of(
+            st.sampled_from(
+                [C5, petersen_graph(), complete_graph(4), cycle_graph(4), complete_bipartite(2, 3)]
+            ),
+            connected_graphs(3, 5),
+        ),
+        st.integers(0, 6),
+        st.one_of(st.integers(1, 30), st.just(1000)),
+        st.data(),
+    )
+    def test_tuple_walk_matches_the_element_walk(self, G, H, max_norm, cap, data):
+        # targets with four-cycles included; caps small enough that some
+        # fibers trip them, and then both walks must fail alike
+        homs = enumerate_graph_homs(G, H)
+        assume(homs)
+        f = data.draw(st.sampled_from(homs))
+
+        def outcome(walk):
+            try:
+                return walk(f, max_norm, cap=cap)
+            except ExplosionGuard as exc:
+                return str(exc)
+
+        assert outcome(fiber_component_bounded) == outcome(fiber_component_reference)
+
+    def test_both_walks_trip_the_cap_alike(self):
+        messages = []
+        for walk in (fiber_component_bounded, fiber_component_reference):
+            with pytest.raises(ExplosionGuard) as info:
+                walk(EDGE_IN_C5, 8, cap=5)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert "fiber elements" in messages[0]
 
     def test_enumeration_is_norm_monotone(self):
         small = set(enumerate_Ef_bounded(EDGE_IN_C5, 4))

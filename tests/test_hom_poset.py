@@ -220,6 +220,8 @@ class TestComponents:
         for seed in (f.as_graph_hom(), start):
             P = enumerate_component(G, H, seed)
             assert cell_keys(P) == expected
+            homs = [e for e in sorted(group, key=SetValuedHom.key) if e.is_singleton()]
+            assert P.homs() == [e.as_graph_hom() for e in homs]
 
 
 class TestCensus:

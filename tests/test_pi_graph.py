@@ -3,8 +3,10 @@
 Two independent routes to adjacency exist, and the tests hold them against
 each other everywhere: the conjugation equation (pi_adjacent, a reference
 kept in tests/oracles.py) versus the five explicit shapes
-(classify_adjacency). A window's edges, which materialize_pi builds from
-pi_neighbor, are checked against a scan of every pair of its walks. The
+(classify_adjacency). The vertex-tuple fast paths, walks.conjugate and
+walks_adjacent, are held against pi_neighbor and classify_adjacency. A
+window's edges, which materialize_pi builds from conjugate, are checked
+against a scan of every pair of its walks. The
 validity test for spanning homotopies is checked against brute force over
 every closed walk, not just the chord loops it inspects.
 """
@@ -27,7 +29,9 @@ from homcx import (
     all_reduced_walks,
     classify_adjacency,
     adjacency_type,
+    complete_graph,
     compose_homotopies,
+    conjugate,
     cycle_graph,
     edge_walk,
     homotopy_from_valid_walk,
@@ -43,6 +47,7 @@ from homcx import (
     trivial_walk,
     walk_inverse,
     walk_product,
+    walks_adjacent,
 )
 
 from oracles import pi_adjacent, window_edges
@@ -125,6 +130,23 @@ class TestAdjacency:
     def test_pi_neighbor_rejects_non_neighbors(self):
         with pytest.raises(NotNeighbor):
             pi_neighbor(ReducedWalk(C5, (0, 1)), 3, 2)
+
+
+class TestTupleFastPaths:
+    def test_conjugate_matches_pi_neighbor(self):
+        for H in [petersen_graph(), C5, complete_graph(4)]:
+            for xi in all_reduced_walks(H, 4):
+                for x in H.neighbors(xi.source):
+                    for y in H.neighbors(xi.target):
+                        assert conjugate(x, xi.vertices, y) == pi_neighbor(xi, x, y).vertices
+
+    def test_walks_adjacent_matches_the_shape_table(self):
+        # K4 and C4 have four-cycles, so their windows hold pairs of shapes
+        # that a square-free target never produces
+        for H, L in [(petersen_graph(), 3), (C5, 4), (complete_graph(4), 3), (cycle_graph(4), 4)]:
+            walks = all_reduced_walks(H, L)
+            for a, b in itertools.product(walks, repeat=2):
+                assert walks_adjacent(H, a.vertices, b.vertices) == bool(classify_adjacency(a, b))
 
 
 class TestWindows:
