@@ -94,8 +94,56 @@ def load_hom(G, H, text):
     return GraphHom(G, H, mapping)
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json_key(key):
+    """A dict key as json renders it: str as is, numbers, bools and None by
+    their JSON text, all quoted."""
+    if isinstance(key, str):
+        return _encode_str(key)
+    if isinstance(key, (int, float)) or key is None:
+        return _encode_str(json.dumps(key))
+    raise TypeError(
+        f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
+    )
+
+
+def _json(o, indent):
+    """json.dumps(o, sort_keys=True, indent=2) for a value nested at the depth
+    that indent ("\\n" plus two spaces a level) marks.
+
+    With indent set, json.dumps runs its pure-Python encoder; this writer
+    builds each container with one join instead. Exact str and int, and
+    lists of exact ints, are the fast path; bool, None, floats and anything
+    else go to json.dumps.
+    """
+    if type(o) is str:
+        return _encode_str(o)
+    if type(o) is int:
+        return int.__repr__(o)
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        inner = indent + "  "
+        if set(map(type, o)) == {int}:
+            parts = map(int.__repr__, o)
+        else:
+            parts = [_json(x, inner) for x in o]
+        return "[" + inner + ("," + inner).join(parts) + indent + "]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        inner = indent + "  "
+        parts = [_json_key(k) + ": " + _json(v, inner) for k, v in sorted(o.items())]
+        return "{" + inner + ("," + inner).join(parts) + indent + "}"
+    return json.dumps(o)
+
+
 def emit_report(obj, out):
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Write obj as json.dumps(obj, sort_keys=True, indent=2) plus a newline,
+    to stdout or atomically to the file out."""
+    text = _json(obj, "\n") + "\n"
     if out is None:
         sys.stdout.write(text)
         return

@@ -39,7 +39,7 @@ from .graphs import (
     require_square_free,
 )
 from .hom_poset import DEFAULT_CAP, SetValuedHom
-from .pi_graph import Homotopy, classify_adjacency, walks_adjacent
+from .pi_graph import Homotopy, walks_adjacent
 from .walks import (
     ReducedWalk,
     conjugate,
@@ -53,7 +53,7 @@ from .walks import (
 class EfElement:
     """A fiber element: vertex-indexed sets of reduced walks over f."""
 
-    __slots__ = ("base_hom", "sets", "_hash")
+    __slots__ = ("base_hom", "sets", "_key", "_hash")
 
     def __init__(self, base_hom, sets):
         f = base_hom
@@ -74,23 +74,24 @@ class EfElement:
         for u, v in G.edges:
             for a in sets[u]:
                 for b in sets[v]:
-                    if not classify_adjacency(a, b):
+                    if not walks_adjacent(H, a.vertices, b.vertices):
                         raise NotNeighbor(
                             f"walks {a.vertices} at {u} and {b.vertices} at {v} "
                             "are not adjacent"
                         )
         self.base_hom = f
         self.sets = sets
-        self._hash = hash((f, self.key()))
+        self._key = tuple(tuple(sorted(w.vertices for w in s)) for s in sets)
+        self._hash = hash((f, self._key))
 
     def key(self):
-        return tuple(tuple(sorted(w.vertices for w in s)) for s in self.sets)
+        return self._key
 
     def len_at(self, u):
         return max(w.length for w in self.sets[u])
 
     def norm(self):
-        return sum(self.len_at(u) for u in self.base_hom.domain.vertices())
+        return sum(max(map(len, s)) - 1 for s in self._key)
 
     def is_singleton(self):
         return all(len(s) == 1 for s in self.sets)
@@ -143,7 +144,7 @@ class EfElement:
         return {
             "f": list(self.base_hom.mapping),
             "phi": {
-                str(u): [list(w) for w in walks] for u, walks in enumerate(self.key())
+                str(u): [list(w) for w in walks] for u, walks in enumerate(self._key)
             },
         }
 
@@ -386,8 +387,9 @@ def fiber_component_bounded(f, max_norm, cap=DEFAULT_CAP):
     distinct_sets = {s for state in states for s in state}
     walk_of = {w: ReducedWalk(H, w) for w in {w for s in distinct_sets for w in s}}
     set_of = {s: frozenset(map(walk_of.__getitem__, s)) for s in distinct_sets}
-    keyed = sorted(states, key=lambda state: tuple(tuple(sorted(s)) for s in state))
-    return [EfElement(f, map(set_of.__getitem__, state)) for state in keyed]
+    elements = [EfElement(f, map(set_of.__getitem__, state)) for state in states]
+    elements.sort(key=EfElement.key)
+    return elements
 
 
 def enumerate_Ef_bounded(f, max_norm, cap=DEFAULT_CAP):
@@ -493,7 +495,7 @@ def _count_down_lifts(phi, psi):
 def _count_up_lifts(phi, psi):
     """Number of elements above phi whose projection is exactly psi."""
     f = phi.base_hom
-    G = f.domain
+    G, H = f.domain, f.codomain
     optional = []
     for u in G.vertices():
         nbrs = G.neighbors(u)
@@ -503,7 +505,11 @@ def _count_up_lifts(phi, psi):
                 w
                 for w in pool - phi.sets[u]
                 if w.target in psi.sets[u]
-                and all(classify_adjacency(w, eta) for v in nbrs for eta in phi.sets[v])
+                and all(
+                    walks_adjacent(H, w.vertices, eta.vertices)
+                    for v in nbrs
+                    for eta in phi.sets[v]
+                )
             ]
         )
 
@@ -512,7 +518,7 @@ def _count_up_lifts(phi, psi):
         for extra in _subsets(optional[u]):
             s = phi.sets[u].union(extra)
             if {w.target for w in s} == psi.sets[u] and all(
-                classify_adjacency(a, b)
+                walks_adjacent(H, a.vertices, b.vertices)
                 for v in G.neighbors(u)
                 if v in partial
                 for a in s

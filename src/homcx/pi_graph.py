@@ -161,7 +161,7 @@ class Homotopy:
                     f"needs {f(u)}->{g(u)}"
                 )
         for u, v in f.domain.edges:
-            if not classify_adjacency(walks[u], walks[v]):
+            if not walks_adjacent(f.codomain, walks[u].vertices, walks[v].vertices):
                 raise NotNeighbor(
                     f"walks at adjacent vertices {u}, {v} are not adjacent"
                 )

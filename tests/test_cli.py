@@ -15,7 +15,7 @@ import tempfile
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from homcx.cli import load_graph, main
+from homcx.cli import emit_report, load_graph, main
 from homcx import complete_bipartite, cycle_graph, path_graph, petersen_graph
 
 
@@ -171,6 +171,80 @@ class TestOutputFiles:
             assert main(cmd + ["--out", str(a)]) == 0
             assert main(cmd + ["--out", str(b)]) == 0
             assert a.read_bytes() == b.read_bytes()
+
+
+class _List(list):
+    pass
+
+
+class _Tuple(tuple):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+# A dict's keys share one type, since sort_keys cannot order str against
+# int; numeric and string sort orders differ on 10 and 2.
+dict_key_types = st.sampled_from([
+    st.text(max_size=4),
+    st.integers() | st.sampled_from([2, 10]),
+    st.floats(allow_nan=False),
+    st.booleans(),
+])
+report_strings = st.text(max_size=6) | st.sampled_from(
+    ['"', "\\", "\x00\x1f\x7f", "\u00e9\u2028", "\U0001f600", '\\"\n\t']
+)
+report_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers() | st.integers(min_value=2**64) | st.integers(max_value=-(2**64)),
+    st.floats() | st.sampled_from([-0.0, 1e300]),
+    report_strings,
+    st.integers().map(_Int),
+    report_strings.map(_Str),
+)
+
+
+def report_containers(inner):
+    lists = st.lists(inner, max_size=4)
+    dicts = dict_key_types.flatmap(lambda keys: st.dictionaries(keys, inner, max_size=4))
+    return st.one_of(
+        lists,
+        lists.map(tuple),
+        lists.map(_List),
+        lists.map(_Tuple),
+        st.lists(st.integers(), max_size=5),
+        dicts,
+        dicts.map(_Dict),
+    )
+
+
+reports = st.recursive(report_leaves, report_containers, max_leaves=30)
+
+
+class TestReportBytes:
+    @settings(max_examples=300, deadline=None)
+    @given(reports)
+    @example({10: 0, 2: [1, 2]})
+    @example([True, False, 1])
+    @example({"a": False, "b": [0, True]})
+    def test_bytes_are_those_of_indented_json(self, obj):
+        expected = (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "report.json")
+            emit_report(obj, path)
+            with open(path, "rb") as fh:
+                assert fh.read() == expected
 
 
 class TestCaps:

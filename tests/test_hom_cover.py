@@ -141,6 +141,19 @@ class TestFiberElements:
                 ),
             )
 
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ((0, 4), (1, 2)),  # equal lengths, neither walk shifted
+            ((0,), (1, 2, 3)),  # b is two longer, but a is not its middle
+            ((0,), (1, 2, 3, 4, 0)),  # lengths differ by four
+        ],
+    )
+    def test_non_adjacent_walks_are_rejected(self, a, b):
+        sets = (frozenset({ReducedWalk(C5, a)}), frozenset({ReducedWalk(C5, b)}))
+        with pytest.raises(NotNeighbor):
+            EfElement(EDGE_IN_C5, sets)
+
     def test_identity_element(self):
         e = identity_element(EDGE_IN_C5)
         assert e.norm() == 0

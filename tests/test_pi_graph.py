@@ -205,6 +205,26 @@ class TestHomotopy:
             # endpoints fine, parity wrong, so the pair cannot be adjacent
             Homotopy(f, g, (ReducedWalk(C5, (0, 4, 3, 2)), ReducedWalk(C5, (1,))))
 
+    @pytest.mark.parametrize(
+        "H, a, b",
+        [
+            # equal lengths, neither walk shifted: closed up by the edges of
+            # f and g, they wind twice around C5
+            (C5, (0, 4, 3, 2, 1), (1, 2, 3, 4, 0)),
+            # b is two longer, but a is not its middle
+            (C5, (0, 4, 3, 2), (1, 2, 3, 4, 0, 1)),
+            # lengths differ by four
+            (C3, (0,), (1, 2, 0, 1, 2)),
+        ],
+    )
+    def test_non_adjacent_walks_are_rejected(self, H, a, b):
+        K2 = Graph(2, [(0, 1)])
+        f = GraphHom(K2, H, (0, 1))
+        g = GraphHom(K2, H, (a[-1], b[-1]))
+        walks = (ReducedWalk(H, a), ReducedWalk(H, b))
+        with pytest.raises(NotNeighbor):
+            Homotopy(f, g, walks)
+
     def test_compose_inverse_identity(self):
         K2 = Graph(2, [(0, 1)])
         f = GraphHom(K2, C5, (0, 1))

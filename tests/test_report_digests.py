@@ -1,14 +1,17 @@
-"""Reports of the fiber machinery must stay byte-identical.
+"""Reports must stay byte-identical.
 
 The benchmark records the sha256 of each report it checks in
-bench/digests.json. These tests recompute three of them, the `ef` CLI
-report and the covering and window reports the benchmark takes from library
-calls, and only read that file.
+bench/digests.json. These tests recompute every one it records for a fixed
+instance: the report of each CLI subcommand it runs, which pins the report
+writer on each report shape, and the covering and window reports it takes
+from library calls. They only read that file.
 """
 
 import hashlib
 import json
 from pathlib import Path
+
+import pytest
 
 from homcx import check_poset_covering_local, materialize_pi
 from homcx.cli import load_graph, load_hom, main
@@ -16,6 +19,16 @@ from homcx.cli import load_graph, load_hom, main
 DIGESTS = json.loads(
     (Path(__file__).resolve().parent.parent / "bench" / "digests.json").read_text()
 )["sha256"]
+
+CLI_REPORTS = {
+    "cover petersen 7": ["cover", "--graph", "petersen", "--radius", "7"],
+    "classify P3 petersen": ["classify", "--domain", "P3", "--codomain", "petersen"],
+    "classify C6 C3": ["classify", "--domain", "C6", "--codomain", "C3"],
+    "census C7 petersen": ["census", "--domain", "C7", "--codomain", "petersen"],
+    "census P800 K2": ["census", "--domain", "P800", "--codomain", "K2"],
+    # the benchmark hashes the verify report with its seed set to 0
+    "verify": ["verify", "--seed", "0"],
+}
 
 
 def canonical(obj):
@@ -32,6 +45,13 @@ def test_ef_report(tmp_path):
     argv = ["ef", "--domain", "K2", "--codomain", "petersen", "--seed-hom", "0,1"]
     assert main(argv + ["--max-norm", "16", "--out", str(out)]) == 0
     assert sha256(out.read_bytes()) == DIGESTS["ef K2 petersen 0,1 16"]
+
+
+@pytest.mark.parametrize("name", sorted(CLI_REPORTS))
+def test_cli_report(name, tmp_path):
+    out = tmp_path / "report.json"
+    assert main(CLI_REPORTS[name] + ["--out", str(out)]) == 0
+    assert sha256(out.read_bytes()) == DIGESTS[name]
 
 
 def test_covering_report():
