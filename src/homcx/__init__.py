@@ -94,6 +94,7 @@ from .hom_poset import (
     census_report,
     component_betti,
     component_census,
+    component_summary,
     enumerate_component,
     enumerate_graph_homs,
     has_hom,

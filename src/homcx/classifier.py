@@ -22,13 +22,7 @@ from .graphs import (
     is_connected,
     require_square_free,
 )
-from .hom_poset import (
-    DEFAULT_CAP,
-    cellular_betti,
-    component_census,
-    enumerate_component,
-    has_hom,
-)
+from .hom_poset import DEFAULT_CAP, component_census, component_summary, has_hom
 
 POINT = "Point"
 CIRCLE = "Circle"
@@ -116,9 +110,12 @@ def _require_domain_vertex(G):
         raise GraphInputError("the domain needs at least one vertex")
 
 
-def _rank_at(H, image_vertex):
-    comp = next(c for c in connected_components(H) if image_vertex in c)
-    return expected_rank(induced_component(H, comp))
+def _rank_by_vertex(H):
+    """The rank each vertex's component of H predicts, keyed by vertex."""
+    out = {}
+    for comp in connected_components(H):
+        out.update(dict.fromkeys(comp, expected_rank(induced_component(H, comp))))
+    return out
 
 
 def _homotopy_type(betti, k2_factoring, r):
@@ -145,6 +142,12 @@ def _homotopy_type(betti, k2_factoring, r):
     )
 
 
+def _summary_type(G, s, rank_of):
+    """The homotopy type of a ComponentSummary; rank_of is _rank_by_vertex."""
+    k2 = s.k2_factoring and G.edge_count > 0
+    return _homotopy_type(s.cell_betti, k2, rank_of[s.representative.mapping[0]])
+
+
 def classify_component(G, H, f, cap=DEFAULT_CAP):
     """The homotopy type of the component of f, via exact homology.
 
@@ -155,11 +158,7 @@ def classify_component(G, H, f, cap=DEFAULT_CAP):
     """
     _require_domain_vertex(G)
     require_square_free(H)
-    P = enumerate_component(G, H, f, cap=cap)
-    betti = cellular_betti(P)
-    members = P.homs()
-    k2 = G.edge_count > 0 and any(h.factors_through_edge() for h in members)
-    return _homotopy_type(betti, k2, _rank_at(H, f.mapping[0]))
+    return _summary_type(G, component_summary(G, H, f, cap=cap), _rank_by_vertex(H))
 
 
 def full_case_report(G, H, cap=DEFAULT_CAP):
@@ -172,22 +171,13 @@ def full_case_report(G, H, cap=DEFAULT_CAP):
     empty.)
     """
     facts = validate_instance(G, H)
-    rank_of = {
-        v: r
-        for comp, r in zip(connected_components(H), facts["codomain_component_ranks"])
-        for v in comp
-    }
-    summaries = component_census(G, H, cap=cap)
+    rank_of = _rank_by_vertex(H)
     classified = []
-    n_factoring = 0
-    for s in summaries:
-        k2 = s.k2_factoring and G.edge_count > 0
-        ht = _homotopy_type(s.cell_betti, k2, rank_of[s.representative.mapping[0]])
-        if ht.case_tag == EDGE_COMPONENT:
-            n_factoring += 1
+    for s in component_census(G, H, cap=cap):
         entry = s.to_json()
-        entry.update(ht.to_json())
+        entry.update(_summary_type(G, s, rank_of).to_json())
         classified.append(entry)
+    n_factoring = sum(c["case"] == EDGE_COMPONENT for c in classified)
     if facts["domain_connected"] and facts["codomain_connected"] and G.n >= 2:
         if facts["domain_bipartite"]:
             expected = 2 if facts["codomain_bipartite"] else 1

@@ -282,7 +282,7 @@ def run_verify(args):
         return (
             len(summaries) == 1
             and summaries[0].betti == (1, 1, 0)
-            and len(summaries[0].poset) == 20
+            and summaries[0].size == 20
             and summaries[0].k2_factoring
         )
 
@@ -291,7 +291,7 @@ def run_verify(args):
     def census_c3_c3():
         summaries = component_census(cycle_graph(3), cycle_graph(3))
         return len(summaries) == 6 and all(
-            s.betti == (1, 0, 0) and len(s.poset) == 1 for s in summaries
+            s.betti == (1, 0, 0) and s.size == 1 for s in summaries
         )
 
     record("census_c3_c3", census_c3_c3)

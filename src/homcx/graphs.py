@@ -26,7 +26,7 @@ def _is_int(x):
 class Graph:
     """Immutable simple undirected graph on vertex set {0, ..., n-1}."""
 
-    __slots__ = ("n", "edges", "_adj", "_hash")
+    __slots__ = ("n", "edges", "_adj", "_masks", "_hash")
 
     def __init__(self, n, edges=()):
         if not _is_int(n) or n < 0:
@@ -54,6 +54,7 @@ class Graph:
             buckets[u].append(v)
             buckets[v].append(u)
         self._adj = tuple(tuple(sorted(b)) for b in buckets)
+        self._masks = None
         self._hash = hash((n, self.edges))
 
     def vertices(self):
@@ -61,6 +62,15 @@ class Graph:
 
     def neighbors(self, u):
         return self._adj[u]
+
+    @property
+    def adj_masks(self):
+        """adj_masks[x] is the neighborhood of x as an int bitmask, built on
+        first use: on a large sparse graph, such as a tree-cover window, the
+        masks would take memory quadratic in n."""
+        if self._masks is None:
+            self._masks = tuple(sum(1 << y for y in b) for b in self._adj)
+        return self._masks
 
     def degree(self, u):
         return len(self._adj[u])
@@ -284,11 +294,6 @@ def bfs_order(G):
 # the search engine
 
 
-def neighbor_masks(H):
-    """mask[x] is the neighborhood of x as an int bitmask over V(H)."""
-    return [sum(1 << y for y in H.neighbors(x)) for x in H.vertices()]
-
-
 def mask_bits(mask):
     """The set bits of an int bitmask, in increasing order."""
     out = []
@@ -299,12 +304,13 @@ def mask_bits(mask):
     return out
 
 
-def common_neighbors(nbr, mask):
-    """The vertices adjacent to every vertex of mask, as an int bitmask.
+def common_neighbors(H, mask):
+    """The vertices of H adjacent to every vertex of mask, as an int bitmask.
 
-    nbr is neighbor_masks(H). An empty mask leaves every vertex of H.
+    An empty mask leaves every vertex of H.
     """
-    room = (1 << len(nbr)) - 1
+    nbr = H.adj_masks
+    room = (1 << H.n) - 1
     for x in mask_bits(mask):
         room &= nbr[x]
     return room

@@ -35,7 +35,6 @@ from .graphs import (
     is_connected,
     is_square_free,
     mask_bits,
-    neighbor_masks,
     require_square_free,
 )
 from .hom_poset import DEFAULT_CAP, SetValuedHom
@@ -143,9 +142,7 @@ class EfElement:
     def to_json(self):
         return {
             "f": list(self.base_hom.mapping),
-            "phi": {
-                str(u): [list(w) for w in walks] for u, walks in enumerate(self._key)
-            },
+            "phi": {str(u): walks for u, walks in enumerate(self._key)},
         }
 
 
@@ -455,14 +452,13 @@ def _upsets_in_base(base, cap):
     or, before v is reached, base(v): every choice at v contains it.
     """
     G, H = base.domain, base.codomain
-    nbr = neighbor_masks(H)
     floor = [sum(1 << x for x in s) for s in base.sets]
 
     def candidates(u, partial):
         near = 0
         for v in G.neighbors(u):
             near |= partial.get(v, floor[v])
-        room = common_neighbors(nbr, near)
+        room = common_neighbors(H, near)
         if floor[u] & ~room:
             return []
         free = room & ~floor[u]

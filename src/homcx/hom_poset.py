@@ -19,7 +19,6 @@ independent oracle (tests/oracles.py), built from `HomPoset.strict_upsets`.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import InvariantViolation, NotHomomorphism
@@ -32,7 +31,6 @@ from .graphs import (
     common_neighbors,
     graph_to_json,
     mask_bits,
-    neighbor_masks,
 )
 from .homology import ChainComplex
 
@@ -115,13 +113,13 @@ def post_compose(k, phi):
     )
 
 
-def enumerate_graph_homs(G, H, cap=DEFAULT_CAP, first_only=False):
-    """All homomorphisms G -> H by backtracking, in lexicographic mapping order.
+def _hom_mappings(G, H, cap=DEFAULT_CAP):
+    """Every homomorphism G -> H as a mapping tuple, in first-found order.
 
     Vertices are assigned in breadth-first order so each new vertex is
     constrained by an already-assigned neighbor whenever possible.
     """
-    nbr = neighbor_masks(H)
+    nbr = H.adj_masks
     everything = (1 << H.n) - 1
 
     def candidates(u, partial):
@@ -132,14 +130,16 @@ def enumerate_graph_homs(G, H, cap=DEFAULT_CAP, first_only=False):
         return mask_bits(mask)
 
     found = backtrack(bfs_order(G), candidates, cap, "graph homomorphisms")
-    homs = (GraphHom(G, H, [a[u] for u in G.vertices()]) for a in found)
-    if first_only:
-        return list(itertools.islice(homs, 1))
-    return sorted(homs, key=lambda f: f.mapping)
+    return (tuple(a[u] for u in G.vertices()) for a in found)
+
+
+def enumerate_graph_homs(G, H, cap=DEFAULT_CAP):
+    """All homomorphisms G -> H by backtracking, in lexicographic mapping order."""
+    return [GraphHom(G, H, m) for m in sorted(_hom_mappings(G, H, cap))]
 
 
 def has_hom(G, H):
-    return bool(enumerate_graph_homs(G, H, first_only=True))
+    return next(_hom_mappings(G, H), None) is not None
 
 
 @dataclass(frozen=True)
@@ -196,7 +196,6 @@ def enumerate_component(G, H, f, cap=DEFAULT_CAP):
     is adjacent to every vertex in the sets at the neighbors of u, which is
     exactly when the result is again a set-valued homomorphism.
     """
-    nbr = neighbor_masks(H)
 
     def moves(cell):
         out = []
@@ -206,7 +205,7 @@ def enumerate_component(G, H, f, cap=DEFAULT_CAP):
             near = 0
             for v in G.neighbors(u):
                 near |= cell[v]
-            room = common_neighbors(nbr, near) & ~s
+            room = common_neighbors(H, near) & ~s
             out.extend(cell[:u] + (s | (1 << x),) + cell[u + 1 :] for x in mask_bits(room))
         return out
 
@@ -278,54 +277,61 @@ def _truncate(betti, max_dim):
 
 @dataclass(frozen=True)
 class ComponentSummary:
-    """One component; betti is b_0 .. b_2, cell_betti every degree."""
+    """One component: cell count, homomorphisms in mapping order, Betti
+    numbers of every degree, and whether some member factors through an edge."""
 
-    poset: HomPoset
-    homs: int
-    betti: tuple
-    k2_factoring: bool
-    representative: GraphHom
+    size: int
+    members: tuple
     cell_betti: tuple
+    k2_factoring: bool
+
+    @property
+    def representative(self):
+        """The lexicographically least homomorphism of the component."""
+        return self.members[0]
+
+    @property
+    def betti(self):
+        """b_0 .. b_2."""
+        return _truncate(self.cell_betti, 2)
 
     def to_json(self):
         return {
             "betti": list(self.betti),
-            "homs": self.homs,
+            "homs": len(self.members),
             "k2_factoring": self.k2_factoring,
             "representative": {"mapping": list(self.representative.mapping)},
-            "size": len(self.poset),
+            "size": self.size,
         }
+
+
+def component_summary(G, H, f, cap=DEFAULT_CAP):
+    """Walk the component of the GraphHom f, build its homomorphisms once, and
+    take its Betti numbers and its edge-factoring marker."""
+    P = enumerate_component(G, H, f, cap=cap)
+    members = tuple(P.homs())
+    return ComponentSummary(
+        len(P), members, cellular_betti(P), any(h.factors_through_edge() for h in members)
+    )
 
 
 def component_census(G, H, cap=DEFAULT_CAP):
     """Every component of the homomorphism poset, with homology and markers.
 
-    Components are listed by their lexicographically least homomorphism.
+    Components are listed by their lexicographically least homomorphism: in
+    sorted order, the first mapping no component has claimed is the least
+    of a new one.
     """
-    homs = enumerate_graph_homs(G, H, cap=cap)
+    mappings = sorted(_hom_mappings(G, H, cap))
     summaries = []
     assigned = set()
-    for f in homs:
-        if f in assigned:
+    for m in mappings:
+        if m in assigned:
             continue
-        P = enumerate_component(G, H, f, cap=cap)
-        members = P.homs()
-        assigned.update(members)
-        rep = min(members, key=lambda h: h.mapping)
-        cell_betti = cellular_betti(P)
-        summaries.append(
-            ComponentSummary(
-                poset=P,
-                homs=len(members),
-                betti=_truncate(cell_betti, 2),
-                k2_factoring=any(h.factors_through_edge() for h in members),
-                representative=rep,
-                cell_betti=cell_betti,
-            )
-        )
-    summaries.sort(key=lambda s: s.representative.mapping)
-    total = sum(s.homs for s in summaries)
-    if total != len(homs):
+        s = component_summary(G, H, GraphHom(G, H, m), cap=cap)
+        assigned.update(h.mapping for h in s.members)
+        summaries.append(s)
+    if sum(len(s.members) for s in summaries) != len(mappings):
         raise InvariantViolation(
             "components do not partition the homomorphism set"
         )

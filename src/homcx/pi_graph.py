@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 from .errors import (
     EndpointMismatch,
-    ExplosionGuard,
     NotConnected,
     NotNeighbor,
     NotValid,
@@ -331,12 +330,9 @@ def materialize_pi(H, max_len, cap=200_000):
     The neighbors of a walk xi are its conjugates, pi_neighbor(xi, x, y) for
     x adjacent to s(xi) and y adjacent to t(xi), computed on vertex tuples
     by walks.conjugate; those longer than max_len fall outside the window.
+    A window of more than cap walks raises ExplosionGuard while it grows.
     """
-    walks = all_reduced_walks(H, max_len)
-    if len(walks) > cap:
-        raise ExplosionGuard(
-            f"window holds {len(walks)} walks, over the cap of {cap}"
-        )
+    walks = all_reduced_walks(H, max_len, cap)
     index = {w.vertices: i for i, w in enumerate(walks)}
     edges = []
     for i, xi in enumerate(walks):

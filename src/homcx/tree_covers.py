@@ -23,9 +23,8 @@ from .errors import (
     OutOfWindow,
 )
 from .graphs import Graph, graph_to_json, is_connected
-from .hom_poset import SetValuedHom
+from .hom_poset import DEFAULT_CAP, SetValuedHom
 from .walks import (
-    ReducedWalk,
     Walk,
     closed_reduced_walks_at,
     edge_walk,
@@ -49,19 +48,18 @@ class TreeCover:
 
     @classmethod
     def build(cls, base, basepoint, radius):
+        """The window of walks up to radius; more than DEFAULT_CAP walks
+        raises ExplosionGuard."""
         if radius < 0:
             raise ValueError(f"radius must be a nonnegative integer, got {radius}")
         if not (0 <= basepoint < base.n):
             raise GraphInputError(f"basepoint {basepoint} is not a vertex of the base graph")
         if not is_connected(base):
             raise NotConnected("covers are built over connected graphs")
-        walks = tuple(reduced_walks_from(base, basepoint, radius))
+        walks = tuple(reduced_walks_from(base, basepoint, radius, DEFAULT_CAP))
         index = {w: i for i, w in enumerate(walks)}
-        edges = set()
-        for w in walks:
-            if w.length >= 1:
-                parent = ReducedWalk(base, w.vertices[:-1])
-                edges.add((min(index[parent], index[w]), max(index[parent], index[w])))
+        at = {w.vertices: i for i, w in enumerate(walks)}
+        edges = [(at[w.vertices[:-1]], i) for i, w in enumerate(walks) if w.length]
         graph = Graph(len(walks), edges)
         cover = cls(base, basepoint, radius, walks, index, graph)
         cover._check_local_bijectivity()

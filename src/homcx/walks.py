@@ -9,6 +9,7 @@ the seam. Length-zero walks act as identities and reversal is inversion.
 from __future__ import annotations
 
 from .errors import NotClosed, SourceTargetMismatch
+from .graphs import _over_cap
 
 
 class Walk:
@@ -170,35 +171,36 @@ def is_f_tight(f, walk):
 # enumeration helpers
 
 
-def reduced_walks_from(graph, source, max_len):
+def _reduced_walks(graph, sources, max_len, cap):
+    """All reduced walks of length <= max_len from the sorted sources, in
+    (length, vertex sequence) order, as each level extends the last in order.
+    More than cap of them raises ExplosionGuard as soon as a level passes it;
+    cap None means no cap."""
+    out = []
+    frontier = [(s,) for s in sources]
+    level = 0
+    while frontier and level <= max_len:
+        out.extend(frontier)
+        if cap is not None and len(out) > cap:
+            raise _over_cap("reduced walks", len(out), cap)
+        frontier = [
+            w + (y,) for w in frontier for y in graph.neighbors(w[-1]) if len(w) < 2 or w[-2] != y
+        ]
+        level += 1
+    return [ReducedWalk(graph, w) for w in out]
+
+
+def reduced_walks_from(graph, source, max_len, cap=None):
     """All reduced walks starting at source with length <= max_len.
 
     Ordered by (length, vertex sequence).
     """
-    out = []
-    frontier = [(source,)]
-    level = 0
-    while frontier and level <= max_len:
-        out.extend(frontier)
-        nxt = []
-        for w in frontier:
-            for y in graph.neighbors(w[-1]):
-                if len(w) >= 2 and w[-2] == y:
-                    continue
-                nxt.append(w + (y,))
-        frontier = nxt
-        level += 1
-    out.sort(key=lambda w: (len(w), w))
-    return [ReducedWalk(graph, w) for w in out]
+    return _reduced_walks(graph, (source,), max_len, cap)
 
 
-def all_reduced_walks(graph, max_len):
+def all_reduced_walks(graph, max_len, cap=None):
     """All reduced walks of length <= max_len from every source, sorted."""
-    out = []
-    for s in graph.vertices():
-        out.extend(reduced_walks_from(graph, s, max_len))
-    out.sort(key=lambda w: (w.length, w.vertices))
-    return out
+    return _reduced_walks(graph, graph.vertices(), max_len, cap)
 
 
 def closed_reduced_walks_at(graph, base, max_len):

@@ -9,6 +9,7 @@ smallest shape that is neither rigid nor edge-factoring.
 import itertools
 
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from homcx import (
     EmptyHomSet,
@@ -20,11 +21,15 @@ from homcx import (
     NotSquareFree,
     classify_component,
     complete_bipartite,
+    component_census,
     cycle_graph,
     disjoint_union,
     expected_rank,
     full_case_report,
+    has_hom,
     induced_component,
+    is_connected,
+    is_square_free,
     path_graph,
     permute_graph,
     petersen_graph,
@@ -32,12 +37,25 @@ from homcx import (
 )
 from homcx.classifier import _homotopy_type
 
+from test_engine import graphs
+
 K1 = Graph(1, [])
 K2 = Graph(2, [(0, 1)])
 C3 = cycle_graph(3)
 C5 = cycle_graph(5)
 C6 = cycle_graph(6)
 C7 = cycle_graph(7)
+P3 = path_graph(3)
+
+
+@st.composite
+def connected_instances(draw):
+    """A small connected domain and a square-free target it maps into."""
+    G = draw(graphs(1, 4))
+    assume(is_connected(G))
+    H = draw(st.one_of(st.sampled_from([K2, C3, C5, C6, path_graph(4)]), graphs(1, 6)))
+    assume(is_square_free(H) and has_hom(G, H))
+    return G, H
 
 
 class TestExpectedRank:
@@ -123,6 +141,31 @@ class TestClassifyComponent:
         K0 = Graph(0)
         with pytest.raises(GraphInputError, match="at least one vertex"):
             classify_component(K0, C5, GraphHom(K0, C5, ()))
+
+
+class TestOneComponentRoutine:
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(connected_instances())
+    @example((K2, C5))
+    @example((P3, C5))
+    @example((C6, C3))
+    @example((P3, petersen_graph()))
+    @example((Graph(4, [(0, 2), (0, 3), (1, 2), (2, 3)]), C3))
+    def test_classify_component_matches_the_full_report(self, instance):
+        # seeded at its least homomorphism or at another member, a component
+        # gets the case, circles and rank that full_case_report gives it.
+        # The last example's search order is not 0..3, so its homomorphisms
+        # are found out of mapping order.
+        G, H = instance
+        report = full_case_report(G, H)
+        reps = [c["representative"]["mapping"] for c in report["components"]]
+        assert reps == sorted(reps)
+        summaries = component_census(G, H)
+        assert reps == [list(s.representative.mapping) for s in summaries]
+        for c, s in zip(report["components"], summaries):
+            expected = {k: c[k] for k in ("case", "circles", "expected_rank")}
+            for seed in (s.representative, s.members[-1]):
+                assert classify_component(G, H, seed).to_json() == expected
 
 
 class TestGates:

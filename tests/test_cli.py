@@ -11,6 +11,7 @@ import io
 import json
 import os
 import tempfile
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -280,6 +281,13 @@ class TestCaps:
         assert [(c["case"], c["size"], c["betti"]) for c in rep["components"]] == [
             ("HxK2Component", 3470, [1, 11, 0])
         ]
+
+    def test_cover_window_is_capped_as_it_grows(self, capsys):
+        # about 1.6e9 walks at radius 30; the cap stops the walk at 393,214
+        t = time.perf_counter()
+        assert main(["cover", "--graph", "petersen", "--radius", "40"]) == 2
+        assert time.perf_counter() - t < 1.0
+        assert "reduced walks: reached 393214, over the cap of 200000" in capsys.readouterr().err
 
     def test_deep_domain(self, capsys):
         # the search is iterative, so a long path does not hit the recursion limit

@@ -12,12 +12,14 @@ every closed walk, not just the chord loops it inspects.
 """
 
 import itertools
+import time
 
 import pytest
 
 from homcx import (
     AdjacencyType,
     EndpointMismatch,
+    ExplosionGuard,
     Graph,
     GraphHom,
     Homotopy,
@@ -153,6 +155,15 @@ class TestWindows:
     def test_window_counts(self):
         assert len(materialize_pi(C5, 1).walks) == 15
         assert len(materialize_pi(P4, 3).walks) == 16
+
+    def test_window_cap_is_checked_as_it_grows(self):
+        assert len(materialize_pi(C5, 1, cap=15).walks) == 15
+        with pytest.raises(ExplosionGuard, match="reached 15, over the cap of 14"):
+            materialize_pi(C5, 1, cap=14)
+        t = time.perf_counter()
+        with pytest.raises(ExplosionGuard, match="reached 1900, over the cap of 1000"):
+            materialize_pi(petersen_graph(), 40, cap=1000)
+        assert time.perf_counter() - t < 1.0
 
     def test_endpoint_map_is_a_bijection_for_trees(self):
         # over a tree the reduced-walk graph is a copy of the tensor square
