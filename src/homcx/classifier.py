@@ -143,9 +143,13 @@ def _homotopy_type(betti, k2_factoring, r):
 
 
 def _summary_type(G, s, rank_of):
-    """The homotopy type of a ComponentSummary; rank_of is _rank_by_vertex."""
+    """The homotopy type of a ComponentSummary; rank_of is _rank_by_vertex,
+    read at the image of an endpoint of the least edge (vertex 0 if there is
+    none), which an edge-factoring component sends into the right target
+    component."""
     k2 = s.k2_factoring and G.edge_count > 0
-    return _homotopy_type(s.cell_betti, k2, rank_of[s.representative.mapping[0]])
+    u = min(G.edges)[0] if G.edges else 0
+    return _homotopy_type(s.cell_betti, k2, rank_of[s.representative.mapping[u]])
 
 
 def classify_component(G, H, f, cap=DEFAULT_CAP):

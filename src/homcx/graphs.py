@@ -311,9 +311,14 @@ def common_neighbors(H, mask):
     """
     nbr = H.adj_masks
     room = (1 << H.n) - 1
-    for x in mask_bits(mask):
-        room &= nbr[x]
+    while mask:
+        low = mask & -mask
+        room &= nbr[low.bit_length() - 1]
+        mask ^= low
     return room
+
+
+DEFAULT_CAP = 200_000
 
 
 def _over_cap(stage, count, cap):

@@ -10,14 +10,19 @@ projection.
 Membership in that component has a closed-form test when H is square-free:
 all walk lengths must be even, and any vertex lying on a tight closed walk
 (one whose f-image is cyclically reduced) must carry exactly its trivial
-walk. Self-homotopies of f act on the fiber as deck transformations.
+walk. Tight vertices are found by Kosaraju's two passes, the second a
+`graphs.closure`. Self-homotopies of f act on the fiber as deck
+transformations, the singleton members of the identity component that return
+to f: each `GammaElement` is an `EfElement`. The local covering check takes
+the base elements above a projection from `hom_poset.larger_cells`.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import (
     InvariantViolation,
@@ -31,13 +36,12 @@ from .graphs import (
     GraphHom,
     backtrack,
     closure,
-    common_neighbors,
     is_connected,
     is_square_free,
     mask_bits,
     require_square_free,
 )
-from .hom_poset import DEFAULT_CAP, SetValuedHom
+from .hom_poset import DEFAULT_CAP, SetValuedHom, larger_cells
 from .pi_graph import Homotopy, walks_adjacent
 from .walks import (
     ReducedWalk,
@@ -164,89 +168,63 @@ def _require_cover_setting(f):
 # tight vertices
 
 
-@lru_cache(maxsize=None)
 def tight_vertices(f):
     """Vertices lying on some closed walk whose f-image is cyclically reduced.
 
     Searched on the digraph of ordered adjacent pairs: (u, v) -> (v, w) is an
     arc when f(u) != f(w). Directed closed walks there are exactly the tight
     closed walks of G, so a vertex qualifies iff one of its pairs sits in a
-    strongly connected component with at least two nodes.
+    strongly connected component with at least two nodes. The components
+    come from Kosaraju's two passes: a depth-first search records the order
+    in which pairs finish, then, in reverse finishing order, each pair not
+    yet placed takes the closure of the reversed arcs among the unplaced
+    pairs. The arcs into (u, v) come from the pairs (x, u) with f(x) != f(v).
     """
-    G = f.domain
-    nodes = [(u, v) for u, v in itertools.permutations(G.vertices(), 2) if G.has_edge(u, v)]
-    succ = {
-        (u, v): [(v, w) for w in G.neighbors(v) if f(u) != f(w)] for u, v in nodes
-    }
-    # iterative Tarjan
-    index = {}
-    low = {}
-    on_stack = set()
-    stack = []
-    scc_sizes = {}
-    counter = itertools.count()
-    scc_of = {}
-    for root in nodes:
-        if root in index:
+    G, m = f.domain, f.mapping
+    finished, seen = [], set()
+    for root in ((u, v) for u in G.vertices() for v in G.neighbors(u)):
+        if root in seen:
             continue
-        work = [(root, iter(succ[root]))]
-        index[root] = low[root] = next(counter)
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for child in it:
-                if child not in index:
-                    index[child] = low[child] = next(counter)
-                    stack.append(child)
-                    on_stack.add(child)
-                    work.append((child, iter(succ[child])))
-                    advanced = True
+        seen.add(root)
+        stack = [(root, iter(G.neighbors(root[1])))]
+        while stack:
+            (u, v), ahead = stack[-1]
+            for w in ahead:
+                if m[u] != m[w] and (v, w) not in seen:
+                    seen.add((v, w))
+                    stack.append(((v, w), iter(G.neighbors(w))))
                     break
-                if child in on_stack:
-                    low[node] = min(low[node], index[child])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    comp.append(member)
-                    if member == node:
-                        break
-                for member in comp:
-                    scc_of[member] = node
-                scc_sizes[node] = len(comp)
-    return frozenset(
-        u for (u, v) in nodes if scc_sizes[scc_of[(u, v)]] >= 2
-    )
+            else:
+                finished.append(stack.pop()[0])
+    placed, tight = set(), set()
+
+    def arcs_in(pair):
+        u, v = pair
+        return [(x, u) for x in G.neighbors(u) if m[x] != m[v] and (x, u) not in placed]
+
+    for node in reversed(finished):
+        if node not in placed:
+            comp = closure(node, arcs_in)
+            placed |= comp
+            if len(comp) >= 2:
+                tight.update(u for u, _ in comp)
+    return frozenset(tight)
 
 
 def is_in_Ef(phi):
     """Closed-form membership test for the identity component of the fiber."""
     _require_cover_setting(phi.base_hom)
-    return _passes_membership_test(phi)
+    return _passes_membership_test(phi, tight_vertices(phi.base_hom))
 
 
-def _passes_membership_test(phi):
-    """is_in_Ef without re-checking the cover setting: even walk lengths,
-    and only trivial walks at tight vertices."""
+def _passes_membership_test(phi, tight):
+    """is_in_Ef without re-checking the cover setting, given the tight
+    vertices of phi's base: even walk lengths, and only trivial walks at
+    tight vertices."""
+    if any(w.length % 2 for s in phi.sets for w in s):
+        return False
     f = phi.base_hom
-    for s in phi.sets:
-        for w in s:
-            if w.length % 2 != 0:
-                return False
-    H = f.codomain
-    for u in tight_vertices(f):
-        if phi.sets[u] != frozenset({trivial_walk(H, f(u))}):
-            return False
-    return True
+    return all(phi.sets[u] == {trivial_walk(f.codomain, f(u))} for u in tight)
 
 
 # ---------------------------------------------------------------------------
@@ -328,15 +306,6 @@ def reduce_to_identity(h):
 # bounded enumeration
 
 
-def _extensions(f, u, eta):
-    """Walks at u through the walk eta at a neighbor of u: the edge
-    (f(u), s(eta)), then eta, then one more step from its target."""
-    H = f.codomain
-    return [
-        ReducedWalk(H, conjugate(f(u), eta.vertices, y)) for y in H.neighbors(eta.target)
-    ]
-
-
 def fiber_component_bounded(f, max_norm, cap=DEFAULT_CAP):
     """BFS through comparabilities from the identity element, capped by norm.
 
@@ -397,8 +366,9 @@ def enumerate_Ef_bounded(f, max_norm, cap=DEFAULT_CAP):
     """
     _require_cover_setting(f)
     elements = fiber_component_bounded(f, max_norm, cap=cap)
+    tight = tight_vertices(f)
     for e in elements:
-        if not _passes_membership_test(e):
+        if not _passes_membership_test(e, tight):
             raise InvariantViolation(
                 "BFS reached an element the membership test rejects"
             )
@@ -445,69 +415,52 @@ def down_lift(phi, psi):
 
 
 def _upsets_in_base(base, cap):
-    """All set-valued homomorphisms pointwise above base, sorted by key.
-
-    Sets are int bitmasks over V(H). The set at u must lie in the common
-    neighborhood of the set at each neighbor v, which is the set chosen at v
-    or, before v is reached, base(v): every choice at v contains it.
-    """
+    """All set-valued homomorphisms pointwise above base, sorted by key: the
+    closure of base's cells under hom_poset.larger_cells."""
     G, H = base.domain, base.codomain
-    floor = [sum(1 << x for x in s) for s in base.sets]
-
-    def candidates(u, partial):
-        near = 0
-        for v in G.neighbors(u):
-            near |= partial.get(v, floor[v])
-        room = common_neighbors(H, near)
-        if floor[u] & ~room:
-            return []
-        free = room & ~floor[u]
-        out = [floor[u] | free]
-        sub = free
-        while sub:
-            sub = (sub - 1) & free
-            out.append(floor[u] | sub)
-        return out
-
-    found = backtrack(G.vertices(), candidates, cap, "elements above the base")
-    upsets = [SetValuedHom(G, H, (mask_bits(a[u]) for u in G.vertices())) for a in found]
+    start = tuple(sum(1 << x for x in s) for s in base.sets)
+    cells = closure(start, functools.partial(larger_cells, G, H), cap, "elements above the base")
+    upsets = [SetValuedHom(G, H, map(mask_bits, cell)) for cell in cells]
     return sorted(upsets, key=lambda s: s.key())
 
 
 def _count_down_lifts(phi, psi):
     """Number of elements below phi whose projection is exactly psi."""
     total = 1
-    for u in range(phi.base_hom.domain.n):
-        by_target = {}
-        for w in phi.sets[u]:
-            by_target.setdefault(w.target, []).append(w)
-        ways = 1
-        for x in sorted(psi.sets[u]):
-            ways *= (1 << len(by_target.get(x, []))) - 1
-        total *= ways
+    for s, t in zip(phi.sets, psi.sets):
+        by_target = Counter(w.target for w in s)
+        for x in t:
+            total *= (1 << by_target[x]) - 1
     return total
 
 
-def _count_up_lifts(phi, psi):
-    """Number of elements above phi whose projection is exactly psi."""
+def _joinable_walks(phi):
+    """Per vertex u, the walks an element above phi may add at u: the walks
+    through a walk eta at the first neighbor of u (the edge (f(u), s(eta)),
+    then eta, then one more step) that are not at u and are adjacent to every
+    walk at every neighbor of u."""
     f = phi.base_hom
     G, H = f.domain, f.codomain
-    optional = []
+    joinable = []
     for u in G.vertices():
         nbrs = G.neighbors(u)
-        pool = {w for eta in phi.sets[nbrs[0]] for w in _extensions(f, u, eta)}
-        optional.append(
-            [
-                w
-                for w in pool - phi.sets[u]
-                if w.target in psi.sets[u]
-                and all(
-                    walks_adjacent(H, w.vertices, eta.vertices)
-                    for v in nbrs
-                    for eta in phi.sets[v]
-                )
-            ]
+        pool = {
+            ReducedWalk(H, conjugate(f(u), eta.vertices, y))
+            for eta in phi.sets[nbrs[0]]
+            for y in H.neighbors(eta.target)
+        }
+        near = [eta.vertices for v in nbrs for eta in phi.sets[v]]
+        joinable.append(
+            [w for w in pool - phi.sets[u] if all(walks_adjacent(H, w.vertices, b) for b in near)]
         )
+    return joinable
+
+
+def _count_up_lifts(phi, joinable, psi):
+    """Number of elements above phi whose projection is exactly psi, given
+    _joinable_walks(phi)."""
+    G, H = phi.base_hom.domain, phi.base_hom.codomain
+    optional = [[w for w in ws if w.target in t] for ws, t in zip(joinable, psi.sets)]
 
     def candidates(u, partial):
         out = []
@@ -549,32 +502,25 @@ def check_poset_covering_local(f, max_norm, cap=DEFAULT_CAP):
     }
     for phi in elements:
         tphi = phi.target_hom()
+        checks = []
         if phi.norm() <= max_norm - 2:
             pools = [
                 [frozenset(c) for r in range(1, len(s) + 1) for c in itertools.combinations(sorted(s), r)]
                 for s in tphi.sets
             ]
-            for pick in itertools.product(*pools):
-                psi = SetValuedHom(G, H, pick)
-                count = _count_down_lifts(phi, psi)
-                report["down_checks"] += 1
-                if count != 1:
-                    report["violations"].append(
-                        {
-                            "direction": "down",
-                            "element": phi.to_json(),
-                            "lift_count": count,
-                            "target": psi.to_json(),
-                        }
-                    )
+            below = (SetValuedHom(G, H, pick) for pick in itertools.product(*pools))
+            checks.append(("down", below, functools.partial(_count_down_lifts, phi)))
         if phi.norm() <= max_norm - 2 * G.n:
-            for psi in _upsets_in_base(tphi, cap):
-                count = _count_up_lifts(phi, psi)
-                report["up_checks"] += 1
+            up = functools.partial(_count_up_lifts, phi, _joinable_walks(phi))
+            checks.append(("up", _upsets_in_base(tphi, cap), up))
+        for direction, targets, count_lifts in checks:
+            for psi in targets:
+                count = count_lifts(psi)
+                report[direction + "_checks"] += 1
                 if count != 1:
                     report["violations"].append(
                         {
-                            "direction": "up",
+                            "direction": direction,
                             "element": phi.to_json(),
                             "lift_count": count,
                             "target": psi.to_json(),
@@ -669,55 +615,35 @@ def retraction_D(phi, n, i, paths=None):
 # deck transformations
 
 
-class GammaElement:
-    """A self-homotopy of f that lies in the identity component of the fiber."""
+class GammaElement(EfElement):
+    """A self-homotopy of f that lies in the identity component of the fiber:
+    a singleton fiber element whose walks all return to f."""
 
-    __slots__ = ("element",)
+    __slots__ = ()
 
-    def __init__(self, element):
-        f = element.base_hom
-        if not element.is_singleton():
+    def __init__(self, base_hom, sets):
+        super().__init__(base_hom, sets)
+        if not self.is_singleton():
             raise NotInDomain("deck transformations are singleton-valued")
-        h = element.as_homotopy()
-        if h.target_hom != f:
+        if self.as_homotopy().target_hom != base_hom:
             raise NotInDomain("walks must return to f at every vertex")
-        if not is_in_Ef(element):
+        if not is_in_Ef(self):
             raise NotInDomain("element is outside the identity component")
-        self.element = element
 
     @classmethod
     def from_walks(cls, f, walks):
-        return cls(EfElement(f, (frozenset({w}) for w in walks)))
-
-    @property
-    def base_hom(self):
-        return self.element.base_hom
+        return cls(f, (frozenset({w}) for w in walks))
 
     @property
     def walks(self):
-        return tuple(next(iter(s)) for s in self.element.sets)
-
-    def norm(self):
-        return self.element.norm()
-
-    def key(self):
-        return self.element.key()
-
-    def as_homotopy(self):
-        return self.element.as_homotopy()
-
-    def __eq__(self, other):
-        return isinstance(other, GammaElement) and self.element == other.element
-
-    def __hash__(self):
-        return hash(self.element)
+        return tuple(next(iter(s)) for s in self.sets)
 
     def __repr__(self):
         return f"GammaElement({[w.vertices for w in self.walks]})"
 
 
 def gamma_identity(f):
-    return GammaElement(identity_element(f))
+    return GammaElement(f, identity_element(f).sets)
 
 
 def gamma_product(a, b):
@@ -763,7 +689,7 @@ def deck_transformations(f, u, elements):
     gamma_elements_bounded, checking that their walks at u are distinct and
     that the set is closed under inverses."""
     out = [
-        GammaElement(e)
+        GammaElement(e.base_hom, e.sets)
         for e in elements
         if e.is_singleton()
         and all(next(iter(s)).target == f(v) for v, s in enumerate(e.sets))

@@ -8,8 +8,9 @@ inclusion, the cells form the face poset of that complex.
 
 A cell is a tuple of int bitmasks over V(H), one per vertex of G, from the
 component walk to the boundary matrix. The walk's moves remove one image
-vertex, or add one adjacent to every vertex in the sets at the neighbors,
-which reaches exactly the cells connected through comparability zigzags.
+vertex (`smaller_cells`), or add one adjacent to every vertex in the sets at
+the neighbors (`larger_cells`), which reaches exactly the cells connected
+through comparability zigzags.
 `HomPoset` keeps the masks the walk returns, and the cellular chain complex
 grades them by popcount and finds faces by clearing one bit. Only the
 homomorphisms, the cells of one-point sets, become `GraphHom`s. The
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 
 from .errors import InvariantViolation, NotHomomorphism
 from .graphs import (
+    DEFAULT_CAP,
     Graph,
     GraphHom,
     backtrack,
@@ -33,8 +35,6 @@ from .graphs import (
     mask_bits,
 )
 from .homology import ChainComplex
-
-DEFAULT_CAP = 200_000
 
 
 class SetValuedHom:
@@ -188,26 +188,39 @@ def _bit_lists(cells):
     return {s: mask_bits(s) for s in {s for cell in cells for s in cell}}
 
 
+def smaller_cells(cell):
+    """The cells one image vertex below cell: drop one element from a set of
+    two or more."""
+    out = []
+    for u, s in enumerate(cell):
+        if s & (s - 1):
+            out.extend(cell[:u] + (s ^ (1 << x),) + cell[u + 1 :] for x in mask_bits(s))
+    return out
+
+
+def larger_cells(G, H, cell):
+    """The cells one image vertex above cell: add at u a vertex x adjacent to
+    every vertex in the sets at the neighbors of u, which is exactly when the
+    result is again a set-valued homomorphism."""
+    out = []
+    for u, s in enumerate(cell):
+        near = 0
+        for v in G.neighbors(u):
+            near |= cell[v]
+        room = common_neighbors(H, near) & ~s
+        out.extend(cell[:u] + (s | (1 << x),) + cell[u + 1 :] for x in mask_bits(room))
+    return out
+
+
 def enumerate_component(G, H, f, cap=DEFAULT_CAP):
     """The full poset component of f, a GraphHom or a SetValuedHom.
 
-    Cells are walked as tuples of int bitmasks over V(H). A move removes one
-    element from a set of size at least two, or adds a vertex x at u when x
-    is adjacent to every vertex in the sets at the neighbors of u, which is
-    exactly when the result is again a set-valued homomorphism.
+    Cells are walked as tuples of int bitmasks over V(H), down through
+    smaller_cells and up through larger_cells.
     """
 
     def moves(cell):
-        out = []
-        for u, s in enumerate(cell):
-            if s & (s - 1):
-                out.extend(cell[:u] + (s ^ (1 << x),) + cell[u + 1 :] for x in mask_bits(s))
-            near = 0
-            for v in G.neighbors(u):
-                near |= cell[v]
-            room = common_neighbors(H, near) & ~s
-            out.extend(cell[:u] + (s | (1 << x),) + cell[u + 1 :] for x in mask_bits(room))
-        return out
+        return smaller_cells(cell) + larger_cells(G, H, cell)
 
     sets = ([x] for x in f.mapping) if isinstance(f, GraphHom) else f.sets
     start = tuple(sum(1 << x for x in s) for s in sets)

@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ExplosionGuard, InvariantViolation
+from .graphs import DEFAULT_CAP
 
 
 @dataclass(frozen=True)
@@ -56,7 +57,7 @@ class OrderComplex:
         return sum((-1) ** d * len(level) for d, level in enumerate(self.simplices))
 
 
-def complex_from_chains(n_vertices, greater, cap=200_000):
+def complex_from_chains(n_vertices, greater, cap=DEFAULT_CAP):
     """Order complex of a poset given by strict comparability lists.
 
     greater[i] lists the j with i strictly below j. Chains are grown along

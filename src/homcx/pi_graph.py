@@ -31,7 +31,7 @@ from .errors import (
     SourceTargetMismatch,
     TransportMismatch,
 )
-from .graphs import Graph, bfs_parents, is_connected, tree_path_vertices
+from .graphs import DEFAULT_CAP, Graph, bfs_parents, is_connected, tree_path_vertices
 from .walks import (
     ReducedWalk,
     Walk,
@@ -324,7 +324,7 @@ class PiWindow:
         }
 
 
-def materialize_pi(H, max_len, cap=200_000):
+def materialize_pi(H, max_len, cap=DEFAULT_CAP):
     """Build the finite window of the reduced-walk graph up to max_len.
 
     The neighbors of a walk xi are its conjugates, pi_neighbor(xi, x, y) for

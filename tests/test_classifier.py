@@ -137,6 +137,16 @@ class TestClassifyComponent:
         t = classify_component(K1, C5, GraphHom(K1, C5, (0,)))
         assert (t.case_tag, t.circles) == ("Point", 0)
 
+    def test_isolated_vertex_reads_the_rank_at_an_edge(self):
+        # vertex 0 is isolated, so its image says nothing about where the
+        # edge lands: the rank comes from the target component of the edge
+        G = Graph(3, [(1, 2)])
+        H = disjoint_union(K2, C5)
+        t = classify_component(G, H, GraphHom(G, H, (0, 2, 3)))
+        assert (t.case_tag, t.circles, t.expected_rank) == ("HxK2Component", 1, 1)
+        t = classify_component(G, H, GraphHom(G, H, (2, 0, 1)))
+        assert (t.case_tag, t.circles, t.expected_rank) == ("HxK2Component", 0, 0)
+
     def test_domain_without_vertices_is_bad_input(self):
         K0 = Graph(0)
         with pytest.raises(GraphInputError, match="at least one vertex"):

@@ -103,6 +103,21 @@ class TestReports:
         assert rep["edge_factoring_components"] == 1
         assert rep["components"][0]["case"] == "HxK2Component"
 
+    def test_classify_disconnected_domain_into_disconnected_target(self, tmp_path, capsys):
+        domain = tmp_path / "g.json"
+        domain.write_text(json.dumps({"n": 3, "edges": [[1, 2]]}))
+        codomain = tmp_path / "h.json"  # K2 beside C5
+        codomain.write_text(
+            json.dumps({"n": 7, "edges": [[0, 1], [2, 3], [3, 4], [4, 5], [5, 6], [6, 2]]})
+        )
+        code, rep = run(capsys, "classify", "--domain", str(domain), "--codomain", str(codomain))
+        assert code == 0
+        assert [(c["case"], c["circles"], c["expected_rank"]) for c in rep["components"]] == [
+            ("HxK2Component", 0, 0),
+            ("HxK2Component", 0, 0),
+            ("HxK2Component", 1, 1),
+        ]
+
     def test_classify_gates(self, capsys):
         assert main(["classify", "--domain", "K2", "--codomain", "C4"]) == 3
         assert main(["classify", "--domain", "C3", "--codomain", "P4"]) == 3

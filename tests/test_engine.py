@@ -82,3 +82,10 @@ class TestGuardMessages:
         with pytest.raises(ExplosionGuard) as info:
             enumerate_component(complete_graph(2), cycle_graph(5), f, cap=5)
         assert str(info.value) == "component elements: reached 6, over the cap of 5"
+
+    def test_upsets_name_stage_count_and_cap(self):
+        base = SetValuedHom(complete_graph(2), cycle_graph(5), ({0}, {1}))
+        assert len(_upsets_in_base(base, 3)) == 3
+        with pytest.raises(ExplosionGuard) as info:
+            _upsets_in_base(base, 2)
+        assert str(info.value) == "elements above the base: reached 3, over the cap of 2"

@@ -5,8 +5,7 @@ local covering property, the filtration operators, and the deck group. The
 bounded BFS enumeration is held against an independent structural search
 (all candidate elements, filtered by the closed-form membership test) and
 against the same walk over validated elements instead of vertex tuples, and
-tight vertices against brute force over every closed walk long enough to
-see a cycle of the pair digraph.
+tight vertices against an exhaustive search over closed walks.
 """
 
 import itertools
@@ -40,10 +39,12 @@ from homcx import (
     gamma_identity,
     gamma_inverse,
     gamma_product,
+    hom_cover,
     identity_element,
     in_stage,
     is_f_tight,
     is_in_Ef,
+    is_square_free,
     path_graph,
     petersen_graph,
     reduce_to_identity,
@@ -55,6 +56,7 @@ from homcx import (
 )
 
 from oracles import fiber_candidates_bounded, fiber_component_reference
+from test_hom_poset import graphs
 
 K2 = Graph(2, [(0, 1)])
 C3 = cycle_graph(3)
@@ -78,26 +80,51 @@ def connected_graphs(draw, min_n, max_n):
 
 
 def brute_tight(f):
-    """Vertices on a closed walk with cyclically reduced image, by brute force.
+    """Vertices on a closed walk with cyclically reduced image, by exhaustive
+    search over walks.
 
-    A tight closed walk corresponds to a directed cycle on the ordered-pair
-    digraph, so length 2|E(G)| is enough to find one through any vertex.
+    Walks from u grow one step at a time, and only those whose image stays
+    reduced are kept. Two such walks with the same first step and the same
+    last two vertices extend and close up alike, so only the first one found
+    is grown further; each closed walk met is judged by is_f_tight.
     """
     G = f.domain
-    bound = 2 * G.edge_count
     out = set()
     for u in G.vertices():
-        frontier = [(u,)]
-        for _ in range(bound):
-            frontier = [w + (y,) for w in frontier for y in G.neighbors(w[-1])]
-            for seq in frontier:
-                if seq[-1] == u and is_f_tight(f, Walk(G, seq)):
-                    out.add(u)
-                    frontier = []
-                    break
-            if not frontier:
-                break
+        frontier = [(u, v) for v in G.neighbors(u)]
+        seen = {(w[1], w[-2], w[-1]) for w in frontier}
+        while frontier and u not in out:
+            grown = []
+            for w in frontier:
+                for y in G.neighbors(w[-1]):
+                    if f(y) == f(w[-2]):
+                        continue
+                    seq = w + (y,)
+                    if y == u and is_f_tight(f, Walk(G, seq)):
+                        out.add(u)
+                    if (seq[1], seq[-2], y) not in seen:
+                        seen.add((seq[1], seq[-2], y))
+                        grown.append(seq)
+            frontier = grown
     return frozenset(out)
+
+
+@st.composite
+def maps_into_square_free(draw):
+    """A random homomorphism f: G -> H. H is C3, C5, petersen or a random
+    square-free graph; G has up to 6 vertices, each placed at a random vertex
+    of H, and any edges f sends to edges, so G may be disconnected."""
+    H = draw(
+        st.one_of(
+            st.sampled_from([C3, C5, petersen_graph()]),
+            graphs(2, 7).filter(is_square_free),
+        )
+    )
+    n = draw(st.integers(1, 6))
+    m = [draw(st.integers(0, H.n - 1)) for _ in range(n)]
+    pairs = [(u, v) for u, v in itertools.combinations(range(n), 2) if H.has_edge(m[u], m[v])]
+    G = Graph(n, [e for e in pairs if draw(st.booleans())])
+    return GraphHom(G, H, m)
 
 
 class TestTightVertices:
@@ -113,6 +140,11 @@ class TestTightVertices:
         for f in cases:
             assert tight_vertices(f) == brute_tight(f)
 
+    @settings(max_examples=200, deadline=None)
+    @given(maps_into_square_free())
+    def test_random_maps_match_brute_force(self, f):
+        assert tight_vertices(f) == brute_tight(f)
+
     def test_frozen(self):
         assert tight_vertices(WIND) == frozenset(range(6))
         assert tight_vertices(FLAT) == frozenset()
@@ -120,6 +152,23 @@ class TestTightVertices:
         assert tight_vertices(GraphHom(C3, C3, (0, 1, 2))) == frozenset({0, 1, 2})
         spiked = Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
         assert tight_vertices(GraphHom(spiked, C3, (0, 1, 2, 0))) == frozenset({0, 1, 2})
+
+    def test_deep_domains(self):
+        # both passes keep explicit stacks, so a long domain cannot run
+        # into Python's recursion limit
+        P800 = path_graph(800)
+        assert tight_vertices(GraphHom(P800, K2, (u % 2 for u in range(800)))) == frozenset()
+        C300 = cycle_graph(300)
+        wrap = GraphHom(C300, C3, (u % 3 for u in range(300)))
+        assert tight_vertices(wrap) == frozenset(range(300))
+
+    def test_computed_once_per_enumeration(self, monkeypatch):
+        calls = []
+        real = hom_cover.tight_vertices
+        monkeypatch.setattr(hom_cover, "tight_vertices", lambda f: calls.append(f) or real(f))
+        elements = enumerate_Ef_bounded(EDGE_IN_C5, 6)
+        assert len(elements) == 13
+        assert calls == [EDGE_IN_C5]
 
 
 class TestFiberElements:
@@ -428,6 +477,13 @@ class TestDeckGroup:
         gs = gamma_elements_bounded(EDGE_IN_C5, 0, 40)
         assert [g.norm() for g in gs] == [0, 20, 20, 40, 40]
         assert gs[0] == gamma_identity(EDGE_IN_C5)
+
+    def test_deck_transformations_are_fiber_elements(self):
+        gs = gamma_elements_bounded(EDGE_IN_C5, 0, 40)
+        assert all(isinstance(g, EfElement) for g in gs)
+        fiber = enumerate_Ef_bounded(EDGE_IN_C5, 40)
+        assert all(g in fiber for g in gs)
+        assert gs[0] == identity_element(EDGE_IN_C5)
 
     def test_group_table_is_infinite_cyclic(self):
         # indices: 0 identity, 1 and 2 the two generators (inverse to each

@@ -27,6 +27,7 @@ from homcx import (
     path_graph,
     post_compose,
 )
+from homcx.hom_poset import larger_cells, smaller_cells
 
 from oracles import cell_keys, hom_adjacent
 
@@ -194,6 +195,19 @@ class TestComponents:
     def test_cap(self):
         with pytest.raises(ExplosionGuard):
             enumerate_component(K2, C5, GraphHom(K2, C5, (0, 1)), cap=5)
+
+    def test_move_halves_are_the_covering_relations(self):
+        # each half lists exactly the cells one image vertex away, each once
+        def covers(lo, hi):
+            return all(a & ~b == 0 for a, b in zip(lo, hi)) and (
+                sum(s.bit_count() for s in hi) == sum(s.bit_count() for s in lo) + 1
+            )
+
+        for G, H in [(K2, C5), (P3, P4), (K2, complete_graph(3)), (K2, cycle_graph(4))]:
+            masks = [tuple(sum(1 << x for x in s) for s in e.sets) for e in all_set_valued(G, H)]
+            for cell in masks:
+                assert sorted(larger_cells(G, H, cell)) == sorted(c for c in masks if covers(cell, c))
+                assert sorted(smaller_cells(cell)) == sorted(c for c in masks if covers(c, cell))
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
     @given(
