@@ -59,6 +59,11 @@ def expected_rank(H):
     """
     if not is_connected(H):
         raise NotConnected("rank prediction needs a connected target")
+    return _double_rank(H)
+
+
+def _double_rank(H):
+    """expected_rank of a graph already known to be connected."""
     e, n = H.edge_count, H.n
     if is_bipartite(H) is not None:
         return e - n + 1
@@ -86,22 +91,25 @@ def validate_instance(G, H):
     disconnected target only meets one of its components per component of
     the domain image. These are reported as facts rather than rejected.
     """
+    return _instance_facts(G, H, connected_components(G), _component_ranks(H))
+
+
+def _instance_facts(G, H, domain_comps, ranks):
+    """validate_instance, given the components of G and _component_ranks(H)."""
     _require_domain_vertex(G)
     require_square_free(H)
     facts = {
         "codomain_bipartite": is_bipartite(H) is not None,
-        "codomain_connected": is_connected(H),
+        "codomain_connected": len(ranks) <= 1,
         "domain_bipartite": is_bipartite(G) is not None,
-        "domain_components": len(connected_components(G)),
-        "domain_connected": is_connected(G),
+        "domain_components": len(domain_comps),
+        "domain_connected": len(domain_comps) <= 1,
         "single_vertex_domain": G.n == 1,
         "square_free": True,
     }
     if not has_hom(G, H):
         raise EmptyHomSet("no homomorphism from the domain into the target")
-    facts["codomain_component_ranks"] = [
-        expected_rank(induced_component(H, comp)) for comp in connected_components(H)
-    ]
+    facts["codomain_component_ranks"] = [r for _, r in ranks]
     return facts
 
 
@@ -110,12 +118,15 @@ def _require_domain_vertex(G):
         raise GraphInputError("the domain needs at least one vertex")
 
 
-def _rank_by_vertex(H):
-    """The rank each vertex's component of H predicts, keyed by vertex."""
-    out = {}
-    for comp in connected_components(H):
-        out.update(dict.fromkeys(comp, expected_rank(induced_component(H, comp))))
-    return out
+def _component_ranks(H):
+    """Each connected component of H, with the rank it predicts."""
+    return [(comp, _double_rank(induced_component(H, comp))) for comp in connected_components(H)]
+
+
+def _rank_by_vertex(ranks):
+    """The rank each vertex's component predicts, keyed by vertex, from
+    _component_ranks."""
+    return {v: r for comp, r in ranks for v in comp}
 
 
 def _homotopy_type(betti, k2_factoring, r):
@@ -162,7 +173,8 @@ def classify_component(G, H, f, cap=DEFAULT_CAP):
     """
     _require_domain_vertex(G)
     require_square_free(H)
-    return _summary_type(G, component_summary(G, H, f, cap=cap), _rank_by_vertex(H))
+    rank_of = _rank_by_vertex(_component_ranks(H))
+    return _summary_type(G, component_summary(G, H, f, cap=cap), rank_of)
 
 
 def full_case_report(G, H, cap=DEFAULT_CAP):
@@ -174,8 +186,9 @@ def full_case_report(G, H, cap=DEFAULT_CAP):
     target has already failed the instance check: the homomorphism set is
     empty.)
     """
-    facts = validate_instance(G, H)
-    rank_of = _rank_by_vertex(H)
+    ranks = _component_ranks(H)
+    facts = _instance_facts(G, H, connected_components(G), ranks)
+    rank_of = _rank_by_vertex(ranks)
     classified = []
     for s in component_census(G, H, cap=cap):
         entry = s.to_json()

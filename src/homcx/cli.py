@@ -221,7 +221,8 @@ def run_ef(args):
     H = load_graph(args.codomain)
     f = load_hom(G, H, args.seed_hom)
     elements = enumerate_Ef_bounded(f, args.max_norm, cap=resolve_cap(args))
-    gamma = deck_transformations(f, 0, elements)
+    tight = tight_vertices(f)
+    gamma = deck_transformations(f, 0, elements, tight)
     report = {
         "count": len(elements),
         "deck_count": len(gamma),
@@ -229,7 +230,7 @@ def run_ef(args):
         "f": list(f.mapping),
         "max_norm": args.max_norm,
         "norms": sorted({e.norm() for e in elements}),
-        "tight_vertices": sorted(tight_vertices(f)),
+        "tight_vertices": sorted(tight),
     }
     emit_report(report, args.out)
     return 0

@@ -621,13 +621,15 @@ class GammaElement(EfElement):
 
     __slots__ = ()
 
-    def __init__(self, base_hom, sets):
+    def __init__(self, base_hom, sets, tight=None):
+        """tight, when given, is tight_vertices(base_hom) in the cover
+        setting, already checked; otherwise is_in_Ef checks both."""
         super().__init__(base_hom, sets)
         if not self.is_singleton():
             raise NotInDomain("deck transformations are singleton-valued")
         if self.as_homotopy().target_hom != base_hom:
             raise NotInDomain("walks must return to f at every vertex")
-        if not is_in_Ef(self):
+        if not (is_in_Ef(self) if tight is None else _passes_membership_test(self, tight)):
             raise NotInDomain("element is outside the identity component")
 
     @classmethod
@@ -681,15 +683,18 @@ def gamma_elements_bounded(f, u, max_norm, cap=DEFAULT_CAP):
     These correspond one to one with their walk at the chosen base vertex u;
     the list is closed under inverses and sorted by norm, then by key.
     """
-    return deck_transformations(f, u, enumerate_Ef_bounded(f, max_norm, cap=cap))
+    elements = enumerate_Ef_bounded(f, max_norm, cap=cap)
+    return deck_transformations(f, u, elements, tight_vertices(f))
 
 
-def deck_transformations(f, u, elements):
+def deck_transformations(f, u, elements, tight):
     """The deck transformations among fiber elements of f, as in
     gamma_elements_bounded, checking that their walks at u are distinct and
-    that the set is closed under inverses."""
+    that the set is closed under inverses. tight is tight_vertices(f), which
+    every membership test here shares."""
+    _require_cover_setting(f)
     out = [
-        GammaElement(e.base_hom, e.sets)
+        GammaElement(e.base_hom, e.sets, tight)
         for e in elements
         if e.is_singleton()
         and all(next(iter(s)).target == f(v) for v, s in enumerate(e.sets))
@@ -699,6 +704,6 @@ def deck_transformations(f, u, elements):
         raise InvariantViolation("two deck transformations share a base walk")
     keys = {g.key() for g in out}
     for g in out:
-        if gamma_inverse(g).key() not in keys:
+        if tuple((walk_inverse(w).vertices,) for w in g.walks) not in keys:
             raise InvariantViolation("inverse left the bounded set")
     return sorted(out, key=lambda g: (g.norm(), g.key()))

@@ -7,14 +7,20 @@ on its image set, of dimension sum_u (|eta(u)| - 1). Ordered by pointwise
 inclusion, the cells form the face poset of that complex.
 
 A cell is a tuple of int bitmasks over V(H), one per vertex of G, from the
-component walk to the boundary matrix. The walk's moves remove one image
-vertex (`smaller_cells`), or add one adjacent to every vertex in the sets at
-the neighbors (`larger_cells`), which reaches exactly the cells connected
-through comparability zigzags.
+component walk to the boundary matrix. Every choice of one vertex from each
+set of a cell is a homomorphism below it, so a component is the set of cells
+above its homomorphisms, and two homomorphisms under one cell are joined by
+changes at one vertex at a time. The walk (`enumerate_component`) therefore
+moves through homomorphisms only, changing one vertex to another common
+neighbor of its neighbors' images. Each cell has exactly one least
+homomorphism, the one taking the lowest vertex of every set, so growing each
+homomorphism h only by vertices above h(u) at each u produces every cell of
+the component exactly once, with no set of cells seen. `larger_cells`, the
+cells one image vertex above a cell, serves the fiber's covering check.
 `HomPoset` keeps the masks the walk returns, and the cellular chain complex
 grades them by popcount and finds faces by clearing one bit. Only the
-homomorphisms, the cells of one-point sets, become `GraphHom`s. The
-order complex of the face poset, the barycentric subdivision, is the tests'
+homomorphisms, the cells of one-point sets, become `GraphHom`s. The order
+complex of the face poset, the barycentric subdivision, is the tests'
 independent oracle (tests/oracles.py), built from `HomPoset.strict_upsets`.
 """
 
@@ -33,6 +39,7 @@ from .graphs import (
     common_neighbors,
     graph_to_json,
     mask_bits,
+    _over_cap,
 )
 from .homology import ChainComplex
 
@@ -147,12 +154,15 @@ class HomPoset:
     """A component of Hom(G, H): its cells as tuples of int bitmasks over V(H).
 
     cells[i][u] is the image set of vertex u. Cells are in key order, the
-    order of their image sets as sorted vertex lists.
+    order of their image sets as sorted vertex lists. hom_mappings holds the
+    homomorphisms, the cells of one-point sets, as mapping tuples in
+    lexicographic order.
     """
 
     domain: Graph
     codomain: Graph
     cells: tuple
+    hom_mappings: tuple
 
     def __len__(self):
         return len(self.cells)
@@ -161,20 +171,13 @@ class HomPoset:
         return not any(a & ~b for a, b in zip(self.cells[i], self.cells[j]))
 
     def homs(self):
-        """The homomorphisms in the component, built once from the cells of
-        one-point sets."""
-        return [
-            GraphHom(self.domain, self.codomain, (s.bit_length() - 1 for s in cell))
-            for cell in self.cells
-            if not any(s & (s - 1) for s in cell)
-        ]
+        """The homomorphisms in the component, in mapping order, each built once."""
+        return [GraphHom(self.domain, self.codomain, m) for m in self.hom_mappings]
 
     def singletons(self):
-        """The homomorphisms in the component: the cells of one-point sets."""
+        """The homomorphisms in the component as one-point set-valued ones."""
         return [
-            SetValuedHom(self.domain, self.codomain, ({s.bit_length() - 1} for s in cell))
-            for cell in self.cells
-            if not any(s & (s - 1) for s in cell)
+            SetValuedHom(self.domain, self.codomain, ({x} for x in m)) for m in self.hom_mappings
         ]
 
     def strict_upsets(self):
@@ -186,16 +189,6 @@ class HomPoset:
 def _bit_lists(cells):
     """mask_bits of every distinct mask in cells."""
     return {s: mask_bits(s) for s in {s for cell in cells for s in cell}}
-
-
-def smaller_cells(cell):
-    """The cells one image vertex below cell: drop one element from a set of
-    two or more."""
-    out = []
-    for u, s in enumerate(cell):
-        if s & (s - 1):
-            out.extend(cell[:u] + (s ^ (1 << x),) + cell[u + 1 :] for x in mask_bits(s))
-    return out
 
 
 def larger_cells(G, H, cell):
@@ -212,21 +205,81 @@ def larger_cells(G, H, cell):
     return out
 
 
+def _submasks(mask):
+    """Every submask of an int bitmask, mask itself first and 0 last."""
+    sub = mask
+    while True:
+        yield sub
+        if not sub:
+            return
+        sub = (sub - 1) & mask
+
+
 def enumerate_component(G, H, f, cap=DEFAULT_CAP):
     """The full poset component of f, a GraphHom or a SetValuedHom.
 
-    Cells are walked as tuples of int bitmasks over V(H), down through
-    smaller_cells and up through larger_cells.
+    The homomorphisms come first, closed under moving one vertex u to
+    another common neighbor of the images of its neighbors; a SetValuedHom
+    starts from the least vertex of each set. Then each homomorphism h yields
+    the cells whose least homomorphism it is: u grows by a subset of room(u),
+    the common neighbors lying above h(u), cut down to the common neighbors
+    of each earlier neighbor's set. More than cap homomorphisms, or more than
+    cap cells, raises ExplosionGuard; the cells are counted as they grow, and
+    each partial cell grows into at least one cell.
     """
+    nbr = H.adj_masks
+    everything = (1 << H.n) - 1
+    adj = [G.neighbors(u) for u in G.vertices()]
+    cells = []
 
-    def moves(cell):
-        return smaller_cells(cell) + larger_cells(G, H, cell)
+    def check(more):
+        if cap is not None and len(cells) + more > cap:
+            raise _over_cap("component elements", cap + 1, cap)
 
-    sets = ([x] for x in f.mapping) if isinstance(f, GraphHom) else f.sets
-    start = tuple(sum(1 << x for x in s) for s in sets)
-    cells = closure(start, moves, cap, "component elements")
-    bits = _bit_lists(cells)
-    return HomPoset(G, H, tuple(sorted(cells, key=lambda cell: [bits[s] for s in cell])))
+    def common(h, u):
+        room = everything
+        for v in adj[u]:
+            room &= nbr[h[v]]
+        return room
+
+    def moves(h):
+        return [
+            h[:u] + (y,) + h[u + 1 :]
+            for u, x in enumerate(h)
+            for y in mask_bits(common(h, u) & ~(1 << x))
+        ]
+
+    def cells_above(h):
+        level = [tuple(1 << x for x in h)]
+        grew = set()
+        for u, x in enumerate(h):
+            room = common(h, u) & ~((2 << x) - 1)
+            if not room:
+                continue
+            watch = [v for v in adj[u] if v in grew]
+            grew.add(u)
+            grown = []
+            for cell in level:
+                fit = room
+                for v in watch:
+                    s = cell[v]
+                    if s & (s - 1):
+                        fit &= common_neighbors(H, s)
+                check(len(grown) + (1 << fit.bit_count()))
+                head, tail = cell[:u], cell[u + 1 :]
+                grown.extend(head + (cell[u] | sub,) + tail for sub in _submasks(fit))
+            level = grown
+        return level
+
+    start = tuple(f.mapping) if isinstance(f, GraphHom) else tuple(min(s) for s in f.sets)
+    homs = closure(start, moves, cap, "component elements")
+    for h in homs:
+        above = cells_above(h)
+        check(len(above))
+        cells.extend(above)
+    rank = {s: i for i, s in enumerate(sorted({s for cell in cells for s in cell}, key=mask_bits))}
+    cells.sort(key=lambda cell: tuple(map(rank.__getitem__, cell)))
+    return HomPoset(G, H, tuple(cells), tuple(sorted(homs)))
 
 
 def cellular_chain_complex(P):

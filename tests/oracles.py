@@ -4,9 +4,11 @@ Each one answers a question the package also answers, by a slower or more
 literal route: adjacency straight from the conjugation equation, a window's
 edges by scanning every pair of walks, the fiber by structural search with
 no connectivity walk, the fiber's component walk over validated elements
-instead of vertex tuples, the cellular chain complex from sorted vertex tuples
-instead of bitmasks, Betti numbers on the order complex instead of the
-cellular complex. None of them runs outside the tests.
+instead of vertex tuples, a component of Hom(G, H) by walking its cells one
+image vertex at a time instead of growing each from its least homomorphism,
+the cellular chain complex from sorted vertex tuples instead of bitmasks,
+Betti numbers on the order complex instead of the cellular complex. None of
+them runs outside the tests.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import itertools
 from homcx.errors import InvariantViolation, NotConnected
 from homcx.graphs import GraphHom, backtrack, bfs_order, closure, is_connected, mask_bits
 from homcx.hom_cover import EfElement, _require_cover_setting, identity_element
-from homcx.hom_poset import DEFAULT_CAP
+from homcx.hom_poset import DEFAULT_CAP, HomPoset, larger_cells
 from homcx.homology import ChainComplex, chain_complex, complex_from_chains
 from homcx.pi_graph import classify_adjacency, pi_neighbor
 from homcx.walks import edge_walk, reduced_walks_from, walk_product
@@ -182,6 +184,41 @@ def fiber_component_reference(f, max_norm, cap=DEFAULT_CAP):
         identity_element(f), lambda phi: _fiber_moves(phi, max_norm), cap, "fiber elements"
     )
     return sorted(seen, key=lambda e: e.key())
+
+
+def smaller_cells(cell):
+    """The cells one image vertex below cell: drop one element from a set of
+    two or more."""
+    out = []
+    for u, s in enumerate(cell):
+        if s & (s - 1):
+            out.extend(cell[:u] + (s ^ (1 << x),) + cell[u + 1 :] for x in mask_bits(s))
+    return out
+
+
+def walked_component(G, H, f, cap=DEFAULT_CAP):
+    """The component of f, a GraphHom or a SetValuedHom, as a closure over
+    cells: down through smaller_cells and up through `hom_poset.larger_cells`.
+
+    The reference for `hom_poset.enumerate_component`, which walks only the
+    homomorphisms and grows every cell once from its least one.
+    """
+    sets = ([x] for x in f.mapping) if isinstance(f, GraphHom) else f.sets
+    start = tuple(sum(1 << x for x in s) for s in sets)
+
+    def moves(cell):
+        return smaller_cells(cell) + larger_cells(G, H, cell)
+
+    cells = sorted(
+        closure(start, moves, cap, "component elements"),
+        key=lambda cell: [mask_bits(s) for s in cell],
+    )
+    homs = [
+        tuple(s.bit_length() - 1 for s in cell)
+        for cell in cells
+        if not any(s & (s - 1) for s in cell)
+    ]
+    return HomPoset(G, H, tuple(cells), tuple(homs))
 
 
 def order_complex(P, cap=DEFAULT_CAP):

@@ -35,6 +35,7 @@ from homcx import (
     petersen_graph,
     validate_instance,
 )
+from homcx import classifier, graphs as graphs_module
 from homcx.classifier import _homotopy_type
 
 from test_engine import graphs
@@ -188,6 +189,24 @@ class TestGates:
 
 
 class TestFullReport:
+    def test_components_found_once_per_graph(self, monkeypatch):
+        # one search of the domain and one of the target, whatever the
+        # facts and the rank per target vertex read from them
+        calls = []
+        real = graphs_module.connected_components
+
+        def counted(G):
+            calls.append(G)
+            return real(G)
+
+        monkeypatch.setattr(graphs_module, "connected_components", counted)
+        monkeypatch.setattr(classifier, "connected_components", counted)
+        target = disjoint_union(C5, C6)
+        report = full_case_report(C7, target)
+        assert sorted(calls, key=lambda G: G.n) == [C7, target]
+        assert report["facts"]["codomain_component_ranks"] == [1, 1]
+        assert not report["facts"]["codomain_connected"]
+
     def test_edge_into_five_cycle(self):
         report = full_case_report(K2, C5)
         assert report["edge_factoring_components"] == 1

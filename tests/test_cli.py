@@ -16,6 +16,7 @@ import time
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from homcx import cli, hom_cover
 from homcx.cli import emit_report, load_graph, main
 from homcx import complete_bipartite, cycle_graph, path_graph, petersen_graph
 
@@ -134,6 +135,27 @@ class TestReports:
         assert rep["norms"] == [0, 2, 4, 6]
         assert rep["tight_vertices"] == []
         assert len(rep["elements"]) == 13
+
+    def test_ef_finds_tight_vertices_at_most_twice(self, capsys, monkeypatch):
+        # once for the fiber's membership test, once for the deck group and
+        # the report, however many deck transformations there are
+        calls = []
+        real = hom_cover.tight_vertices
+
+        def counted(f):
+            calls.append(f)
+            return real(f)
+
+        monkeypatch.setattr(hom_cover, "tight_vertices", counted)
+        monkeypatch.setattr(cli, "tight_vertices", counted)
+        code, rep = run(
+            capsys,
+            "ef", "--domain", "K2", "--codomain", "C5",
+            "--seed-hom", "0,1", "--max-norm", "20",
+        )
+        assert code == 0
+        assert rep["deck_count"] == 3
+        assert 1 <= len(calls) <= 2
 
     def test_ef_bad_seed(self, capsys):
         base = ["ef", "--domain", "K2", "--codomain", "C5", "--max-norm", "4"]

@@ -18,6 +18,7 @@ from homcx import (
     ExplosionGuard,
     Graph,
     GraphHom,
+    InvariantViolation,
     NotConnected,
     NotInDomain,
     NotInFiber,
@@ -484,6 +485,18 @@ class TestDeckGroup:
         fiber = enumerate_Ef_bounded(EDGE_IN_C5, 40)
         assert all(g in fiber for g in gs)
         assert gs[0] == identity_element(EDGE_IN_C5)
+
+    def test_deck_checks_inverses_and_base_walks(self):
+        deck_transformations = hom_cover.deck_transformations
+        fiber = enumerate_Ef_bounded(EDGE_IN_C5, 20)
+        tight = tight_vertices(EDGE_IN_C5)
+        gs = gamma_elements_bounded(EDGE_IN_C5, 0, 20)
+        assert deck_transformations(EDGE_IN_C5, 1, fiber, tight) == gs
+        without = [e for e in fiber if e != gs[2]]
+        with pytest.raises(InvariantViolation, match="inverse left the bounded set"):
+            deck_transformations(EDGE_IN_C5, 0, without, tight)
+        with pytest.raises(InvariantViolation, match="share a base walk"):
+            deck_transformations(EDGE_IN_C5, 0, fiber + [gs[1]], tight)
 
     def test_group_table_is_infinite_cyclic(self):
         # indices: 0 identity, 1 and 2 the two generators (inverse to each

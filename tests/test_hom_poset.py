@@ -1,9 +1,11 @@
 """The hom poset: enumeration, components, census.
 
-Component discovery by single moves is cross-checked against a zigzag
-oracle that materializes every set-valued homomorphism by brute force and
-joins them with union-find over comparability. The oracle knows nothing of
-the move rule, so it also checks that rule on targets with four-cycles.
+Component discovery is cross-checked against a zigzag oracle that
+materializes every set-valued homomorphism by brute force and joins them
+with union-find over comparability. The oracle knows nothing of the move
+rule, so it also checks that rule on targets with four-cycles. Components
+too large for it are held against the cell-by-cell walk of
+oracles.walked_component.
 """
 
 import itertools
@@ -24,12 +26,14 @@ from homcx import (
     enumerate_component,
     enumerate_graph_homs,
     has_hom,
+    is_square_free,
     path_graph,
     post_compose,
 )
-from homcx.hom_poset import larger_cells, smaller_cells
+from homcx.graphs import mask_bits
+from homcx.hom_poset import _hom_mappings, larger_cells
 
-from oracles import cell_keys, hom_adjacent
+from oracles import cell_keys, hom_adjacent, smaller_cells, walked_component
 
 K2 = Graph(2, [(0, 1)])
 C3 = cycle_graph(3)
@@ -68,6 +72,40 @@ def graphs(draw, min_n, max_n):
     pairs = list(itertools.combinations(range(n), 2))
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return Graph(n, [e for e, k in zip(pairs, keep) if k])
+
+
+@st.composite
+def connected_graphs(draw, max_n):
+    """A random spanning tree plus a few random edges."""
+    n = draw(st.integers(1, max_n))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n))
+    edges |= {(min(a, b), max(a, b)) for a, b in extra if a != b}
+    return Graph(n, edges)
+
+
+@st.composite
+def square_free_graphs(draw, max_n):
+    """Edges offered in a random order, each kept unless it closes a 4-cycle."""
+    n = draw(st.integers(2, max_n))
+    pairs = draw(st.permutations(list(itertools.combinations(range(n), 2))))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    nbrs = [set() for _ in range(n)]
+    for (a, b), k in zip(pairs, keep):
+        # a 4-cycle through the new edge: a - x - y - b - a
+        if k and not any(y in nbrs[x] for x in nbrs[a] - {b} for y in nbrs[b] - {a}):
+            nbrs[a].add(b)
+            nbrs[b].add(a)
+    return Graph(n, [(a, b) for a in range(n) for b in nbrs[a] if a < b])
+
+
+def cells_or_guard(walk, G, H, f, cap):
+    """The walk's cells and homomorphisms, or the message of the cap it trips."""
+    try:
+        P = walk(G, H, f, cap=cap)
+    except ExplosionGuard as exc:
+        return str(exc)
+    return P.cells, P.hom_mappings
 
 
 def zigzag_components(elements):
@@ -193,8 +231,24 @@ class TestComponents:
                 assert P.leq(i, k)
 
     def test_cap(self):
-        with pytest.raises(ExplosionGuard):
+        # 10 homomorphisms trip a cap of 5 before any cell grows
+        with pytest.raises(ExplosionGuard) as info:
             enumerate_component(K2, C5, GraphHom(K2, C5, (0, 1)), cap=5)
+        assert str(info.value) == "component elements: reached 6, over the cap of 5"
+
+    def test_cap_on_cells(self):
+        # 10 homomorphisms fit under 15, their 20 cells do not
+        with pytest.raises(ExplosionGuard) as info:
+            enumerate_component(K2, C5, GraphHom(K2, C5, (0, 1)), cap=15)
+        assert str(info.value) == "component elements: reached 16, over the cap of 15"
+        assert len(enumerate_component(K2, C5, GraphHom(K2, C5, (0, 1)), cap=20)) == 20
+
+    def test_no_cap(self):
+        P = enumerate_component(C6, C3, GraphHom(C6, C3, (0, 1, 0, 1, 0, 1)), cap=None)
+        assert len(P) == 228
+        # one vertex, no edges: every nonempty subset of the target is a cell
+        K1 = Graph(1, [])
+        assert len(enumerate_component(K1, C6, GraphHom(K1, C6, (3,)), cap=None)) == 63
 
     def test_move_halves_are_the_covering_relations(self):
         # each half lists exactly the cells one image vertex away, each once
@@ -230,9 +284,30 @@ class TestComponents:
         start = data.draw(st.sampled_from(wide or group))
         for seed in (f.as_graph_hom(), start):
             P = enumerate_component(G, H, seed)
+            assert len(set(P.cells)) == len(P.cells)
             assert cell_keys(P) == expected
             homs = [e for e in sorted(group, key=SetValuedHom.key) if e.is_singleton()]
             assert P.homs() == [e.as_graph_hom() for e in homs]
+
+    @settings(max_examples=80, deadline=None)
+    @given(connected_graphs(6), square_free_graphs(10), st.data())
+    def test_least_hom_walk_matches_cell_walk(self, G, H, data):
+        # components beyond all_set_valued's reach, against the walk that
+        # moves one image vertex at a time; a tripped cap must match too
+        assert is_square_free(H)
+        homs = list(itertools.islice(_hom_mappings(G, H), 50))
+        assume(homs)
+        f = GraphHom(G, H, data.draw(st.sampled_from(homs)))
+        cap = 3_000
+        expected = cells_or_guard(walked_component, G, H, f, cap)
+        assert cells_or_guard(enumerate_component, G, H, f, cap) == expected
+        if isinstance(expected, str):
+            return
+        cells, _ = expected
+        assert len(set(cells)) == len(cells)
+        top = max(cells, key=lambda cell: sum(s.bit_count() for s in cell))
+        wide = SetValuedHom(G, H, map(mask_bits, top))
+        assert cells_or_guard(enumerate_component, G, H, wide, cap) == expected
 
 
 class TestCensus:
