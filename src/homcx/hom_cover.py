@@ -414,22 +414,29 @@ def down_lift(phi, psi):
     return out
 
 
+def _targets_below(base):
+    """Every product of nonempty subsets of base's sets, as tuples of int
+    bitmasks, each set's subsets by size and then lexicographically."""
+    pools = [[sum(1 << x for x in c) for c in _subsets(sorted(s)) if c] for s in base.sets]
+    return itertools.product(*pools)
+
+
 def _upsets_in_base(base, cap):
-    """All set-valued homomorphisms pointwise above base, sorted by key: the
-    closure of base's cells under hom_poset.larger_cells."""
+    """All set-valued homomorphisms pointwise above base, as tuples of int
+    bitmasks in key order: the closure of base's cells under
+    hom_poset.larger_cells."""
     G, H = base.domain, base.codomain
     start = tuple(sum(1 << x for x in s) for s in base.sets)
     cells = closure(start, functools.partial(larger_cells, G, H), cap, "elements above the base")
-    upsets = [SetValuedHom(G, H, map(mask_bits, cell)) for cell in cells]
-    return sorted(upsets, key=lambda s: s.key())
+    return sorted(cells, key=lambda cell: [mask_bits(s) for s in cell])
 
 
-def _count_down_lifts(phi, psi):
-    """Number of elements below phi whose projection is exactly psi."""
+def _count_down_lifts(phi, cell):
+    """Number of elements below phi whose projection is exactly cell."""
     total = 1
-    for s, t in zip(phi.sets, psi.sets):
+    for s, t in zip(phi.sets, cell):
         by_target = Counter(w.target for w in s)
-        for x in t:
+        for x in mask_bits(t):
             total *= (1 << by_target[x]) - 1
     return total
 
@@ -456,17 +463,18 @@ def _joinable_walks(phi):
     return joinable
 
 
-def _count_up_lifts(phi, joinable, psi):
-    """Number of elements above phi whose projection is exactly psi, given
+def _count_up_lifts(phi, joinable, cell):
+    """Number of elements above phi whose projection is exactly cell, given
     _joinable_walks(phi)."""
     G, H = phi.base_hom.domain, phi.base_hom.codomain
-    optional = [[w for w in ws if w.target in t] for ws, t in zip(joinable, psi.sets)]
+    targets = [set(mask_bits(t)) for t in cell]
+    optional = [[w for w in ws if w.target in t] for ws, t in zip(joinable, targets)]
 
     def candidates(u, partial):
         out = []
         for extra in _subsets(optional[u]):
             s = phi.sets[u].union(extra)
-            if {w.target for w in s} == psi.sets[u] and all(
+            if {w.target for w in s} == targets[u] and all(
                 walks_adjacent(H, a.vertices, b.vertices)
                 for v in G.neighbors(u)
                 if v in partial
@@ -504,20 +512,16 @@ def check_poset_covering_local(f, max_norm, cap=DEFAULT_CAP):
         tphi = phi.target_hom()
         checks = []
         if phi.norm() <= max_norm - 2:
-            pools = [
-                [frozenset(c) for r in range(1, len(s) + 1) for c in itertools.combinations(sorted(s), r)]
-                for s in tphi.sets
-            ]
-            below = (SetValuedHom(G, H, pick) for pick in itertools.product(*pools))
-            checks.append(("down", below, functools.partial(_count_down_lifts, phi)))
+            checks.append(("down", _targets_below(tphi), functools.partial(_count_down_lifts, phi)))
         if phi.norm() <= max_norm - 2 * G.n:
             up = functools.partial(_count_up_lifts, phi, _joinable_walks(phi))
             checks.append(("up", _upsets_in_base(tphi, cap), up))
         for direction, targets, count_lifts in checks:
-            for psi in targets:
-                count = count_lifts(psi)
+            for cell in targets:
+                count = count_lifts(cell)
                 report[direction + "_checks"] += 1
                 if count != 1:
+                    psi = SetValuedHom(G, H, map(mask_bits, cell))
                     report["violations"].append(
                         {
                             "direction": direction,

@@ -6,8 +6,9 @@ a cell of the polyhedral complex Hom(G, H): the product over u of the simplex
 on its image set, of dimension sum_u (|eta(u)| - 1). Ordered by pointwise
 inclusion, the cells form the face poset of that complex.
 
-A cell is a tuple of int bitmasks over V(H), one per vertex of G, from the
-component walk to the boundary matrix. Every choice of one vertex from each
+From the component walk to the boundary matrix, a cell is one int: the
+image set eta(u) is a bitmask over V(H) stored at bit u * |V(H)|, so the
+cell is sum_u eta(u) << (u * |V(H)|). Every choice of one vertex from each
 set of a cell is a homomorphism below it, so a component is the set of cells
 above its homomorphisms, and two homomorphisms under one cell are joined by
 changes at one vertex at a time. The walk (`enumerate_component`) therefore
@@ -15,13 +16,14 @@ moves through homomorphisms only, changing one vertex to another common
 neighbor of its neighbors' images. Each cell has exactly one least
 homomorphism, the one taking the lowest vertex of every set, so growing each
 homomorphism h only by vertices above h(u) at each u produces every cell of
-the component exactly once, with no set of cells seen. `larger_cells`, the
-cells one image vertex above a cell, serves the fiber's covering check.
-`HomPoset` keeps the masks the walk returns, and the cellular chain complex
-grades them by popcount and finds faces by clearing one bit. Only the
-homomorphisms, the cells of one-point sets, become `GraphHom`s. The order
-complex of the face poset, the barycentric subdivision, is the tests'
-independent oracle (tests/oracles.py), built from `HomPoset.strict_upsets`.
+the component exactly once, with no set of cells seen. `HomPoset` keeps the
+cells in ascending order; inclusion is one AND, the cellular chain complex
+grades a cell by its popcount and finds each face by clearing one bit.
+`larger_cells`, the cells one image vertex above a cell given as a tuple of
+masks, serves the fiber's covering check. Only the homomorphisms, the cells
+of one-point sets, become `GraphHom`s. The order complex of the face poset,
+the barycentric subdivision, is the tests' independent oracle
+(tests/oracles.py), built from `HomPoset.strict_upsets`.
 """
 
 from __future__ import annotations
@@ -151,10 +153,11 @@ def has_hom(G, H):
 
 @dataclass(frozen=True)
 class HomPoset:
-    """A component of Hom(G, H): its cells as tuples of int bitmasks over V(H).
+    """A component of Hom(G, H): each cell packed into one int, ascending.
 
-    cells[i][u] is the image set of vertex u. Cells are in key order, the
-    order of their image sets as sorted vertex lists. hom_mappings holds the
+    The image set of vertex u is the bitmask cell >> (u * |V(H)|) &
+    (2**|V(H)| - 1), so pointwise inclusion is one AND and the dimension of
+    a cell is its popcount minus |V(G)|. hom_mappings holds the
     homomorphisms, the cells of one-point sets, as mapping tuples in
     lexicographic order.
     """
@@ -168,7 +171,7 @@ class HomPoset:
         return len(self.cells)
 
     def leq(self, i, j):
-        return not any(a & ~b for a, b in zip(self.cells[i], self.cells[j]))
+        return not self.cells[i] & ~self.cells[j]
 
     def homs(self):
         """The homomorphisms in the component, in mapping order, each built once."""
@@ -184,11 +187,6 @@ class HomPoset:
         """greater[i] = indices strictly above element i."""
         n = len(self.cells)
         return [[j for j in range(n) if j != i and self.leq(i, j)] for i in range(n)]
-
-
-def _bit_lists(cells):
-    """mask_bits of every distinct mask in cells."""
-    return {s: mask_bits(s) for s in {s for cell in cells for s in cell}}
 
 
 def larger_cells(G, H, cell):
@@ -218,17 +216,19 @@ def _submasks(mask):
 def enumerate_component(G, H, f, cap=DEFAULT_CAP):
     """The full poset component of f, a GraphHom or a SetValuedHom.
 
-    The homomorphisms come first, closed under moving one vertex u to
+    The walk is a closure over the homomorphisms, moving one vertex u to
     another common neighbor of the images of its neighbors; a SetValuedHom
-    starts from the least vertex of each set. Then each homomorphism h yields
-    the cells whose least homomorphism it is: u grows by a subset of room(u),
-    the common neighbors lying above h(u), cut down to the common neighbors
-    of each earlier neighbor's set. More than cap homomorphisms, or more than
-    cap cells, raises ExplosionGuard; the cells are counted as they grow, and
-    each partial cell grows into at least one cell.
+    starts from the least vertex of each set. Each homomorphism h is visited
+    once: its rooms, the common neighbors at each u, give its moves and the
+    cells whose least homomorphism it is, where u grows by a subset of its
+    room above h(u), cut down to the common neighbors of each earlier
+    neighbor's set. More than cap homomorphisms, or more than cap cells,
+    raises ExplosionGuard; the cells are counted as they grow, and each
+    partial cell grows into at least one cell.
     """
+    n = H.n
     nbr = H.adj_masks
-    everything = (1 << H.n) - 1
+    everything = (1 << n) - 1
     adj = [G.neighbors(u) for u in G.vertices()]
     cells = []
 
@@ -236,81 +236,82 @@ def enumerate_component(G, H, f, cap=DEFAULT_CAP):
         if cap is not None and len(cells) + more > cap:
             raise _over_cap("component elements", cap + 1, cap)
 
-    def common(h, u):
-        room = everything
-        for v in adj[u]:
-            room &= nbr[h[v]]
-        return room
-
-    def moves(h):
-        return [
-            h[:u] + (y,) + h[u + 1 :]
-            for u, x in enumerate(h)
-            for y in mask_bits(common(h, u) & ~(1 << x))
-        ]
-
-    def cells_above(h):
-        level = [tuple(1 << x for x in h)]
+    def visit(h):
+        """Grow the cells whose least homomorphism is h; return h's moves."""
+        rooms, moves, least = [], [], 0
+        for u, x in enumerate(h):
+            room = everything
+            for v in adj[u]:
+                room &= nbr[h[v]]
+            rooms.append(room)
+            least |= 1 << (u * n + x)
+            other = room & ~(1 << x)
+            while other:
+                low = other & -other
+                other ^= low
+                moves.append(h[:u] + (low.bit_length() - 1,) + h[u + 1 :])
+        level = [least]
         grew = set()
         for u, x in enumerate(h):
-            room = common(h, u) & ~((2 << x) - 1)
-            if not room:
+            above = rooms[u] & ~((2 << x) - 1)
+            if not above:
                 continue
-            watch = [v for v in adj[u] if v in grew]
+            watch = [v * n for v in adj[u] if v in grew]
             grew.add(u)
             grown = []
             for cell in level:
-                fit = room
-                for v in watch:
-                    s = cell[v]
+                fit = above
+                for shift in watch:
+                    s = cell >> shift & everything
                     if s & (s - 1):
                         fit &= common_neighbors(H, s)
                 check(len(grown) + (1 << fit.bit_count()))
-                head, tail = cell[:u], cell[u + 1 :]
-                grown.extend(head + (cell[u] | sub,) + tail for sub in _submasks(fit))
+                grown.extend(cell | sub for sub in _submasks(fit << u * n))
             level = grown
-        return level
+        check(len(level))
+        cells.extend(level)
+        return moves
 
     start = tuple(f.mapping) if isinstance(f, GraphHom) else tuple(min(s) for s in f.sets)
-    homs = closure(start, moves, cap, "component elements")
-    for h in homs:
-        above = cells_above(h)
-        check(len(above))
-        cells.extend(above)
-    rank = {s: i for i, s in enumerate(sorted({s for cell in cells for s in cell}, key=mask_bits))}
-    cells.sort(key=lambda cell: tuple(map(rank.__getitem__, cell)))
+    homs = closure(start, visit, cap, "component elements")
+    cells.sort()
     return HomPoset(G, H, tuple(cells), tuple(sorted(homs)))
 
 
 def cellular_chain_complex(P):
     """The cellular chain complex of a component of Hom(G, H).
 
-    The d-cells are the cells of dimension d, sum over u of
-    (popcount(eta(u)) - 1), in key order. Each cell is a product of
-    simplices, so its boundary clears one bit at a time: clearing the i-th
-    lowest set bit of eta(u) (counting from 0), where eta(u) has at least
-    two, carries the sign (-1)^(i + sum over v < u of (popcount(eta(v)) - 1)).
+    The d-cells are the cells of dimension d, popcount(cell) - |V(G)|, in
+    ascending order. Each cell is a product of simplices, so its boundary
+    clears one bit at a time: clearing the i-th lowest set bit of eta(u)
+    (counting from 0), where eta(u) has at least two, carries the sign
+    (-1)^(i + sum over v < u of (popcount(eta(v)) - 1)).
     """
+    m, n = P.domain.n, P.codomain.n
+    everything = (1 << n) - 1
     levels = {}
     for cell in P.cells:
-        levels.setdefault(sum(s.bit_count() for s in cell) - P.domain.n, []).append(cell)
+        levels.setdefault(cell.bit_count() - m, []).append(cell)
     grades = [levels.get(d, []) for d in range(max(levels, default=-1) + 1)]
     boundaries = [tuple(() for _ in grades[0])] if grades else []
-    bits = _bit_lists(P.cells)
     for d in range(1, len(grades)):
         index = {cell: i for i, cell in enumerate(grades[d - 1])}
         cols = []
         for cell in grades[d]:
             entries = []
-            shift = 0
-            for u, s in enumerate(cell):
+            i = 0  # the sign exponent of the next bit cleared
+            for u in range(0, m * n, n):
+                s = cell >> u & everything
                 if s & (s - 1):
-                    for i, x in enumerate(bits[s]):
-                        face = index.get(cell[:u] + (s ^ (1 << x),) + cell[u + 1 :])
+                    while s:
+                        low = s & -s
+                        s ^= low
+                        face = index.get(cell ^ low << u)
                         if face is None:
-                            raise InvariantViolation(f"a face of {cell} is not in the component")
-                        entries.append((face, -1 if (i + shift) % 2 else 1))
-                shift += s.bit_count() - 1
+                            raise InvariantViolation(f"a face of {cell:#x} is not in the component")
+                        entries.append((face, -1 if i % 2 else 1))
+                        i += 1
+                    i -= 1  # a set of b vertices adds b - 1 to the exponent
             cols.append(tuple(entries))
         boundaries.append(tuple(cols))
     return ChainComplex(tuple(map(len, grades)), tuple(boundaries))

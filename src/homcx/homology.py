@@ -7,10 +7,11 @@ whose simplices are the chains of the poset, is the barycentric subdivision
 of the same space, so both must give the same Betti numbers; the tests use
 it as an independent oracle (`order_complex` and `betti_numbers` in
 tests/oracles.py), and the benchmark's traced pass times it. Betti numbers
-come from ranks over the rationals, taken by one echelon pass over the
-boundary columns (`exact_rank`) in exact integer arithmetic: columns are
-combined fraction-free and rescaled by their gcd, so no floating point is
-involved anywhere.
+come from ranks over the rationals: of the first boundary, an incidence
+matrix, by union-find (`incidence_rank`); of the others by one echelon pass
+over the boundary columns (`exact_rank`) in exact integer arithmetic:
+columns are combined fraction-free and rescaled by their gcd, so no
+floating point is involved anywhere.
 """
 
 from __future__ import annotations
@@ -125,7 +126,8 @@ class ChainComplex:
         """
         ranks = {0: 0}
         for d in range(1, min(len(self.counts) - 1, max_dim + 1) + 1):
-            ranks[d] = exact_rank(dict(col) for col in self.boundaries[d])
+            cols = self.boundaries[d]
+            ranks[d] = incidence_rank(self.counts[0], cols) if d == 1 else exact_rank(map(dict, cols))
         return tuple(
             (self.counts[d] if d < len(self.counts) else 0)
             - ranks.get(d, 0)
@@ -181,6 +183,29 @@ def exact_rank(rows):
             g = math.gcd(*new.values())
             row = {k: v // g for k, v in new.items()} if g > 1 else new
     return len(pivots)
+
+
+def incidence_rank(n_rows, cols):
+    """Rank of an incidence matrix of sparse (row, sign) columns: the number
+    of edges joining two trees of a spanning forest, found by union-find. A
+    column other than two entries of opposite sign raises InvariantViolation."""
+    parent = list(range(n_rows))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    rank = 0
+    for col in cols:
+        if len(col) != 2 or col[0][1] != -col[1][1] or not col[0][1]:
+            raise InvariantViolation(f"boundary column {col} is not an edge")
+        a, b = find(col[0][0]), find(col[1][0])
+        if a != b:
+            parent[a] = b
+            rank += 1
+    return rank
 
 
 def elementary_divisors(matrix):

@@ -27,7 +27,6 @@ from .hom_poset import DEFAULT_CAP, SetValuedHom
 from .walks import (
     Walk,
     closed_reduced_walks_at,
-    edge_walk,
     pushed_walk,
     reduced_walks_from,
     walk_inverse,
@@ -44,6 +43,7 @@ class TreeCover:
     radius: int
     walks: tuple
     index: dict = field(compare=False, repr=False)
+    at: dict = field(compare=False, repr=False)  # index, keyed by vertex tuples
     graph: Graph = field(compare=False)
 
     @classmethod
@@ -61,7 +61,7 @@ class TreeCover:
         at = {w.vertices: i for i, w in enumerate(walks)}
         edges = [(at[w.vertices[:-1]], i) for i, w in enumerate(walks) if w.length]
         graph = Graph(len(walks), edges)
-        cover = cls(base, basepoint, radius, walks, index, graph)
+        cover = cls(base, basepoint, radius, walks, index, at, graph)
         cover._check_local_bijectivity()
         return cover
 
@@ -128,8 +128,9 @@ def lift_walk(cover, start, xi):
     """Lift a walk of the base into the cover, starting at a named vertex.
 
     Each step either extends the current reduced walk or cancels its last
-    edge; both are tree edges. Raises when any stage of the lift leaves
-    the window.
+    edge; both are tree edges, so the walk is kept as a vertex tuple that
+    drops its last vertex on a backtrack and grows by one otherwise. Raises
+    when any stage of the lift leaves the window.
     """
     start_id = cover.vertex_of(start)
     if xi.graph != cover.base:
@@ -139,14 +140,14 @@ def lift_walk(cover, start, xi):
             f"walk starts at {xi.source}, the lift starts over {start.target}"
         )
     ids = [start_id]
-    current = start
+    current = start.vertices
     for y in xi.vertices[1:]:
-        current = walk_product(current, edge_walk(cover.base, current.target, y))
-        if current.length > cover.radius:
+        current = current[:-1] if len(current) >= 2 and current[-2] == y else current + (y,)
+        if len(current) > cover.radius + 1:
             raise OutOfWindow(
-                f"lift reaches length {current.length} beyond radius {cover.radius}"
+                f"lift reaches length {len(current) - 1} beyond radius {cover.radius}"
             )
-        ids.append(cover.index[current])
+        ids.append(cover.at[current])
     return Walk(cover.graph, tuple(ids))
 
 

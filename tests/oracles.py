@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import itertools
 
-from homcx.errors import InvariantViolation, NotConnected
+from homcx.errors import GraphInputError, InvariantViolation, NotConnected, OutOfWindow
 from homcx.graphs import GraphHom, backtrack, bfs_order, closure, is_connected, mask_bits
 from homcx.hom_cover import EfElement, _require_cover_setting, identity_element
 from homcx.hom_poset import DEFAULT_CAP, HomPoset, larger_cells
-from homcx.homology import ChainComplex, chain_complex, complex_from_chains
+from homcx.homology import ChainComplex, chain_complex, complex_from_chains, exact_rank
 from homcx.pi_graph import classify_adjacency, pi_neighbor
-from homcx.walks import edge_walk, reduced_walks_from, walk_product
+from homcx.walks import Walk, edge_walk, reduced_walks_from, walk_product
 
 
 def pi_adjacent(xi, eta):
@@ -209,16 +209,14 @@ def walked_component(G, H, f, cap=DEFAULT_CAP):
     def moves(cell):
         return smaller_cells(cell) + larger_cells(G, H, cell)
 
-    cells = sorted(
-        closure(start, moves, cap, "component elements"),
-        key=lambda cell: [mask_bits(s) for s in cell],
-    )
-    homs = [
+    cells = closure(start, moves, cap, "component elements")
+    homs = sorted(
         tuple(s.bit_length() - 1 for s in cell)
         for cell in cells
         if not any(s & (s - 1) for s in cell)
-    ]
-    return HomPoset(G, H, tuple(cells), tuple(homs))
+    )
+    packed = sorted(sum(s << (u * H.n) for u, s in enumerate(cell)) for cell in cells)
+    return HomPoset(G, H, tuple(packed), tuple(homs))
 
 
 def order_complex(P, cap=DEFAULT_CAP):
@@ -231,25 +229,39 @@ def order_complex(P, cap=DEFAULT_CAP):
 
 
 def betti_numbers(K, max_dim):
-    """Betti numbers b_0 .. b_max_dim of an order complex, exactly."""
-    return chain_complex(K).betti(max_dim)
+    """Betti numbers b_0 .. b_max_dim of an order complex, exactly, with
+    `exact_rank` in every degree (ChainComplex.betti ranks degree 1 by
+    union-find)."""
+    C = chain_complex(K)
+    ranks = [0] + [exact_rank(dict(col) for col in b) for b in C.boundaries[1:]] + [0]
+    return tuple(
+        (C.counts[d] - ranks[d] - ranks[d + 1]) if d < len(C.counts) else 0
+        for d in range(max_dim + 1)
+    )
+
+
+def cell_masks(G, H, cell):
+    """The image sets of a packed cell of Hom(G, H), one int bitmask per
+    vertex of G."""
+    return tuple(cell >> (u * H.n) & ((1 << H.n) - 1) for u in G.vertices())
 
 
 def cell_keys(P):
     """Each cell of P as a tuple of sorted image-vertex tuples, in P's order."""
-    return [tuple(tuple(mask_bits(s)) for s in cell) for cell in P.cells]
+    masks = (cell_masks(P.domain, P.codomain, cell) for cell in P.cells)
+    return [tuple(tuple(mask_bits(s)) for s in sets) for sets in masks]
 
 
 def keyed_chain_complex(P):
     """The cellular chain complex of a component, built on vertex tuples.
 
-    The d-cells are the cells of dimension d, in key order. Dropping the
+    The d-cells are the cells of dimension d, in P's order. Dropping the
     i-th smallest element of eta(u) (counting from 0), where |eta(u)| >= 2,
     carries the sign (-1)^(i + sum over v < u of (|eta(v)| - 1)). The
     reference for `hom_poset.cellular_chain_complex`, which works on masks.
     """
     levels = {}
-    for key in sorted(cell_keys(P)):
+    for key in cell_keys(P):
         levels.setdefault(sum(len(s) - 1 for s in key), []).append(key)
     grades = [levels.get(d, []) for d in range(max(levels, default=-1) + 1)]
     boundaries = [tuple(() for _ in grades[0])] if grades else []
@@ -270,3 +282,26 @@ def keyed_chain_complex(P):
             cols.append(tuple(entries))
         boundaries.append(tuple(cols))
     return ChainComplex(tuple(map(len, grades)), tuple(boundaries))
+
+
+def lift_walk_by_products(cover, start, xi):
+    """`tree_covers.lift_walk` by groupoid products: each step multiplies the
+    current reduced walk by one edge walk and looks the product up in
+    cover.index. The reference for the lift that steps a vertex tuple."""
+    start_id = cover.vertex_of(start)
+    if xi.graph != cover.base:
+        raise GraphInputError("walk does not live in the base graph")
+    if xi.source != start.target:
+        raise GraphInputError(
+            f"walk starts at {xi.source}, the lift starts over {start.target}"
+        )
+    ids = [start_id]
+    current = start
+    for y in xi.vertices[1:]:
+        current = walk_product(current, edge_walk(cover.base, current.target, y))
+        if current.length > cover.radius:
+            raise OutOfWindow(
+                f"lift reaches length {current.length} beyond radius {cover.radius}"
+            )
+        ids.append(cover.index[current])
+    return Walk(cover.graph, tuple(ids))

@@ -25,6 +25,7 @@ from homcx import (
     NotNeighbor,
     NotSquareFree,
     ReducedWalk,
+    SetValuedHom,
     Walk,
     aux_digraph,
     check_poset_covering_local,
@@ -56,6 +57,8 @@ from homcx import (
     trivial_walk,
 )
 
+from homcx.graphs import mask_bits
+from homcx.hom_cover import _targets_below, _upsets_in_base
 from oracles import fiber_candidates_bounded, fiber_component_reference
 from test_hom_poset import graphs
 
@@ -398,6 +401,27 @@ class TestCoveringChecks:
         assert all(v["lift_count"] == 0 for v in report["violations"])
         assert all(v["target"]["sets"][1] == [1, 3] for v in report["violations"])
 
+    @pytest.mark.parametrize(
+        "f, max_norm",
+        [
+            (EDGE_IN_C5, 6),
+            (GraphHom(K2, petersen_graph(), (0, 1)), 6),
+            (GraphHom(path_graph(3), cycle_graph(4), (0, 1, 2)), 6),
+        ],
+    )
+    def test_lift_targets_are_set_valued_homs(self, f, max_norm):
+        # the covering check counts lifts on bitmask tuples without building
+        # them; each must be a set-valued homomorphism on the right side of
+        # the projection, and the upsets come in key order
+        G, H = f.domain, f.codomain
+        for phi in fiber_component_bounded(f, max_norm):
+            tphi = phi.target_hom()
+            for cell in _targets_below(tphi):
+                assert SetValuedHom(G, H, map(mask_bits, cell)).leq(tphi)
+            upsets = [SetValuedHom(G, H, map(mask_bits, c)) for c in _upsets_in_base(tphi, 10_000)]
+            assert all(tphi.leq(psi) for psi in upsets)
+            assert upsets == sorted(upsets, key=SetValuedHom.key)
+
     def test_down_lift_formula(self):
         for phi in enumerate_Ef_bounded(EDGE_IN_C5, 6):
             tphi = phi.target_hom()
@@ -405,8 +429,6 @@ class TestCoveringChecks:
                 [frozenset(c) for r in range(1, len(s) + 1) for c in itertools.combinations(sorted(s), r)]
                 for s in tphi.sets
             ]
-            from homcx import SetValuedHom
-
             for pick in itertools.product(*pools):
                 psi = SetValuedHom(K2, C5, pick)
                 lifted = down_lift(phi, psi)
@@ -414,8 +436,6 @@ class TestCoveringChecks:
                 assert lifted.target_hom() == psi
 
     def test_down_lift_rejects_non_comparable_targets(self):
-        from homcx import SetValuedHom
-
         phi = identity_element(EDGE_IN_C5)
         with pytest.raises(NotInFiber):
             down_lift(phi, SetValuedHom(K2, C5, ({2}, {3})))

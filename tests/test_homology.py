@@ -33,6 +33,7 @@ from homcx import (
     petersen_graph,
 )
 from homcx.hom_poset import cellular_betti, cellular_chain_complex
+from homcx.homology import ChainComplex, incidence_rank
 
 from oracles import betti_numbers, keyed_chain_complex, order_complex
 from test_engine import graphs
@@ -170,6 +171,58 @@ def simplex_complex(*top):
     return OrderComplex(
         tuple(tuple(sorted(levels[d])) for d in range(len(levels)))
     )
+
+
+@st.composite
+def incidence_matrices(draw):
+    """The oriented incidence matrix of a random multigraph on up to 10
+    vertices, as (n_rows, columns). Each column is an edge, two entries of
+    opposite sign in either order; vertices may be isolated, the graph
+    disconnected, edges repeated, and there may be no edges at all."""
+    n = draw(st.integers(0, 10))
+    if n < 2:
+        return n, []
+    ends = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+    cols = []
+    for a, b in draw(st.lists(ends, max_size=15)):
+        s = draw(st.sampled_from([1, -1]))
+        cols.append(((a, s), (b, -s)))
+    return n, cols
+
+
+class TestIncidenceRank:
+    @settings(max_examples=200, deadline=None)
+    @given(incidence_matrices())
+    def test_union_find_matches_exact_rank(self, matrix):
+        n, cols = matrix
+        rank = exact_rank(dict(col) for col in cols)
+        assert incidence_rank(n, cols) == rank
+        C = ChainComplex((n, len(cols)), (tuple(() for _ in range(n)), tuple(cols)))
+        assert C.betti(1) == (n - rank, len(cols) - rank)
+
+    def test_known_ranks(self):
+        assert incidence_rank(0, []) == 0
+        assert incidence_rank(3, []) == 0
+        # a triangle, a repeated edge and an isolated vertex
+        triangle = [((0, 1), (1, -1)), ((1, 1), (2, -1)), ((2, -1), (0, 1))]
+        assert incidence_rank(5, triangle + [((1, -1), (0, 1))]) == 2
+
+    @pytest.mark.parametrize(
+        "col",
+        [
+            (),
+            ((0, 1),),
+            ((0, 1), (1, 1)),
+            ((0, -1), (1, -1)),
+            ((0, 2), (1, -1)),
+            ((0, 0), (1, 0)),
+            ((0, 1), (1, -1), (2, 1)),
+        ],
+    )
+    def test_malformed_column_raises(self, col):
+        C = ChainComplex((3, 1), (((), (), ()), (col,)))
+        with pytest.raises(InvariantViolation):
+            C.betti(1)
 
 
 class TestComplexes:

@@ -20,10 +20,15 @@ DIGESTS = json.loads(
     (Path(__file__).resolve().parent.parent / "bench" / "digests.json").read_text()
 )["sha256"]
 
+# the benchmark's classify-ladder, every instance of which it hashes
+LADDER = [
+    ("K2", "C5"), ("K2", "petersen"), ("P3", "C5"), ("P4", "C5"), ("P5", "C5"),
+    ("K1,3", "C5"), ("C6", "C5"), ("C6", "C3"), ("C7", "C3"), ("P3", "petersen"),
+]
+
 CLI_REPORTS = {
     "cover petersen 7": ["cover", "--graph", "petersen", "--radius", "7"],
-    "classify P3 petersen": ["classify", "--domain", "P3", "--codomain", "petersen"],
-    "classify C6 C3": ["classify", "--domain", "C6", "--codomain", "C3"],
+    **{f"classify {g} {h}": ["classify", "--domain", g, "--codomain", h] for g, h in LADDER},
     "census C7 petersen": ["census", "--domain", "C7", "--codomain", "petersen"],
     "census P800 K2": ["census", "--domain", "P800", "--codomain", "K2"],
     # the benchmark hashes the verify report with its seed set to 0

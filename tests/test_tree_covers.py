@@ -3,6 +3,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homcx import (
     Graph,
@@ -13,6 +14,7 @@ from homcx import (
     OutOfWindow,
     ReducedWalk,
     Walk,
+    complete_graph,
     connecting_walk,
     cycle_graph,
     enumerate_Ef_bounded,
@@ -22,11 +24,14 @@ from homcx import (
     is_bipartite,
     is_connected,
     lift_walk,
+    petersen_graph,
     pi1_elements,
     psi_apply,
     tree_cover,
     trivial_walk,
 )
+
+from oracles import lift_walk_by_products
 
 C5 = cycle_graph(5)
 C10 = cycle_graph(10)
@@ -83,7 +88,36 @@ class TestCoverWindow:
         assert report["vertices"] == [{"walk": [0]}, {"walk": [0, 1]}]
 
 
+@st.composite
+def lift_cases(draw):
+    """A cover window, a start vertex in it, and a walk from over that
+    start that may backtrack and may leave the window."""
+    theta = Graph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 0)])
+    G = draw(st.sampled_from([K2, C5, complete_graph(4), petersen_graph(), theta]))
+    cover = tree_cover(G, draw(st.integers(0, G.n - 1)), draw(st.integers(0, 5)))
+    start = draw(st.sampled_from(cover.walks))
+    vertices = [start.target]
+    for k in draw(st.lists(st.integers(0, 3), max_size=12)):
+        nbrs = G.neighbors(vertices[-1])
+        vertices.append(nbrs[k % len(nbrs)])
+    return cover, start, Walk(G, vertices)
+
+
 class TestLifting:
+    @settings(max_examples=200, deadline=None)
+    @given(lift_cases())
+    def test_matches_lift_by_products(self, case):
+        # the same lift, or the same OutOfWindow step
+        cover, start, xi = case
+
+        def outcome(lift):
+            try:
+                return lift(cover, start, xi)
+            except OutOfWindow as exc:
+                return str(exc)
+
+        assert outcome(lift_walk) == outcome(lift_walk_by_products)
+
     def test_lift_then_project_round_trips(self):
         cover = tree_cover(C5, 0, 5)
         checked = 0
