@@ -109,49 +109,68 @@ def _json_key(key):
     )
 
 
-def _json(o, indent):
+def _json(o, indent, memo):
     """json.dumps(o, sort_keys=True, indent=2) for a value nested at the depth
     that indent ("\\n" plus two spaces a level) marks.
 
     With indent set, json.dumps runs its pure-Python encoder; this writer
     builds each container with one join instead. Exact str and int, and
     lists of exact ints, are the fast path; bool, None, floats and anything
-    else go to json.dumps.
+    else go to json.dumps. memo keeps each tuple's text under its identity
+    and indent, as (1,) == (True,) but their texts differ.
     """
     if type(o) is str:
         return _encode_str(o)
     if type(o) is int:
         return int.__repr__(o)
-    if isinstance(o, (list, tuple)):
+    if isinstance(o, tuple):
+        key = (id(o), indent)
+        if key not in memo:
+            memo[key] = _json(list(o), indent, memo)
+        return memo[key]
+    if isinstance(o, list):
         if not o:
             return "[]"
         inner = indent + "  "
         if set(map(type, o)) == {int}:
             parts = map(int.__repr__, o)
         else:
-            parts = [_json(x, inner) for x in o]
+            parts = [_json(x, inner, memo) for x in o]
         return "[" + inner + ("," + inner).join(parts) + indent + "]"
     if isinstance(o, dict):
         if not o:
             return "{}"
         inner = indent + "  "
-        parts = [_json_key(k) + ": " + _json(v, inner) for k, v in sorted(o.items())]
+        parts = [_json_key(k) + ": " + _json(v, inner, memo) for k, v in sorted(o.items())]
         return "{" + inner + ("," + inner).join(parts) + indent + "}"
     return json.dumps(o)
 
 
+def _chunks(o, indent, memo, depth):
+    """_json(o, indent, memo) as a list of strings, the containers of the top
+    depth levels left unjoined."""
+    if not (depth and o and isinstance(o, (list, tuple, dict))):
+        return [_json(o, indent, memo)]
+    inner, is_dict = indent + "  ", isinstance(o, dict)
+    out = ["{" if is_dict else "["]
+    for i, k in enumerate(sorted(o) if is_dict else range(len(o))):
+        head = ("," + inner if i else inner) + (_json_key(k) + ": " if is_dict else "")
+        out += [head, *_chunks(o[k], inner, memo, depth - 1)]
+    return out + [indent + ("}" if is_dict else "]")]
+
+
 def emit_report(obj, out):
     """Write obj as json.dumps(obj, sort_keys=True, indent=2) plus a newline,
-    to stdout or atomically to the file out."""
-    text = _json(obj, "\n") + "\n"
+    to stdout or atomically to the file out, once all of it is encoded."""
+    chunks = _chunks(obj, "\n", {}, 2) + ["\n"]
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     directory = os.path.dirname(os.path.abspath(out)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".homcx-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, out)
     except BaseException:
         if os.path.exists(tmp):

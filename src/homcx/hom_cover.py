@@ -7,14 +7,18 @@ reduced-walk graph. The connected component of the all-trivial-walks element
 covers the component of f; taking walk targets pointwise is the covering
 projection.
 
+Its bounded part is walked over the singleton elements, each growing, once,
+the elements whose least walks it holds.
+
 Membership in that component has a closed-form test when H is square-free:
 all walk lengths must be even, and any vertex lying on a tight closed walk
 (one whose f-image is cyclically reduced) must carry exactly its trivial
 walk. Tight vertices are found by Kosaraju's two passes, the second a
 `graphs.closure`. Self-homotopies of f act on the fiber as deck
 transformations, the singleton members of the identity component that return
-to f: each `GammaElement` is an `EfElement`. The local covering check takes
-the base elements above a projection from `hom_poset.larger_cells`.
+to f: each `GammaElement` is an `EfElement`. The local covering check reads
+each projection off the element's key as int bitmasks and takes the base
+elements above it from `hom_poset.larger_cells`.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from .errors import (
 )
 from .graphs import (
     GraphHom,
+    _over_cap,
     backtrack,
     closure,
     is_connected,
@@ -65,27 +70,17 @@ class EfElement:
         if len(sets) != G.n:
             raise NotInFiber("one walk set per domain vertex is required")
         for u, s in enumerate(sets):
-            if not s:
-                raise NotInFiber(f"empty walk set at vertex {u}")
-            for w in s:
-                if not isinstance(w, ReducedWalk) or w.graph != H:
-                    raise NotInFiber(f"entry at vertex {u} is not a reduced walk in H")
-                if w.source != f(u):
-                    raise NotInFiber(
-                        f"walk at vertex {u} starts at {w.source}, the fiber needs {f(u)}"
-                    )
-        for u, v in G.edges:
-            for a in sets[u]:
-                for b in sets[v]:
-                    if not walks_adjacent(H, a.vertices, b.vertices):
-                        raise NotNeighbor(
-                            f"walks {a.vertices} at {u} and {b.vertices} at {v} "
-                            "are not adjacent"
-                        )
-        self.base_hom = f
-        self.sets = sets
-        self._key = tuple(tuple(sorted(w.vertices for w in s)) for s in sets)
-        self._hash = hash((f, self._key))
+            _check_walk_set(f, u, s)
+        key = tuple(tuple(sorted(w.vertices for w in s)) for s in sets)
+        _check_cross_pairs(G, H, key)
+        self.base_hom, self.sets, self._key, self._hash = f, sets, key, hash((f, key))
+
+    @classmethod
+    def _from_checked(cls, base_hom, sets, key):
+        """An element whose sets and key passed every check of __init__."""
+        self = object.__new__(cls)
+        self.base_hom, self.sets, self._key, self._hash = base_hom, sets, key, hash((base_hom, key))
+        return self
 
     def key(self):
         return self._key
@@ -145,9 +140,29 @@ class EfElement:
 
     def to_json(self):
         return {
-            "f": list(self.base_hom.mapping),
+            "f": self.base_hom.mapping,
             "phi": {str(u): walks for u, walks in enumerate(self._key)},
         }
+
+
+def _check_walk_set(f, u, walks):
+    """The checks of EfElement on the walk set at u."""
+    if not walks:
+        raise NotInFiber(f"empty walk set at vertex {u}")
+    for w in walks:
+        if not isinstance(w, ReducedWalk) or w.graph != f.codomain:
+            raise NotInFiber(f"entry at vertex {u} is not a reduced walk in H")
+        if w.source != f(u):
+            raise NotInFiber(f"walk at vertex {u} starts at {w.source}, the fiber needs {f(u)}")
+
+
+def _check_cross_pairs(G, H, key):
+    """Every cross pair along every edge adjacent, on the key's vertex tuples."""
+    for u, v in G.edges:
+        for a in key[u]:
+            for b in key[v]:
+                if not walks_adjacent(H, a, b):
+                    raise NotNeighbor(f"walks {a} at {u} and {b} at {v} are not adjacent")
 
 
 def identity_element(f):
@@ -219,12 +234,13 @@ def is_in_Ef(phi):
 
 def _passes_membership_test(phi, tight):
     """is_in_Ef without re-checking the cover setting, given the tight
-    vertices of phi's base: even walk lengths, and only trivial walks at
-    tight vertices."""
-    if any(w.length % 2 for s in phi.sets for w in s):
+    vertices of phi's base, read off phi's key: even walk lengths (odd
+    vertex tuples), and only trivial walks at tight vertices."""
+    key = phi.key()
+    if not all(len(w) % 2 for s in key for w in s):
         return False
-    f = phi.base_hom
-    return all(phi.sets[u] == {trivial_walk(f.codomain, f(u))} for u in tight)
+    m = phi.base_hom.mapping
+    return all(key[u] == ((m[u],),) for u in tight)
 
 
 # ---------------------------------------------------------------------------
@@ -307,61 +323,89 @@ def reduce_to_identity(h):
 
 
 def fiber_component_bounded(f, max_norm, cap=DEFAULT_CAP):
-    """BFS through comparabilities from the identity element, capped by norm.
+    """The elements of norm at most max_norm in the component of the identity
+    element, sorted by key.
 
-    Moves add or remove a single walk; both directions stay inside the norm
-    bound, which is enough to reach every member of the component whose norm
-    fits (walks shrink monotonically along the deformation to the identity).
-
-    States are tuples, over the domain vertices, of frozensets of reduced-walk
-    vertex tuples. A walk may be added at u when it is adjacent to every walk
-    at every neighbor of u. The walks adjacent to one walk eta are its
-    conjugates, so the candidates are the conjugates of the least walk at the
-    first neighbor that start at f(u). Each state reached is built into a
-    validated EfElement once, at the end, and equal walks and walk sets are
-    shared between the elements.
+    A closure over the singletons h, one reduced-walk vertex tuple per vertex,
+    visits each once. h's room at u: the conjugates conjugate(f(u), h(v), y)
+    of its walk at u's first neighbor v adjacent to h at the other neighbors
+    and within the norm bound; a move swaps h(u) for another walk of the room.
+    h grows the elements whose least walk at every vertex is h's: u adds a
+    subset of its room above h(u), cut down to the walks adjacent to every
+    walk at each earlier neighbor, pruned by norm. The norm is monotone, so
+    each element is built once, from its least singleton. Singletons, then
+    elements, count against the cap. Equal walk sets share one tuple.
     """
     if max_norm < 0:
         raise ValueError(f"max_norm must be a nonnegative integer, got {max_norm}")
     if f.domain.n < 2 or not is_connected(f.domain):
         raise NotConnected("the domain must be connected with at least two vertices")
-    G, H = f.domain, f.codomain
+    G, H, m = f.domain, f.codomain, f.mapping
     nbrs = [G.neighbors(u) for u in G.vertices()]
+    interned = [{} for _ in nbrs]  # the walk sets at each vertex
+    keys = []
 
-    def moves(state):
-        lens = [max(map(len, s)) - 1 for s in state]
-        norm = sum(lens)
-        out = []
-        for u, s in enumerate(state):
-            if len(s) >= 2:
-                out.extend(state[:u] + (s - {w},) + state[u + 1 :] for w in s)
-            # the longest walk u may carry with the other vertices' norms fixed
-            room = max_norm - norm + lens[u]
-            eta = min(state[nbrs[u][0]])
-            for y in H.neighbors(eta[-1]):
-                cand = conjugate(f.mapping[u], eta, y)
-                if (
-                    len(cand) - 1 <= room
-                    and cand not in s
-                    and all(walks_adjacent(H, cand, b) for v in nbrs[u] for b in state[v])
-                ):
-                    out.append(state[:u] + (s | {cand},) + state[u + 1 :])
-        return out
+    def check(more):
+        if cap is not None and len(keys) + more > cap:
+            raise _over_cap("fiber elements", cap + 1, cap)
 
-    start = tuple(frozenset({(x,)}) for x in f.mapping)
-    states = closure(start, moves, cap, "fiber elements")
-    distinct_sets = {s for state in states for s in state}
-    walk_of = {w: ReducedWalk(H, w) for w in {w for s in distinct_sets for w in s}}
-    set_of = {s: frozenset(map(walk_of.__getitem__, s)) for s in distinct_sets}
-    elements = [EfElement(f, map(set_of.__getitem__, state)) for state in states]
-    elements.sort(key=EfElement.key)
+    def visit(h):
+        """Grow the elements whose least singleton is h; return h's moves."""
+        lens = [len(w) - 1 for w in h]
+        slack = max_norm - sum(lens)
+        moves = []
+        level = [(tuple(interned[u].setdefault((w,), (w,)) for u, w in enumerate(h)), 0)]
+        for u, w in enumerate(h):
+            first = h[nbrs[u][0]]
+            room = sorted(
+                c
+                for c in (conjugate(m[u], first, y) for y in H.neighbors(first[-1]))
+                if len(c) - 1 - lens[u] <= slack
+                and all(walks_adjacent(H, c, h[v]) for v in nbrs[u][1:])
+            )
+            moves.extend(h[:u] + (c,) + h[u + 1 :] for c in room if c != w)
+            above = [c for c in room if c > w]
+            if not above:
+                continue
+            grown = []
+            for key, extra in level:
+                fit = [
+                    c
+                    for c in above
+                    if len(c) - 1 - lens[u] <= slack - extra
+                    and all(walks_adjacent(H, c, b) for v in nbrs[u] if v < u for b in key[v][1:])
+                ]
+                check(len(grown) + (1 << len(fit)))
+                for sub in _subsets(fit):
+                    s = (w,) + sub
+                    s = interned[u].setdefault(s, s)
+                    rise = max(0, max(map(len, s)) - 1 - lens[u])
+                    grown.append((key[:u] + (s,) + key[u + 1 :], extra + rise))
+            level = grown
+        check(len(level))
+        keys.extend(key for key, _ in level)
+        return moves
+
+    closure(tuple((x,) for x in m), visit, cap, "fiber elements")
+    keys.sort()
+    # EfElement's checks, once per distinct walk or set, then on every element
+    walk_of = {w: ReducedWalk(H, w) for w in {w for d in interned for t in d.values() for w in t}}
+    set_at = [{id(t): frozenset(map(walk_of.__getitem__, t)) for t in d.values()} for d in interned]
+    for u, sets in enumerate(set_at):
+        for s in sets.values():
+            _check_walk_set(f, u, s)
+    elements = []
+    for key in keys:
+        _check_cross_pairs(G, H, key)
+        sets = tuple(set_at[u][id(t)] for u, t in enumerate(key))
+        elements.append(EfElement._from_checked(f, sets, key))
     return elements
 
 
 def enumerate_Ef_bounded(f, max_norm, cap=DEFAULT_CAP):
     """All cover elements with norm at most max_norm.
 
-    Discovered by BFS; every discovered element is re-verified against the
+    Walked by fiber_component_bounded; every element is re-verified against the
     closed-form membership test.
     """
     _require_cover_setting(f)
@@ -370,7 +414,7 @@ def enumerate_Ef_bounded(f, max_norm, cap=DEFAULT_CAP):
     for e in elements:
         if not _passes_membership_test(e, tight):
             raise InvariantViolation(
-                "BFS reached an element the membership test rejects"
+                "the fiber walk reached an element the membership test rejects"
             )
     return elements
 
@@ -414,20 +458,23 @@ def down_lift(phi, psi):
     return out
 
 
+def _projection(phi):
+    """phi.target_hom() as a tuple of int bitmasks, read off the key."""
+    return tuple(sum(1 << w[-1] for w in s) for s in phi.key())
+
+
 def _targets_below(base):
-    """Every product of nonempty subsets of base's sets, as tuples of int
-    bitmasks, each set's subsets by size and then lexicographically."""
-    pools = [[sum(1 << x for x in c) for c in _subsets(sorted(s)) if c] for s in base.sets]
+    """Every product of nonempty subsets of the masks in base, as tuples of int
+    bitmasks, each mask's subsets by size and then lexicographically."""
+    pools = [[sum(1 << x for x in c) for c in _subsets(mask_bits(s)) if c] for s in base]
     return itertools.product(*pools)
 
 
-def _upsets_in_base(base, cap):
-    """All set-valued homomorphisms pointwise above base, as tuples of int
-    bitmasks in key order: the closure of base's cells under
+def _upsets_in_base(G, H, base, cap):
+    """All set-valued homomorphisms G -> H pointwise above base, a tuple of
+    int bitmasks, as such tuples in key order: the closure of base under
     hom_poset.larger_cells."""
-    G, H = base.domain, base.codomain
-    start = tuple(sum(1 << x for x in s) for s in base.sets)
-    cells = closure(start, functools.partial(larger_cells, G, H), cap, "elements above the base")
+    cells = closure(base, functools.partial(larger_cells, G, H), cap, "elements above the base")
     return sorted(cells, key=lambda cell: [mask_bits(s) for s in cell])
 
 
@@ -509,13 +556,13 @@ def check_poset_covering_local(f, max_norm, cap=DEFAULT_CAP):
         "violations": [],
     }
     for phi in elements:
-        tphi = phi.target_hom()
+        base = _projection(phi)
         checks = []
         if phi.norm() <= max_norm - 2:
-            checks.append(("down", _targets_below(tphi), functools.partial(_count_down_lifts, phi)))
+            checks.append(("down", _targets_below(base), functools.partial(_count_down_lifts, phi)))
         if phi.norm() <= max_norm - 2 * G.n:
             up = functools.partial(_count_up_lifts, phi, _joinable_walks(phi))
-            checks.append(("up", _upsets_in_base(tphi, cap), up))
+            checks.append(("up", _upsets_in_base(G, H, base, cap), up))
         for direction, targets, count_lifts in checks:
             for cell in targets:
                 count = count_lifts(cell)
@@ -629,12 +676,21 @@ class GammaElement(EfElement):
         """tight, when given, is tight_vertices(base_hom) in the cover
         setting, already checked; otherwise is_in_Ef checks both."""
         super().__init__(base_hom, sets)
+        self._check_deck(tight)
+
+    @classmethod
+    def from_element(cls, e, tight):
+        """The checked fiber element e, with only the deck checks run."""
+        return cls._from_checked(e.base_hom, e.sets, e.key())._check_deck(tight)
+
+    def _check_deck(self, tight):
         if not self.is_singleton():
             raise NotInDomain("deck transformations are singleton-valued")
-        if self.as_homotopy().target_hom != base_hom:
+        if self.as_homotopy().target_hom != self.base_hom:
             raise NotInDomain("walks must return to f at every vertex")
         if not (is_in_Ef(self) if tight is None else _passes_membership_test(self, tight)):
             raise NotInDomain("element is outside the identity component")
+        return self
 
     @classmethod
     def from_walks(cls, f, walks):
@@ -698,7 +754,7 @@ def deck_transformations(f, u, elements, tight):
     every membership test here shares."""
     _require_cover_setting(f)
     out = [
-        GammaElement(e.base_hom, e.sets, tight)
+        GammaElement.from_element(e, tight)
         for e in elements
         if e.is_singleton()
         and all(next(iter(s)).target == f(v) for v, s in enumerate(e.sets))

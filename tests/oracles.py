@@ -87,8 +87,8 @@ def fiber_candidates_bounded(f, max_norm, cap=DEFAULT_CAP):
 
     Built without any connectivity search, by one backtrack over two passes
     of the domain: keys (0, u) pick a single walk at u, then keys (1, u) pick
-    a set of walks at u containing that walk. The cross-check for the BFS
-    enumeration `hom_cover.enumerate_Ef_bounded`.
+    a set of walks at u containing that walk. The cross-check for the fiber
+    walk of `hom_cover.enumerate_Ef_bounded`.
     """
     _require_cover_setting(f)
     G, H = f.domain, f.codomain
@@ -171,7 +171,9 @@ def _fiber_moves(phi, max_norm):
 
 
 def fiber_component_reference(f, max_norm, cap=DEFAULT_CAP):
-    """The walk of `hom_cover.fiber_component_bounded` over validated elements.
+    """The reference for `hom_cover.fiber_component_bounded`: a closure
+    through every element, not only the singletons, whose moves add or
+    remove one walk.
 
     Every move builds and validates the EfElement it reaches, and candidate
     walks come from pi_neighbor's walk products rather than vertex tuples.

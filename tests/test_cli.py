@@ -270,12 +270,39 @@ def report_containers(inner):
 reports = st.recursive(report_leaves, report_containers, max_leaves=30)
 
 
+@st.composite
+def reports_sharing_tuples(draw):
+    """A random report that holds one tuple object at two depths, next to
+    tuples equal to it that hold True or 1.0 where it holds 1: the writer
+    renders each tuple object once, and must not take one of those for
+    another. The tuples may hold lists and empty containers."""
+    items = st.one_of(
+        st.sampled_from([1, 0, -1, "1", None]),
+        st.lists(st.integers(0, 2), max_size=2),
+        st.sampled_from([[], (), {}]),
+    )
+    shared = draw(st.lists(items, min_size=1, max_size=4).map(tuple))
+    twins = [
+        tuple(swap if type(x) is int and x == 1 else x for x in shared)
+        for swap in (True, 1.0)
+    ]
+    first = draw(st.sampled_from([shared, *twins]))
+    rest = [shared, *twins]
+    rest.remove(first)
+    return {
+        "a": [first, *rest, {"deeper": [shared, draw(reports)]}],
+        "b": shared,
+        "c": [[], {}, ()],
+    }
+
+
 class TestReportBytes:
     @settings(max_examples=300, deadline=None)
-    @given(reports)
+    @given(reports | reports_sharing_tuples())
     @example({10: 0, 2: [1, 2]})
     @example([True, False, 1])
     @example({"a": False, "b": [0, True]})
+    @example({"a": [(1,), (True,), (1.0,)], "b": [(True,), (1,)]})
     def test_bytes_are_those_of_indented_json(self, obj):
         expected = (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode()
         with tempfile.TemporaryDirectory() as tmp:
@@ -283,6 +310,26 @@ class TestReportBytes:
             emit_report(obj, path)
             with open(path, "rb") as fh:
                 assert fh.read() == expected
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            emit_report(obj, None)
+        assert out.getvalue().encode() == expected
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"a": [1, 2], "z": {1, 2}},  # a set, after a valid first entry
+            {"a": list(range(50)), "b": [{"c": (1, object())}]},
+            [1, 2, {1: "x", "y": 2}],  # keys that cannot be sorted
+        ],
+    )
+    def test_an_encoding_error_writes_nothing(self, obj, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        for out in (str(path), None):
+            with pytest.raises(TypeError):
+                emit_report(obj, out)
+        assert os.listdir(tmp_path) == []
+        assert capsys.readouterr().out == ""
 
 
 class TestCaps:

@@ -68,7 +68,8 @@ class TestCallers:
                 expected = sorted(
                     (x for x in everything if e.leq(x)), key=lambda x: x.key()
                 )
-                upsets = _upsets_in_base(e, 10_000)
+                masks = tuple(sum(1 << x for x in s) for s in key)
+                upsets = _upsets_in_base(G, H, masks, 10_000)
                 assert [SetValuedHom(G, H, map(mask_bits, c)) for c in upsets] == expected
 
 
@@ -85,8 +86,8 @@ class TestGuardMessages:
         assert str(info.value) == "component elements: reached 6, over the cap of 5"
 
     def test_upsets_name_stage_count_and_cap(self):
-        base = SetValuedHom(complete_graph(2), cycle_graph(5), ({0}, {1}))
-        assert len(_upsets_in_base(base, 3)) == 3
+        K2, C5 = complete_graph(2), cycle_graph(5)
+        assert len(_upsets_in_base(K2, C5, (0b1, 0b10), 3)) == 3
         with pytest.raises(ExplosionGuard) as info:
-            _upsets_in_base(base, 2)
+            _upsets_in_base(K2, C5, (0b1, 0b10), 2)
         assert str(info.value) == "elements above the base: reached 3, over the cap of 2"

@@ -2,10 +2,10 @@
 
 Membership, the interaction digraph, the deformation to the identity, the
 local covering property, the filtration operators, and the deck group. The
-bounded BFS enumeration is held against an independent structural search
+bounded fiber walk is held against an independent structural search
 (all candidate elements, filtered by the closed-form membership test) and
-against the same walk over validated elements instead of vertex tuples, and
-tight vertices against an exhaustive search over closed walks.
+against a closure through every element that validates each one it reaches,
+and tight vertices against an exhaustive search over closed walks.
 """
 
 import itertools
@@ -58,7 +58,7 @@ from homcx import (
 )
 
 from homcx.graphs import mask_bits
-from homcx.hom_cover import _targets_below, _upsets_in_base
+from homcx.hom_cover import _projection, _targets_below, _upsets_in_base
 from oracles import fiber_candidates_bounded, fiber_component_reference
 from test_hom_poset import graphs
 
@@ -271,6 +271,14 @@ class TestBoundedEnumeration:
         structural = [e for e in fiber_candidates_bounded(f, 6) if is_in_Ef(e)]
         assert bfs == structural
 
+    @pytest.mark.parametrize("max_norm", range(8))
+    @pytest.mark.parametrize("H", [C5, petersen_graph()], ids=["C5", "petersen"])
+    def test_every_bound_matches_the_element_walk_on_a_path(self, H, max_norm):
+        # under an odd bound the slack left after one vertex grows is odd,
+        # and only an exact norm prune keeps the next vertex within it
+        f = GraphHom(path_graph(3), H, (0, 1, 2))
+        assert fiber_component_bounded(f, max_norm) == fiber_component_reference(f, max_norm)
+
     @settings(max_examples=100, deadline=None)
     @given(
         connected_graphs(2, 4),
@@ -307,6 +315,28 @@ class TestBoundedEnumeration:
             messages.append(str(info.value))
         assert messages[0] == messages[1]
         assert "fiber elements" in messages[0]
+
+    @pytest.mark.parametrize(
+        "f, max_norm",
+        [
+            (EDGE_IN_C5, 8),
+            (GraphHom(path_graph(3), C5, (0, 1, 2)), 6),
+            (GraphHom(K2, petersen_graph(), (0, 1)), 6),
+            (GraphHom(path_graph(3), cycle_graph(4), (0, 1, 2)), 6),
+        ],
+    )
+    def test_cap_trips_exactly_past_the_element_count(self, f, max_norm):
+        # singletons and then elements count against the cap, which must
+        # trip exactly where the element walk's does
+        count = len(fiber_component_reference(f, max_norm))
+        assert len(fiber_component_bounded(f, max_norm, cap=count)) == count
+        messages = []
+        for walk in (fiber_component_bounded, fiber_component_reference):
+            with pytest.raises(ExplosionGuard) as info:
+                walk(f, max_norm, cap=count - 1)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert messages[0] == f"fiber elements: reached {count}, over the cap of {count - 1}"
 
     def test_enumeration_is_norm_monotone(self):
         small = set(enumerate_Ef_bounded(EDGE_IN_C5, 4))
@@ -411,14 +441,19 @@ class TestCoveringChecks:
     )
     def test_lift_targets_are_set_valued_homs(self, f, max_norm):
         # the covering check counts lifts on bitmask tuples without building
-        # them; each must be a set-valued homomorphism on the right side of
-        # the projection, and the upsets come in key order
+        # them; each projection, read off the key, must be the validated
+        # target_hom, each target a set-valued homomorphism on the right side
+        # of it, and the upsets must come in key order
         G, H = f.domain, f.codomain
         for phi in fiber_component_bounded(f, max_norm):
-            tphi = phi.target_hom()
-            for cell in _targets_below(tphi):
+            base = _projection(phi)
+            tphi = SetValuedHom(G, H, map(mask_bits, base))
+            assert tphi == phi.target_hom()
+            for cell in _targets_below(base):
                 assert SetValuedHom(G, H, map(mask_bits, cell)).leq(tphi)
-            upsets = [SetValuedHom(G, H, map(mask_bits, c)) for c in _upsets_in_base(tphi, 10_000)]
+            upsets = [
+                SetValuedHom(G, H, map(mask_bits, c)) for c in _upsets_in_base(G, H, base, 10_000)
+            ]
             assert all(tphi.leq(psi) for psi in upsets)
             assert upsets == sorted(upsets, key=SetValuedHom.key)
 
@@ -517,6 +552,33 @@ class TestDeckGroup:
             deck_transformations(EDGE_IN_C5, 0, without, tight)
         with pytest.raises(InvariantViolation, match="share a base walk"):
             deck_transformations(EDGE_IN_C5, 0, fiber + [gs[1]], tight)
+
+    def test_deck_transformations_skip_the_cross_pair_checks(self, monkeypatch):
+        # built from fiber elements already checked, they run only their own
+        # three checks: singleton, returns to f, and membership
+        fiber = enumerate_Ef_bounded(EDGE_IN_C5, 20)
+        tight = tight_vertices(EDGE_IN_C5)
+        calls = []
+        real = hom_cover._check_cross_pairs
+        monkeypatch.setattr(
+            hom_cover, "_check_cross_pairs", lambda *args: calls.append(args) or real(*args)
+        )
+        gs = hom_cover.deck_transformations(EDGE_IN_C5, 0, fiber, tight)
+        assert len(gs) == 3 and calls == []
+        GammaElement = hom_cover.GammaElement
+        with pytest.raises(NotInDomain, match="singleton"):
+            GammaElement.from_element(next(e for e in fiber if not e.is_singleton()), tight)
+        with pytest.raises(NotInDomain, match="return to f"):
+            GammaElement.from_element(
+                next(e for e in fiber if e.is_singleton() and e.norm() == 2), tight
+            )
+        # five steps around C5: a singleton that returns to f, but odd
+        loop = EfElement(
+            EDGE_IN_C5,
+            ({ReducedWalk(C5, (0, 1, 2, 3, 4, 0))}, {ReducedWalk(C5, (1, 2, 3, 4, 0, 1))}),
+        )
+        with pytest.raises(NotInDomain, match="outside the identity component"):
+            GammaElement.from_element(loop, tight)
 
     def test_group_table_is_infinite_cyclic(self):
         # indices: 0 identity, 1 and 2 the two generators (inverse to each
