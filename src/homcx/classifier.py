@@ -160,7 +160,7 @@ def _summary_type(G, s, rank_of):
     component."""
     k2 = s.k2_factoring and G.edge_count > 0
     u = min(G.edges)[0] if G.edges else 0
-    return _homotopy_type(s.cell_betti, k2, rank_of[s.representative.mapping[u]])
+    return _homotopy_type(s.cell_betti, k2, rank_of[s.representative[u]])
 
 
 def classify_component(G, H, f, cap=DEFAULT_CAP):

@@ -124,15 +124,9 @@ class GraphHom:
     def __call__(self, u):
         return self.mapping[u]
 
-    def image(self):
-        return frozenset(self.mapping)
-
     def factors_through_edge(self):
         """True when the image fits inside a single edge (or a single vertex)."""
-        img = sorted(self.image())
-        if len(img) == 1:
-            return True
-        return len(img) == 2 and self.codomain.has_edge(img[0], img[1])
+        return maps_into_edge(self.codomain, self.mapping)
 
     def __eq__(self, other):
         return (
@@ -151,6 +145,13 @@ class GraphHom:
 
 def identity_hom(G):
     return GraphHom(G, G, range(G.n))
+
+
+def maps_into_edge(H, mapping):
+    """Does the image of a vertex map into H fit inside a single edge (or a
+    single vertex)?"""
+    img = sorted(set(mapping))
+    return len(img) == 1 or len(img) == 2 and H.has_edge(*img)
 
 
 # ---------------------------------------------------------------------------

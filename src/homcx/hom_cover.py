@@ -8,7 +8,10 @@ covers the component of f; taking walk targets pointwise is the covering
 projection.
 
 Its bounded part is walked over the singleton elements, each growing, once,
-the elements whose least walks it holds.
+the elements whose least walks it holds. An element is held as its key
+alone, the sorted vertex tuples of each walk set, which the walk, the
+checks and the readers here all use; `EfElement.sets` builds the
+`ReducedWalk`s on demand for the operations that take or return walks.
 
 Membership in that component has a closed-form test when H is square-free:
 all walk lengths must be even, and any vertex lying on a tight closed walk
@@ -17,8 +20,8 @@ walk. Tight vertices are found by Kosaraju's two passes, the second a
 `graphs.closure`. Self-homotopies of f act on the fiber as deck
 transformations, the singleton members of the identity component that return
 to f: each `GammaElement` is an `EfElement`. The local covering check reads
-each projection off the element's key as int bitmasks and takes the base
-elements above it from `hom_poset.larger_cells`.
+each projection off the key as int bitmasks, takes the base elements above
+it from `hom_poset.larger_cells`, and counts lifts on the key's tuples.
 """
 
 from __future__ import annotations
@@ -59,9 +62,10 @@ from .walks import (
 
 
 class EfElement:
-    """A fiber element: vertex-indexed sets of reduced walks over f."""
+    """A fiber element: vertex-indexed sets of reduced walks over f, held as
+    its key, the sorted vertex tuples of each set."""
 
-    __slots__ = ("base_hom", "sets", "_key", "_hash")
+    __slots__ = ("base_hom", "_key", "_hash")
 
     def __init__(self, base_hom, sets):
         f = base_hom
@@ -73,63 +77,65 @@ class EfElement:
             _check_walk_set(f, u, s)
         key = tuple(tuple(sorted(w.vertices for w in s)) for s in sets)
         _check_cross_pairs(G, H, key)
-        self.base_hom, self.sets, self._key, self._hash = f, sets, key, hash((f, key))
+        self.base_hom, self._key, self._hash = f, key, hash((f, key))
 
     @classmethod
-    def _from_checked(cls, base_hom, sets, key):
-        """An element whose sets and key passed every check of __init__."""
+    def _from_checked(cls, base_hom, key):
+        """An element whose key passed every check of __init__."""
         self = object.__new__(cls)
-        self.base_hom, self.sets, self._key, self._hash = base_hom, sets, key, hash((base_hom, key))
+        self.base_hom, self._key, self._hash = base_hom, key, hash((base_hom, key))
         return self
+
+    @property
+    def sets(self):
+        """The walk sets as frozensets of ReducedWalks, built on each call."""
+        H = self.base_hom.codomain
+        return tuple(frozenset(ReducedWalk(H, w) for w in s) for s in self._key)
 
     def key(self):
         return self._key
 
     def len_at(self, u):
-        return max(w.length for w in self.sets[u])
+        return max(map(len, self._key[u])) - 1
 
     def norm(self):
         return sum(max(map(len, s)) - 1 for s in self._key)
 
     def is_singleton(self):
-        return all(len(s) == 1 for s in self.sets)
+        return all(len(s) == 1 for s in self._key)
 
     def maximal_walks(self, u):
-        top = self.len_at(u)
-        return sorted(
-            (w for w in self.sets[u] if w.length == top), key=lambda w: w.vertices
-        )
+        """The longest walks at u, as vertex tuples in ascending order."""
+        top = max(map(len, self._key[u]))
+        return [w for w in self._key[u] if len(w) == top]
 
     def with_set(self, u, new_set):
-        return EfElement(
-            self.base_hom, self.sets[:u] + (frozenset(new_set),) + self.sets[u + 1 :]
-        )
+        sets = self.sets
+        return EfElement(self.base_hom, sets[:u] + (frozenset(new_set),) + sets[u + 1 :])
 
     def leq(self, other):
         return self.base_hom == other.base_hom and all(
-            a <= b for a, b in zip(self.sets, other.sets)
+            set(a).issubset(b) for a, b in zip(self._key, other._key)
         )
 
     def target_hom(self):
         """Pointwise walk targets: the projection back into the base poset."""
         f = self.base_hom
-        return SetValuedHom(
-            f.domain, f.codomain, (frozenset(w.target for w in s) for s in self.sets)
-        )
+        return SetValuedHom(f.domain, f.codomain, ({w[-1] for w in s} for s in self._key))
 
     def as_homotopy(self):
         if not self.is_singleton():
             raise NotInFiber("only singleton elements are homotopies")
         f = self.base_hom
-        walks = tuple(next(iter(s)) for s in self.sets)
-        g = GraphHom(f.domain, f.codomain, (w.target for w in walks))
-        return Homotopy(f, g, walks)
+        H = f.codomain
+        g = GraphHom(f.domain, H, (s[0][-1] for s in self._key))
+        return Homotopy(f, g, (ReducedWalk(H, s[0]) for s in self._key))
 
     def __eq__(self, other):
         return (
             isinstance(other, EfElement)
             and self.base_hom == other.base_hom
-            and self.sets == other.sets
+            and self._key == other._key
         )
 
     def __hash__(self):
@@ -278,7 +284,7 @@ def aux_digraph(phi):
             if a not in verts or b not in verts:
                 continue
             votes = {
-                xi.vertices[-1] == eta.vertices[-2]
+                xi[-1] == eta[-2]
                 for xi in phi.maximal_walks(a)
                 for eta in phi.maximal_walks(b)
             }
@@ -311,8 +317,7 @@ def reduce_to_identity(h):
         if not sinks:
             raise NoSink("no sink although some walk still has positive length")
         v = min(sinks)
-        xi = next(iter(current.sets[v]))
-        shorter = ReducedWalk(H, xi.vertices[:-2])
+        shorter = ReducedWalk(H, current.key()[v][0][:-2])
         current = current.with_set(v, {shorter})
         chain.append(current)
     return chain
@@ -390,16 +395,12 @@ def fiber_component_bounded(f, max_norm, cap=DEFAULT_CAP):
     keys.sort()
     # EfElement's checks, once per distinct walk or set, then on every element
     walk_of = {w: ReducedWalk(H, w) for w in {w for d in interned for t in d.values() for w in t}}
-    set_at = [{id(t): frozenset(map(walk_of.__getitem__, t)) for t in d.values()} for d in interned]
-    for u, sets in enumerate(set_at):
-        for s in sets.values():
-            _check_walk_set(f, u, s)
-    elements = []
+    for u, d in enumerate(interned):
+        for t in d.values():
+            _check_walk_set(f, u, [walk_of[w] for w in t])
     for key in keys:
         _check_cross_pairs(G, H, key)
-        sets = tuple(set_at[u][id(t)] for u, t in enumerate(key))
-        elements.append(EfElement._from_checked(f, sets, key))
-    return elements
+    return [EfElement._from_checked(f, key) for key in keys]
 
 
 def enumerate_Ef_bounded(f, max_norm, cap=DEFAULT_CAP):
@@ -440,16 +441,16 @@ def down_lift(phi, psi):
         raise NotInFiber("target lives over the wrong graphs")
     if not psi.leq(phi.target_hom()):
         raise NotInFiber("psi must sit below the projection of phi")
+    sets = phi.sets
     new_sets = []
     for u in G.vertices():
-        nbrs = G.neighbors(u)
-        v = nbrs[0]
-        eta = min(phi.sets[v], key=lambda w: w.vertices)
+        v = G.neighbors(u)[0]
+        eta = min(sets[v], key=lambda w: w.vertices)
         first_leg = walk_product(edge_walk(H, f(u), f(v)), eta)
         walks = {
             walk_product(first_leg, edge_walk(H, eta.target, x)) for x in psi.sets[u]
         }
-        if not walks <= phi.sets[u]:
+        if not walks <= sets[u]:
             raise InvariantViolation("down lift left the original element")
         new_sets.append(walks)
     out = EfElement(f, new_sets)
@@ -478,34 +479,30 @@ def _upsets_in_base(G, H, base, cap):
     return sorted(cells, key=lambda cell: [mask_bits(s) for s in cell])
 
 
-def _count_down_lifts(phi, cell):
-    """Number of elements below phi whose projection is exactly cell."""
+def _count_down_lifts(by_target, cell):
+    """Number of elements below phi whose projection is exactly cell, given
+    by_target, per vertex the number of phi's walks ending at each vertex."""
     total = 1
-    for s, t in zip(phi.sets, cell):
-        by_target = Counter(w.target for w in s)
+    for counts, t in zip(by_target, cell):
         for x in mask_bits(t):
-            total *= (1 << by_target[x]) - 1
+            total *= (1 << counts[x]) - 1
     return total
 
 
 def _joinable_walks(phi):
-    """Per vertex u, the walks an element above phi may add at u: the walks
-    through a walk eta at the first neighbor of u (the edge (f(u), s(eta)),
-    then eta, then one more step) that are not at u and are adjacent to every
-    walk at every neighbor of u."""
+    """Per vertex u, the walks an element above phi may add at u, as vertex
+    tuples: the walks through a walk eta at the first neighbor of u (the edge
+    (f(u), s(eta)), then eta, then one more step) that are not at u and are
+    adjacent to every walk at every neighbor of u."""
     f = phi.base_hom
-    G, H = f.domain, f.codomain
+    G, H, key = f.domain, f.codomain, phi.key()
     joinable = []
     for u in G.vertices():
         nbrs = G.neighbors(u)
-        pool = {
-            ReducedWalk(H, conjugate(f(u), eta.vertices, y))
-            for eta in phi.sets[nbrs[0]]
-            for y in H.neighbors(eta.target)
-        }
-        near = [eta.vertices for v in nbrs for eta in phi.sets[v]]
+        pool = {conjugate(f(u), eta, y) for eta in key[nbrs[0]] for y in H.neighbors(eta[-1])}
+        near = [eta for v in nbrs for eta in key[v]]
         joinable.append(
-            [w for w in pool - phi.sets[u] if all(walks_adjacent(H, w.vertices, b) for b in near)]
+            [w for w in pool.difference(key[u]) if all(walks_adjacent(H, w, b) for b in near)]
         )
     return joinable
 
@@ -513,16 +510,16 @@ def _joinable_walks(phi):
 def _count_up_lifts(phi, joinable, cell):
     """Number of elements above phi whose projection is exactly cell, given
     _joinable_walks(phi)."""
-    G, H = phi.base_hom.domain, phi.base_hom.codomain
+    G, H, key = phi.base_hom.domain, phi.base_hom.codomain, phi.key()
     targets = [set(mask_bits(t)) for t in cell]
-    optional = [[w for w in ws if w.target in t] for ws, t in zip(joinable, targets)]
+    optional = [[w for w in ws if w[-1] in t] for ws, t in zip(joinable, targets)]
 
     def candidates(u, partial):
         out = []
         for extra in _subsets(optional[u]):
-            s = phi.sets[u].union(extra)
-            if {w.target for w in s} == targets[u] and all(
-                walks_adjacent(H, a.vertices, b.vertices)
+            s = key[u] + extra
+            if {w[-1] for w in s} == targets[u] and all(
+                walks_adjacent(H, a, b)
                 for v in G.neighbors(u)
                 if v in partial
                 for a in s
@@ -559,7 +556,9 @@ def check_poset_covering_local(f, max_norm, cap=DEFAULT_CAP):
         base = _projection(phi)
         checks = []
         if phi.norm() <= max_norm - 2:
-            checks.append(("down", _targets_below(base), functools.partial(_count_down_lifts, phi)))
+            by_target = [Counter(w[-1] for w in s) for s in phi.key()]
+            down = functools.partial(_count_down_lifts, by_target)
+            checks.append(("down", _targets_below(base), down))
         if phi.norm() <= max_norm - 2 * G.n:
             up = functools.partial(_count_up_lifts, phi, _joinable_walks(phi))
             checks.append(("up", _upsets_in_base(G, H, base, cap), up))
@@ -619,7 +618,7 @@ def in_stage(phi, n, i, paths=None):
 
 def _truncated_top_walk(phi, v):
     H = phi.base_hom.codomain
-    tops = {w.vertices[:-2] for w in phi.maximal_walks(v)}
+    tops = {w[:-2] for w in phi.maximal_walks(v)}
     if len(tops) != 1:
         raise InvariantViolation("truncation depends on the maximal walk chosen")
     return ReducedWalk(H, tops.pop())
@@ -657,7 +656,7 @@ def retraction_D(phi, n, i, paths=None):
     if step is None:
         return phi
     v, shorter = step
-    if shorter not in phi.sets[v]:
+    if shorter.vertices not in phi.key()[v]:
         raise NotInDomain("element is not in the image of the closure operator")
     return phi.with_set(v, {shorter})
 
@@ -672,21 +671,21 @@ class GammaElement(EfElement):
 
     __slots__ = ()
 
-    def __init__(self, base_hom, sets, tight=None):
-        """tight, when given, is tight_vertices(base_hom) in the cover
-        setting, already checked; otherwise is_in_Ef checks both."""
+    def __init__(self, base_hom, sets):
         super().__init__(base_hom, sets)
-        self._check_deck(tight)
+        self._check_deck(None)
 
     @classmethod
     def from_element(cls, e, tight):
         """The checked fiber element e, with only the deck checks run."""
-        return cls._from_checked(e.base_hom, e.sets, e.key())._check_deck(tight)
+        return cls._from_checked(e.base_hom, e.key())._check_deck(tight)
 
     def _check_deck(self, tight):
+        """tight, when given, is tight_vertices(base_hom) in the cover
+        setting, already checked; otherwise is_in_Ef checks both."""
         if not self.is_singleton():
             raise NotInDomain("deck transformations are singleton-valued")
-        if self.as_homotopy().target_hom != self.base_hom:
+        if any(s[0][-1] != x for s, x in zip(self._key, self.base_hom.mapping)):
             raise NotInDomain("walks must return to f at every vertex")
         if not (is_in_Ef(self) if tight is None else _passes_membership_test(self, tight)):
             raise NotInDomain("element is outside the identity component")
@@ -698,10 +697,11 @@ class GammaElement(EfElement):
 
     @property
     def walks(self):
-        return tuple(next(iter(s)) for s in self.sets)
+        H = self.base_hom.codomain
+        return tuple(ReducedWalk(H, s[0]) for s in self._key)
 
     def __repr__(self):
-        return f"GammaElement({[w.vertices for w in self.walks]})"
+        return f"GammaElement({[s[0] for s in self._key]})"
 
 
 def gamma_identity(f):
@@ -730,11 +730,8 @@ def gamma_act(h, phi):
     """
     if h.base_hom != phi.base_hom:
         raise NotInFiber("action and element sit over different homomorphisms")
-    walks = h.walks
-    return EfElement(
-        phi.base_hom,
-        (frozenset(walk_product(walks[u], xi) for xi in s) for u, s in enumerate(phi.sets)),
-    )
+    pairs = zip(h.walks, phi.sets)
+    return EfElement(phi.base_hom, ({walk_product(w, xi) for xi in s} for w, s in pairs))
 
 
 def gamma_elements_bounded(f, u, max_norm, cap=DEFAULT_CAP):
@@ -756,14 +753,13 @@ def deck_transformations(f, u, elements, tight):
     out = [
         GammaElement.from_element(e, tight)
         for e in elements
-        if e.is_singleton()
-        and all(next(iter(s)).target == f(v) for v, s in enumerate(e.sets))
+        if e.is_singleton() and all(s[0][-1] == x for s, x in zip(e.key(), f.mapping))
     ]
-    base_walks = {g.walks[u] for g in out}
+    base_walks = {g.key()[u] for g in out}
     if len(base_walks) != len(out):
         raise InvariantViolation("two deck transformations share a base walk")
     keys = {g.key() for g in out}
     for g in out:
-        if tuple((walk_inverse(w).vertices,) for w in g.walks) not in keys:
+        if tuple((s[0][::-1],) for s in g.key()) not in keys:
             raise InvariantViolation("inverse left the bounded set")
     return sorted(out, key=lambda g: (g.norm(), g.key()))

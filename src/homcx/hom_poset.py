@@ -20,10 +20,12 @@ the component exactly once, with no set of cells seen. `HomPoset` keeps the
 cells in ascending order; inclusion is one AND, the cellular chain complex
 grades a cell by its popcount and finds each face by clearing one bit.
 `larger_cells`, the cells one image vertex above a cell given as a tuple of
-masks, serves the fiber's covering check. Only the homomorphisms, the cells
-of one-point sets, become `GraphHom`s. The order complex of the face poset,
-the barycentric subdivision, is the tests' independent oracle
-(tests/oracles.py), built from `HomPoset.strict_upsets`.
+masks, serves the fiber's covering check. The homomorphisms, the cells of
+one-point sets, stay the walk's mapping tuples and are a component summary's
+members; only the census's seed of each component becomes a `GraphHom`.
+The order complex of the face poset, the barycentric subdivision, is the
+tests' independent oracle (tests/oracles.py), built from
+`HomPoset.strict_upsets`.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .graphs import (
     closure,
     common_neighbors,
     graph_to_json,
+    maps_into_edge,
     mask_bits,
     _over_cap,
 )
@@ -172,10 +175,6 @@ class HomPoset:
 
     def leq(self, i, j):
         return not self.cells[i] & ~self.cells[j]
-
-    def homs(self):
-        """The homomorphisms in the component, in mapping order, each built once."""
-        return [GraphHom(self.domain, self.codomain, m) for m in self.hom_mappings]
 
     def singletons(self):
         """The homomorphisms in the component as one-point set-valued ones."""
@@ -344,8 +343,9 @@ def _truncate(betti, max_dim):
 
 @dataclass(frozen=True)
 class ComponentSummary:
-    """One component: cell count, homomorphisms in mapping order, Betti
-    numbers of every degree, and whether some member factors through an edge."""
+    """One component: cell count, its homomorphisms as mapping tuples in
+    lexicographic order, Betti numbers of every degree, and whether some
+    member factors through an edge."""
 
     size: int
     members: tuple
@@ -354,7 +354,7 @@ class ComponentSummary:
 
     @property
     def representative(self):
-        """The lexicographically least homomorphism of the component."""
+        """The lexicographically least mapping of the component."""
         return self.members[0]
 
     @property
@@ -367,18 +367,18 @@ class ComponentSummary:
             "betti": list(self.betti),
             "homs": len(self.members),
             "k2_factoring": self.k2_factoring,
-            "representative": {"mapping": list(self.representative.mapping)},
+            "representative": {"mapping": list(self.representative)},
             "size": self.size,
         }
 
 
 def component_summary(G, H, f, cap=DEFAULT_CAP):
-    """Walk the component of the GraphHom f, build its homomorphisms once, and
-    take its Betti numbers and its edge-factoring marker."""
+    """Walk the component of the GraphHom f and take its mappings, its Betti
+    numbers and its edge-factoring marker."""
     P = enumerate_component(G, H, f, cap=cap)
-    members = tuple(P.homs())
+    members = P.hom_mappings
     return ComponentSummary(
-        len(P), members, cellular_betti(P), any(h.factors_through_edge() for h in members)
+        len(P), members, cellular_betti(P), any(maps_into_edge(H, m) for m in members)
     )
 
 
@@ -387,21 +387,21 @@ def component_census(G, H, cap=DEFAULT_CAP):
 
     Components are listed by their lexicographically least homomorphism: in
     sorted order, the first mapping no component has claimed is the least
-    of a new one.
+    of a new one. Each component walked from it must hold exactly mappings
+    that the backtracking enumeration found and no earlier component
+    claimed, and that one as its least.
     """
     mappings = sorted(_hom_mappings(G, H, cap))
+    unclaimed = set(mappings)
     summaries = []
-    assigned = set()
     for m in mappings:
-        if m in assigned:
+        if m not in unclaimed:
             continue
         s = component_summary(G, H, GraphHom(G, H, m), cap=cap)
-        assigned.update(h.mapping for h in s.members)
+        if s.representative != m or not unclaimed.issuperset(s.members):
+            raise InvariantViolation("components do not partition the homomorphism set")
+        unclaimed.difference_update(s.members)
         summaries.append(s)
-    if sum(len(s.members) for s in summaries) != len(mappings):
-        raise InvariantViolation(
-            "components do not partition the homomorphism set"
-        )
     return summaries
 
 

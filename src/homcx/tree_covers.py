@@ -180,11 +180,12 @@ def psi_apply(phi, cover_G, cover_H):
     """
     f = phi.base_hom
     _check_cover_pair(f, cover_G, cover_H)
+    phi_sets = phi.sets
     sets = []
     for w in cover_G.walks:
         f_tilde = pushed_walk(f, w)
         lifted = set()
-        for xi in phi.sets[w.target]:
+        for xi in phi_sets[w.target]:
             end = walk_product(f_tilde, xi)
             if end.length > cover_H.radius:
                 raise OutOfWindow(

@@ -8,10 +8,12 @@ against a closure through every element that validates each one it reaches,
 and tight vertices against an exhaustive search over closed walks.
 """
 
+import hashlib
 import itertools
+import json
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from homcx import (
     EfElement,
@@ -45,6 +47,7 @@ from homcx import (
     identity_element,
     in_stage,
     is_f_tight,
+    is_connected,
     is_in_Ef,
     is_square_free,
     path_graph,
@@ -60,7 +63,7 @@ from homcx import (
 from homcx.graphs import mask_bits
 from homcx.hom_cover import _projection, _targets_below, _upsets_in_base
 from oracles import fiber_candidates_bounded, fiber_component_reference
-from test_hom_poset import graphs
+from test_hom_poset import graphs, square_free_graphs
 
 K2 = Graph(2, [(0, 1)])
 C3 = cycle_graph(3)
@@ -429,7 +432,17 @@ class TestCoveringChecks:
         assert len(report["violations"]) == 4
         assert all(v["direction"] == "up" for v in report["violations"])
         assert all(v["lift_count"] == 0 for v in report["violations"])
-        assert all(v["target"]["sets"][1] == [1, 3] for v in report["violations"])
+        assert [v["target"]["sets"] for v in report["violations"]] == [
+            [[0], [1, 3], [0, 2]],
+            [[0], [1, 3], [2]],
+            [[0, 2], [1, 3], [0, 2]],
+            [[0, 2], [1, 3], [2]],
+        ]
+        # the whole report as the CLI's writer would emit it, pinned byte for byte
+        data = (json.dumps(report, sort_keys=True, indent=2) + "\n").encode()
+        assert hashlib.sha256(data).hexdigest() == (
+            "d22210724f55c1031edb4e05d579d53816995fd65ca9293b027bf621c7224ebe"
+        )
 
     @pytest.mark.parametrize(
         "f, max_norm",
@@ -621,6 +634,48 @@ class TestDeckGroup:
                 assert left == right
         for g in gs[1:]:
             assert gamma_act(g, phi) != phi
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        connected_graphs(2, 4),
+        st.one_of(
+            st.sampled_from([C3, C5, petersen_graph()]),
+            square_free_graphs(7).filter(is_connected),
+        ),
+        st.integers(0, 8),
+        st.integers(0, 1000),
+    )
+    @example(K2, C5, 20, 0)
+    @example(K2, C3, 12, 0)
+    @example(path_graph(3), C5, 20, 0)
+    def test_elements_rebuilt_from_their_walk_sets(self, G, H, max_norm, pick):
+        # an element holds only its key; the walk sets it builds on demand
+        # must give back an equal element with the same hash, and the deck
+        # checks on the key must agree with the checking constructor
+        homs = enumerate_graph_homs(G, H)
+        assume(homs)
+        f = homs[pick % len(homs)]
+        elements = fiber_component_bounded(f, max_norm)
+        tight = tight_vertices(f)
+        GammaElement = hom_cover.GammaElement
+
+        def outcome(build):
+            try:
+                g = build()
+            except NotInDomain as exc:
+                return str(exc)
+            return g, hash(g), g.walks, repr(g)
+
+        for e in elements:
+            again = EfElement(e.base_hom, e.sets)
+            assert again == e and hash(again) == hash(e)
+            assert outcome(lambda: GammaElement.from_element(e, tight)) == outcome(
+                lambda: GammaElement(e.base_hom, e.sets)
+            )
+        deck = hom_cover.deck_transformations(f, 0, elements, tight)
+        assert deck[0] == gamma_identity(f)
+        for g in deck:
+            assert outcome(lambda: g) == outcome(lambda: GammaElement(g.base_hom, g.sets))
 
     def test_mismatched_base_rejected(self):
         g = gamma_identity(EDGE_IN_C5)

@@ -8,6 +8,7 @@ too large for it are held against the cell-by-cell walk of
 oracles.walked_component.
 """
 
+import dataclasses
 import itertools
 
 import pytest
@@ -17,6 +18,7 @@ from homcx import (
     ExplosionGuard,
     Graph,
     GraphHom,
+    InvariantViolation,
     NotHomomorphism,
     SetValuedHom,
     complete_graph,
@@ -30,6 +32,7 @@ from homcx import (
     path_graph,
     post_compose,
 )
+from homcx import hom_poset
 from homcx.graphs import mask_bits
 from homcx.hom_poset import _hom_mappings, larger_cells
 
@@ -287,7 +290,7 @@ class TestComponents:
             assert list(P.cells) == sorted(set(P.cells))
             assert sorted(cell_keys(P)) == expected
             homs = [e for e in sorted(group, key=SetValuedHom.key) if e.is_singleton()]
-            assert P.homs() == [e.as_graph_hom() for e in homs]
+            assert list(P.hom_mappings) == [e.as_graph_hom().mapping for e in homs]
 
     @settings(max_examples=80, deadline=None)
     @given(connected_graphs(6), square_free_graphs(10), st.data())
@@ -323,7 +326,7 @@ class TestCensus:
 
     def test_triangle_self_maps_are_rigid(self):
         summaries = component_census(C3, C3)
-        assert [s.representative.mapping for s in summaries] == [
+        assert [s.representative for s in summaries] == [
             (0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
         for s in summaries:
             assert s.betti == (1, 0, 0)
@@ -338,16 +341,42 @@ class TestCensus:
         assert len(flat) == 6
         assert all(s.size == 1 for s in flat)
         assert wound.size == 228
-        assert wound.representative.mapping == (0, 1, 0, 1, 0, 1)
+        assert wound.representative == (0, 1, 0, 1, 0, 1)
         assert wound.k2_factoring
 
     def test_paths_give_trees(self):
         summaries = component_census(P3, P4)
-        assert [s.representative.mapping for s in summaries] == [(0, 1, 0), (1, 0, 1)]
+        assert [s.representative for s in summaries] == [(0, 1, 0), (1, 0, 1)]
         for s in summaries:
             assert s.betti == (1, 0, 0)
             assert s.size == 11
             assert s.k2_factoring
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda ms: ms + ((3, 3, 3),),
+            lambda ms: ms + ((2, 3, 2),),
+            lambda ms: ms[1:] + ((3, 3, 3),),
+        ],
+        ids=["not-a-homomorphism", "claimed-earlier", "start-swapped-count-kept"],
+    )
+    def test_members_must_be_unclaimed_homomorphisms(self, monkeypatch, change):
+        # the component of (1, 0, 1) gains (3, 3, 3), no homomorphism P3 ->
+        # P4, or (2, 3, 2), which the component of (0, 1, 0) claimed first;
+        # or it swaps its own start for (3, 3, 3), which keeps the count of
+        # members over all components equal to the count of homomorphisms
+        real = hom_poset.enumerate_component
+
+        def changed(G, H, f, cap):
+            P = real(G, H, f, cap=cap)
+            if f.mapping != (1, 0, 1):
+                return P
+            return dataclasses.replace(P, hom_mappings=tuple(sorted(change(P.hom_mappings))))
+
+        monkeypatch.setattr(hom_poset, "enumerate_component", changed)
+        with pytest.raises(InvariantViolation, match="do not partition"):
+            component_census(P3, P4)
 
     def test_report_shape(self):
         report = census_report(K2, K2)
