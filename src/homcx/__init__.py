@@ -15,6 +15,7 @@ against live in tests/oracles.py, not here.
 from .classifier import (
     HomotopyType,
     classify_component,
+    closed_form_type,
     expected_rank,
     full_case_report,
     induced_component,
@@ -95,6 +96,7 @@ from .hom_poset import (
     component_betti,
     component_census,
     component_summary,
+    critical_cells,
     enumerate_component,
     enumerate_graph_homs,
     has_hom,
@@ -105,7 +107,6 @@ from .homology import (
     OrderComplex,
     chain_complex,
     complex_from_chains,
-    elementary_divisors,
     exact_rank,
 )
 from .pi_graph import (

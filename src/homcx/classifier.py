@@ -5,8 +5,10 @@ homomorphism poset realizes a point, a circle, or a wedge of circles; the
 wedge case occurs exactly for components containing a homomorphism that
 factors through a single edge, and its rank is the cycle rank of the
 target's tensor double. The classifier computes the exact homology of each
-component's cells in every degree, checks it against this trichotomy, and
-raises rather than mislabel anything.
+component's cells in every degree, checks it against this trichotomy and,
+for a connected domain with two or more vertices and a connected target,
+against the case `closed_form_type` reads off the component's least
+homomorphism alone; it raises rather than mislabel anything.
 """
 
 from __future__ import annotations
@@ -16,13 +18,17 @@ from dataclasses import dataclass
 from .errors import EmptyHomSet, GraphInputError, InvariantViolation, NotConnected
 from .graphs import (
     Graph,
+    GraphHom,
     connected_components,
     graph_to_json,
     is_bipartite,
     is_connected,
     require_square_free,
 )
+from .hom_cover import tight_vertices
 from .hom_poset import DEFAULT_CAP, component_census, component_summary, has_hom
+from .pi_graph import _chord_loops
+from .walks import pushed_walk
 
 POINT = "Point"
 CIRCLE = "Circle"
@@ -163,6 +169,26 @@ def _summary_type(G, s, rank_of):
     return _homotopy_type(s.cell_betti, k2, rank_of[s.representative[u]])
 
 
+def closed_form_type(f, loops=None):
+    """The case of f's component read off f alone, for a connected domain
+    with at least two vertices and a connected square-free target.
+
+    Point when f has a tight vertex: the membership test forces the trivial
+    walk there, and a deck transformation is fixed by its walk at one
+    vertex. Otherwise HxK2Component when f is trivial on the fundamental
+    group, that is, when every chord loop of the domain pushes forward to a
+    walk that reduces to a point, and Circle when it is not. loops, when
+    given, is pi_graph._chord_loops(f.domain, 0).
+    """
+    if tight_vertices(f):
+        return POINT
+    if loops is None:
+        loops = _chord_loops(f.domain, 0)
+    if all(pushed_walk(f, loop).length == 0 for loop in loops):
+        return EDGE_COMPONENT
+    return CIRCLE
+
+
 def classify_component(G, H, f, cap=DEFAULT_CAP):
     """The homotopy type of the component of f, via exact homology.
 
@@ -184,18 +210,29 @@ def full_case_report(G, H, cap=DEFAULT_CAP):
     when domain and target are both bipartite, one when only the domain is,
     none when the domain is not. (A non-bipartite domain with a bipartite
     target has already failed the instance check: the homomorphism set is
-    empty.)
+    empty.) With both graphs connected and at least two domain vertices,
+    each component's case must also equal closed_form_type at its
+    representative.
     """
     ranks = _component_ranks(H)
     facts = _instance_facts(G, H, connected_components(G), ranks)
     rank_of = _rank_by_vertex(ranks)
+    connected = facts["domain_connected"] and facts["codomain_connected"] and G.n >= 2
+    loops = _chord_loops(G, 0) if connected else None
     classified = []
     for s in component_census(G, H, cap=cap):
         entry = s.to_json()
         entry.update(_summary_type(G, s, rank_of).to_json())
+        if connected:
+            rule = closed_form_type(GraphHom(G, H, s.representative), loops)
+            if rule != entry["case"]:
+                raise InvariantViolation(
+                    f"component of {s.representative} is a {entry['case']}, "
+                    f"the closed form says {rule}"
+                )
         classified.append(entry)
     n_factoring = sum(c["case"] == EDGE_COMPONENT for c in classified)
-    if facts["domain_connected"] and facts["codomain_connected"] and G.n >= 2:
+    if connected:
         if facts["domain_bipartite"]:
             expected = 2 if facts["codomain_bipartite"] else 1
         else:

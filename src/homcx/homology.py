@@ -1,8 +1,10 @@
 """Chain complexes, their exact Betti numbers, and order complexes of posets.
 
-A `ChainComplex` holds sparse boundary matrices with +1/-1 entries. The
-production path builds one from the cells of a component of Hom(G, H)
-(`hom_poset.cellular_chain_complex`). The order complex of a finite poset,
+A `ChainComplex` holds sparse boundary matrices with +1/-1 entries. A
+component of Hom(G, H) takes its Betti numbers from an acyclic matching on
+its cells (`hom_poset.critical_cells`) and builds one
+(`hom_poset.cellular_chain_complex`) only when the matching leaves a
+critical cell above dimension 1. The order complex of a finite poset,
 whose simplices are the chains of the poset, is the barycentric subdivision
 of the same space, so both must give the same Betti numbers; the tests use
 it as an independent oracle (`order_complex` and `betti_numbers` in
@@ -206,68 +208,3 @@ def incidence_rank(n_rows, cols):
             parent[a] = b
             rank += 1
     return rank
-
-
-def elementary_divisors(matrix):
-    """Nonzero diagonal entries of the Smith normal form of a small dense matrix.
-
-    Dense integer algorithm, used to confirm homology groups carry no torsion
-    on sampled complexes. matrix is a list of equal-length integer rows.
-    """
-    m = [list(row) for row in matrix]
-    if not m or not m[0]:
-        return []
-    rows, cols = len(m), len(m[0])
-    divisors = []
-    r = c = 0
-    while r < rows and c < cols:
-        # smallest nonzero entry of the remaining block becomes the pivot
-        best = None
-        for i in range(r, rows):
-            for j in range(c, cols):
-                v = m[i][j]
-                if v != 0 and (best is None or abs(v) < abs(m[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        while best is not None:
-            i, j = best
-            m[r], m[i] = m[i], m[r]
-            for row in m:
-                row[c], row[j] = row[j], row[c]
-            pivot = m[r][c]
-            for i2 in range(r + 1, rows):
-                q = m[i2][c] // pivot
-                if q:
-                    for j2 in range(c, cols):
-                        m[i2][j2] -= q * m[r][j2]
-            for j2 in range(c + 1, cols):
-                q = m[r][j2] // pivot
-                if q:
-                    for i2 in range(r, rows):
-                        m[i2][j2] -= q * m[i2][c]
-            # leftovers are remainders, strictly smaller than the pivot: recurse on them
-            best = None
-            for i2 in range(r + 1, rows):
-                if m[i2][c] != 0:
-                    best = (i2, c)
-                    break
-            if best is None:
-                for j2 in range(c + 1, cols):
-                    if m[r][j2] != 0:
-                        best = (r, j2)
-                        break
-        divisors.append(abs(m[r][c]))
-        r += 1
-        c += 1
-    # repair divisibility pairwise
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(divisors) - 1):
-            a, b = divisors[i], divisors[i + 1]
-            if b % a != 0:
-                g = math.gcd(a, b)
-                divisors[i], divisors[i + 1] = g, a * b // g
-                changed = True
-    return divisors

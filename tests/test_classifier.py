@@ -3,7 +3,9 @@
 Every frozen value here was computed from exact homology of the full
 component and cross-checked against the rank formula for the target. The
 two Circle instances wind a seven-cycle into an odd target, which is the
-smallest shape that is neither rigid nor edge-factoring.
+smallest shape that is neither rigid nor edge-factoring. The closed-form
+rule, read off one homomorphism, is held to the report at every member of
+every component.
 """
 
 import itertools
@@ -20,6 +22,7 @@ from homcx import (
     NotConnected,
     NotSquareFree,
     classify_component,
+    closed_form_type,
     complete_bipartite,
     component_census,
     cycle_graph,
@@ -260,3 +263,41 @@ class TestFullReport:
             full_case_report(C3, path_graph(4))
         with pytest.raises(NotSquareFree):
             full_case_report(K2, cycle_graph(4))
+
+
+class TestClosedForm:
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(connected_instances())
+    @example((K2, C5))
+    @example((C3, C3))
+    @example((C6, C3))
+    @example((C7, C5))
+    @example((C7, C3))
+    @example((P3, petersen_graph()))
+    def test_matches_the_report_at_every_member(self, instance):
+        G, H = instance
+        assume(G.n >= 2 and is_connected(H))
+        report = full_case_report(G, H)
+        for c, s in zip(report["components"], component_census(G, H)):
+            for m in s.members:
+                assert closed_form_type(GraphHom(G, H, m)) == c["case"]
+
+    def test_frozen_cases(self):
+        assert closed_form_type(GraphHom(C3, C3, (0, 1, 2))) == "Point"
+        assert closed_form_type(GraphHom(C7, C5, (0, 1, 0, 1, 2, 3, 4))) == "Circle"
+        assert closed_form_type(GraphHom(C6, C3, (0, 1, 0, 1, 0, 1))) == "HxK2Component"
+        assert closed_form_type(GraphHom(P3, C5, (0, 1, 2))) == "HxK2Component"
+
+    def test_report_gates_each_component(self, monkeypatch):
+        monkeypatch.setattr(classifier, "closed_form_type", lambda f, loops: "Circle")
+        with pytest.raises(InvariantViolation, match="closed form says Circle"):
+            full_case_report(C3, C3)
+
+    def test_gate_needs_connected_graphs_and_two_vertices(self, monkeypatch):
+        def refuse(f, loops):
+            raise AssertionError("the closed form was consulted")
+
+        monkeypatch.setattr(classifier, "closed_form_type", refuse)
+        full_case_report(K1, C5)
+        full_case_report(C7, disjoint_union(C5, C6))
+        full_case_report(disjoint_union(K1, K2), C5)

@@ -4,7 +4,9 @@ The sparse fraction-free rank is cross-checked against a dense elimination
 over Fraction on a batch of seeded random matrices before any Betti number
 is trusted; Smith form outputs are checked against hand-reduced matrices.
 The cellular Betti numbers of each component are checked against the order
-complex of its face poset, which subdivides the same space.
+complex of its face poset, which subdivides the same space, and the Betti
+numbers read off the acyclic matching against the ranks of the cellular
+chain complex.
 """
 
 import itertools
@@ -21,21 +23,22 @@ from homcx import (
     InvariantViolation,
     OrderComplex,
     chain_complex,
+    complete_bipartite,
     complete_graph,
     complex_from_chains,
     component_betti,
     cycle_graph,
-    elementary_divisors,
     enumerate_component,
     enumerate_graph_homs,
     exact_rank,
     path_graph,
     petersen_graph,
 )
-from homcx.hom_poset import cellular_betti, cellular_chain_complex
+from homcx import hom_poset
+from homcx.hom_poset import _morse_pairs, cellular_betti, cellular_chain_complex, critical_cells
 from homcx.homology import ChainComplex, incidence_rank
 
-from oracles import betti_numbers, keyed_chain_complex, order_complex
+from oracles import betti_numbers, elementary_divisors, keyed_chain_complex, order_complex
 from test_engine import graphs
 
 
@@ -384,3 +387,130 @@ class TestCellularHomology:
         K2, Kn = complete_graph(2), complete_graph(n)
         P = enumerate_component(K2, Kn, GraphHom(K2, Kn, (0, 1)))
         assert component_betti(P, max_dim=n - 1) == betti
+
+
+# P5 numbered out of order (3-2-1-0-4): its matching into C5 leaves critical
+# 2-cells, so cellular_betti must fall back to ranks
+P5_OUT_OF_ORDER = Graph(5, {(0, 1), (0, 4), (1, 2), (2, 3)})
+
+
+def check_acyclic_matching(P, pairs):
+    """Each pair is a cell of P and a face one bit below it, no cell is
+    matched twice, and the Hasse diagram, edges pointing down except the
+    matched ones, which point up, has a topological order."""
+    m, n = P.domain.n, P.codomain.n
+    everything = (1 << n) - 1
+    cells = set(P.cells)
+    up = {}
+    for face, coface in pairs:
+        assert face in cells and coface in cells
+        assert face & coface == face and (coface ^ face).bit_count() == 1
+        up[face] = coface
+    assert len(set(up) | set(up.values())) == 2 * len(pairs)
+    arcs = {cell: [] for cell in P.cells}
+    indegree = dict.fromkeys(P.cells, 0)
+    for cell in P.cells:
+        for shift in range(0, m * n, n):
+            s = cell >> shift & everything
+            if s & (s - 1):
+                for x in range(n):
+                    if s >> x & 1:
+                        face = cell ^ 1 << (shift + x)
+                        tail, head = (face, cell) if up.get(face) == cell else (cell, face)
+                        arcs[tail].append(head)
+                        indegree[head] += 1
+    ready = [cell for cell, k in indegree.items() if not k]
+    ordered = 0
+    while ready:
+        cell = ready.pop()
+        ordered += 1
+        for head in arcs[cell]:
+            indegree[head] -= 1
+            if not indegree[head]:
+                ready.append(head)
+    assert ordered == len(P.cells), "the matching has a cycle"
+
+
+def first_component(G, H):
+    return enumerate_component(G, H, enumerate_graph_homs(G, H)[0])
+
+
+class TestMorseMatching:
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(small_instances())
+    @example(hom_instance(complete_graph(2), complete_graph(4), (0, 1)))
+    @example(hom_instance(cycle_graph(4), cycle_graph(4), (0, 1, 2, 3)))
+    @example(hom_instance(P5_OUT_OF_ORDER, cycle_graph(5), (0, 1, 0, 1, 1)))
+    def test_matches_the_chain_complex(self, instance):
+        G, H, f = instance
+        try:
+            P = enumerate_component(G, H, f, cap=2_000)
+        except ExplosionGuard:
+            assume(False)
+        C = cellular_chain_complex(P)
+        critical = critical_cells(P)
+        assert len(critical) == len(C.counts)
+        assert sum((-1) ** d * c for d, c in enumerate(critical)) == sum(
+            (-1) ** d * c for d, c in enumerate(C.counts)
+        )
+        assert all(0 <= c <= k for c, k in zip(critical, C.counts))
+        assert critical[0] >= 1
+        assert cellular_betti(P) == C.betti(len(C.counts) - 1)
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(small_instances())
+    @example(hom_instance(complete_graph(2), complete_graph(4), (0, 1)))
+    def test_is_acyclic(self, instance):
+        G, H, f = instance
+        try:
+            P = enumerate_component(G, H, f, cap=2_000)
+        except ExplosionGuard:
+            assume(False)
+        check_acyclic_matching(P, _morse_pairs(P))
+
+    @pytest.mark.parametrize(
+        "G, H",
+        [
+            (cycle_graph(7), petersen_graph()),
+            (path_graph(5), petersen_graph()),
+            (cycle_graph(9), cycle_graph(3)),
+            (cycle_graph(8), cycle_graph(5)),
+            (complete_bipartite(1, 3), cycle_graph(5)),
+            (P5_OUT_OF_ORDER, cycle_graph(5)),
+        ],
+    )
+    def test_is_acyclic_on_ladder_shapes(self, G, H):
+        P = first_component(G, H)
+        check_acyclic_matching(P, _morse_pairs(P))
+
+    @pytest.mark.parametrize(
+        "G, top", [(path_graph(4), 4), (complete_bipartite(1, 3), 6)]
+    )
+    def test_trees_into_petersen_leave_a_wedge_of_eleven(self, G, top, monkeypatch):
+        # the matching is perfect but for one vertex and eleven edges, and
+        # no boundary matrix is built
+        monkeypatch.setattr(hom_poset, "cellular_chain_complex", None)
+        P = first_component(G, petersen_graph())
+        assert critical_cells(P) == (1, 11) + (0,) * (top - 1)
+        assert cellular_betti(P) == (1, 11) + (0,) * (top - 1)
+
+    def test_critical_two_cells_fall_back_to_ranks(self, monkeypatch):
+        built = []
+
+        def counted(P):
+            built.append(P)
+            return cellular_chain_complex(P)
+
+        monkeypatch.setattr(hom_poset, "cellular_chain_complex", counted)
+        C5 = cycle_graph(5)
+        P = enumerate_component(P5_OUT_OF_ORDER, C5, GraphHom(P5_OUT_OF_ORDER, C5, (0, 1, 0, 1, 1)))
+        critical = critical_cells(P)
+        assert critical[2] > 0
+        assert cellular_betti(P) == (1, 1, 0, 0)
+        assert built == [P]
+
+    def test_single_homomorphism_is_a_point(self):
+        C3 = cycle_graph(3)
+        P = enumerate_component(C3, C3, GraphHom(C3, C3, (0, 1, 2)))
+        assert critical_cells(P) == (1,)
+        assert cellular_betti(P) == (1,)
