@@ -195,7 +195,7 @@ def classify_component(G, H, f, cap=DEFAULT_CAP):
     An edgeless domain makes every component a full simplex, so the
     edge-factoring case (which presumes an edge in the domain) is only
     recognized when the domain has one. A domain without vertices raises
-    GraphInputError.
+    GraphInputError, and a seed f that is not a map G -> H NotHomomorphism.
     """
     _require_domain_vertex(G)
     require_square_free(H)

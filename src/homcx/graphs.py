@@ -1,7 +1,9 @@
 """Finite simple graphs: construction, standard families, products, structure tests.
 
 Vertices are always 0..n-1. Graphs are immutable and hashable so they can key
-caches and sit inside walks without copying.
+caches and sit inside walks without copying. One breadth-first search,
+`_bfs`, serves every traversal: connected components, connectivity, the
+bipartition, BFS trees and the BFS vertex order are each read off it.
 """
 
 from __future__ import annotations
@@ -95,6 +97,12 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, edges={self.sorted_edges()})"
+
+
+def require_vertex(G, u):
+    """Raise GraphInputError unless u is a vertex of G."""
+    if not (_is_int(u) and 0 <= u < G.n):
+        raise GraphInputError(f"{u!r} is not a vertex of a graph on {G.n} vertices")
 
 
 class GraphHom:
@@ -204,91 +212,62 @@ def permute_graph(G, perm):
 
 
 # ---------------------------------------------------------------------------
-# connectivity and bipartitions
+# connectivity and bipartitions, each read off one breadth-first search
+
+
+def _bfs(G, roots):
+    """FIFO breadth-first search from each root that no earlier root reached,
+    neighbors in increasing order. Returns the visiting order and, per
+    vertex, the parent (-1 at a root) and depth, both None if unreached."""
+    order = []
+    parent = [None] * G.n
+    depth = [None] * G.n
+    for root in roots:
+        if parent[root] is not None:
+            continue
+        parent[root], depth[root] = -1, 0
+        queue = [root]
+        for u in queue:
+            for v in G.neighbors(u):
+                if parent[v] is None:
+                    parent[v], depth[v] = u, depth[u] + 1
+                    queue.append(v)
+        order += queue
+    return order, parent, depth
 
 
 def connected_components(G):
     """Vertex sets of the connected components, each sorted, ordered by least vertex."""
-    seen = [False] * G.n
-    comps = []
-    for start in range(G.n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        queue = [start]
-        comp = []
-        while queue:
-            u = queue.pop()
-            comp.append(u)
-            for v in G.neighbors(u):
-                if not seen[v]:
-                    seen[v] = True
-                    queue.append(v)
-        comps.append(tuple(sorted(comp)))
-    return comps
+    order, parent, _ = _bfs(G, range(G.n))
+    cuts = [i for i, u in enumerate(order) if parent[u] == -1] + [G.n]
+    return [tuple(sorted(order[a:b])) for a, b in zip(cuts, cuts[1:])]
 
 
 def is_connected(G):
-    return G.n <= 1 or len(connected_components(G)) == 1
+    return G.n <= 1 or len(_bfs(G, [0])[0]) == G.n
 
 
 def is_bipartite(G):
     """Return (side0, side1) as frozensets, or None if some cycle is odd.
 
-    Within each connected component the least vertex is placed in side 0,
-    which makes the output deterministic.
+    Side 0 holds the even search depths, so the least vertex of each
+    connected component is in side 0, which makes the output deterministic.
     """
-    color = [-1] * G.n
-    for start in range(G.n):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        queue = [start]
-        while queue:
-            u = queue.pop()
-            for v in G.neighbors(u):
-                if color[v] == -1:
-                    color[v] = 1 - color[u]
-                    queue.append(v)
-                elif color[v] == color[u]:
-                    return None
-    side0 = frozenset(u for u in range(G.n) if color[u] == 0)
-    side1 = frozenset(u for u in range(G.n) if color[u] == 1)
-    return side0, side1
+    depth = _bfs(G, range(G.n))[2]
+    if any(depth[u] % 2 == depth[v] % 2 for u, v in G.edges):
+        return None
+    side0 = frozenset(u for u in range(G.n) if depth[u] % 2 == 0)
+    return side0, frozenset(range(G.n)) - side0
 
 
 def bfs_parents(G, root):
-    """BFS tree parents (root gets -1), visiting neighbors in increasing order."""
-    parents = [None] * G.n
-    parents[root] = -1
-    queue = [root]
-    while queue:
-        nxt = []
-        for u in queue:
-            for v in G.neighbors(u):
-                if parents[v] is None:
-                    parents[v] = u
-                    nxt.append(v)
-        queue = nxt
-    return parents
+    """BFS tree parents (root gets -1, unreached vertices None)."""
+    return _bfs(G, [root])[1]
 
 
 def bfs_order(G):
-    """Breadth-first vertex order over every component, neighbors in increasing order."""
-    order = []
-    seen = [False] * G.n
-    for start in range(G.n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        queue = [start]
-        for u in queue:
-            for v in G.neighbors(u):
-                if not seen[v]:
-                    seen[v] = True
-                    queue.append(v)
-        order.extend(queue)
-    return order
+    """Breadth-first vertex order over every component."""
+    return _bfs(G, range(G.n))[0]
 
 
 # ---------------------------------------------------------------------------

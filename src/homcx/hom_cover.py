@@ -48,6 +48,7 @@ from .graphs import (
     is_square_free,
     mask_bits,
     require_square_free,
+    require_vertex,
 )
 from .hom_poset import DEFAULT_CAP, SetValuedHom, larger_cells
 from .pi_graph import Homotopy, walks_adjacent
@@ -584,16 +585,16 @@ def check_poset_covering_local(f, max_norm, cap=DEFAULT_CAP):
 
 
 def simple_path_ordering(G):
-    """Every directed simple path of G (single vertices included), sorted by
+    """Every directed simple path of G (single vertices included), found as
+    the closure of the empty path under adding a vertex at the end, sorted by
     length and then lexicographically. The position of a path in this list
     is its 1-based stage index in the filtration."""
-    paths = []
-    stack = [(v,) for v in G.vertices()]
-    while stack:
-        seq = stack.pop()
-        paths.append(seq)
-        stack.extend(seq + (w,) for w in G.neighbors(seq[-1]) if w not in seq)
-    return tuple(sorted(paths, key=lambda p: (len(p), p)))
+
+    def extend(seq):
+        ends = G.neighbors(seq[-1]) if seq else G.vertices()
+        return [seq + (w,) for w in ends if w not in seq]
+
+    return tuple(sorted(closure((), extend) - {()}, key=lambda p: (len(p), p)))
 
 
 def _level_digraph(phi, n):
@@ -738,8 +739,10 @@ def gamma_elements_bounded(f, u, max_norm, cap=DEFAULT_CAP):
     """All deck transformations of norm at most max_norm.
 
     These correspond one to one with their walk at the chosen base vertex u;
-    the list is closed under inverses and sorted by norm, then by key.
+    the list is closed under inverses and sorted by norm, then by key. A u
+    outside the domain raises GraphInputError before the fiber is grown.
     """
+    require_vertex(f.domain, u)
     elements = enumerate_Ef_bounded(f, max_norm, cap=cap)
     return deck_transformations(f, u, elements, tight_vertices(f))
 
@@ -748,8 +751,10 @@ def deck_transformations(f, u, elements, tight):
     """The deck transformations among fiber elements of f, as in
     gamma_elements_bounded, checking that their walks at u are distinct and
     that the set is closed under inverses. tight is tight_vertices(f), which
-    every membership test here shares."""
+    every membership test here shares. A u outside the domain raises
+    GraphInputError."""
     _require_cover_setting(f)
+    require_vertex(f.domain, u)
     out = [
         GammaElement.from_element(e, tight)
         for e in elements

@@ -228,8 +228,11 @@ def enumerate_component(G, H, f, cap=DEFAULT_CAP):
     room above h(u), cut down to the common neighbors of each earlier
     neighbor's set. More than cap homomorphisms, or more than cap cells,
     raises ExplosionGuard; the cells are counted as they grow, and each
-    partial cell grows into at least one cell.
+    partial cell grows into at least one cell. A seed that is not a map
+    G -> H raises NotHomomorphism.
     """
+    if f.domain != G or f.codomain != H:
+        raise NotHomomorphism("the seed does not map the given domain to the given target")
     n = H.n
     nbr = H.adj_masks
     everything = (1 << n) - 1
@@ -442,7 +445,8 @@ class ComponentSummary:
 
 def component_summary(G, H, f, cap=DEFAULT_CAP):
     """Walk the component of the GraphHom f and take its mappings, its Betti
-    numbers and its edge-factoring marker."""
+    numbers and its edge-factoring marker. A seed that is not a map G -> H
+    raises NotHomomorphism."""
     P = enumerate_component(G, H, f, cap=cap)
     members = P.hom_mappings
     return ComponentSummary(

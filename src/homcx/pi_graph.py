@@ -31,7 +31,14 @@ from .errors import (
     SourceTargetMismatch,
     TransportMismatch,
 )
-from .graphs import DEFAULT_CAP, Graph, bfs_parents, is_connected, tree_path_vertices
+from .graphs import (
+    DEFAULT_CAP,
+    Graph,
+    bfs_parents,
+    is_connected,
+    require_vertex,
+    tree_path_vertices,
+)
 from .walks import (
     ReducedWalk,
     Walk,
@@ -258,9 +265,11 @@ def is_topologically_valid(xi, f, g, u):
 
     The test: xi must be fixed by conjugation along every closed walk at u.
     Checking one loop per non-tree edge suffices, because the fixing
-    condition is closed under loop products and inverses.
+    condition is closed under loop products and inverses. A u outside G
+    raises GraphInputError, a disconnected G NotConnected.
     """
     G = f.domain
+    require_vertex(G, u)
     if not is_connected(G):
         raise NotConnected("validity test needs a connected domain")
     if xi.source != f(u) or xi.target != g(u):
@@ -278,7 +287,11 @@ def is_topologically_valid(xi, f, g, u):
 
 
 def homotopy_from_valid_walk(xi, f, g, u):
-    """Spread a valid walk at u out to the homotopy it determines."""
+    """Spread a valid walk at u out to the homotopy it determines.
+
+    A u outside G raises GraphInputError, and a walk that
+    is_topologically_valid rejects NotValid.
+    """
     if not is_topologically_valid(xi, f, g, u):
         raise NotValid("walk is not compatible with some closed walk at the base vertex")
     G = f.domain

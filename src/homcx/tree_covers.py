@@ -22,7 +22,7 @@ from .errors import (
     NotConnected,
     OutOfWindow,
 )
-from .graphs import Graph, graph_to_json, is_connected
+from .graphs import Graph, graph_to_json, is_connected, require_vertex
 from .hom_poset import DEFAULT_CAP, SetValuedHom
 from .walks import (
     Walk,
@@ -52,8 +52,7 @@ class TreeCover:
         raises ExplosionGuard."""
         if radius < 0:
             raise ValueError(f"radius must be a nonnegative integer, got {radius}")
-        if not (0 <= basepoint < base.n):
-            raise GraphInputError(f"basepoint {basepoint} is not a vertex of the base graph")
+        require_vertex(base, basepoint)
         if not is_connected(base):
             raise NotConnected("covers are built over connected graphs")
         walks = tuple(reduced_walks_from(base, basepoint, radius, DEFAULT_CAP))

@@ -1,7 +1,10 @@
 """Reference implementations that the tests hold the package against.
 
 Each one answers a question the package also answers, by a slower or more
-literal route: adjacency straight from the conjugation equation, a window's
+literal route: connected components, the bipartition and the BFS trees
+and order each by a search of its own instead of one shared breadth-first
+search, the simple paths by an explicit stack instead of a closure,
+adjacency straight from the conjugation equation, a window's
 edges by scanning every pair of walks, the fiber by structural search with
 no connectivity walk, the fiber's component walk over validated elements
 instead of vertex tuples, a component of Hom(G, H) by walking its cells one
@@ -82,6 +85,101 @@ def find_isomorphism(G, H):
 
     mapping = next(backtrack(order, candidates), None)
     return None if mapping is None else tuple(mapping[u] for u in G.vertices())
+
+
+def connected_components_reference(G):
+    """Vertex sets of the connected components by a stack search from each
+    unseen vertex, each sorted, ordered by least vertex."""
+    seen = [False] * G.n
+    comps = []
+    for start in range(G.n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        queue = [start]
+        comp = []
+        while queue:
+            u = queue.pop()
+            comp.append(u)
+            for v in G.neighbors(u):
+                if not seen[v]:
+                    seen[v] = True
+                    queue.append(v)
+        comps.append(tuple(sorted(comp)))
+    return comps
+
+
+def is_connected_reference(G):
+    return G.n <= 1 or len(connected_components_reference(G)) == 1
+
+
+def is_bipartite_reference(G):
+    """A 2-colouring by a stack search that stops at the first edge joining
+    two vertices of one colour: (side0, side1), the least vertex of each
+    component in side 0, or None."""
+    color = [-1] * G.n
+    for start in range(G.n):
+        if color[start] != -1:
+            continue
+        color[start] = 0
+        queue = [start]
+        while queue:
+            u = queue.pop()
+            for v in G.neighbors(u):
+                if color[v] == -1:
+                    color[v] = 1 - color[u]
+                    queue.append(v)
+                elif color[v] == color[u]:
+                    return None
+    side0 = frozenset(u for u in range(G.n) if color[u] == 0)
+    side1 = frozenset(u for u in range(G.n) if color[u] == 1)
+    return side0, side1
+
+
+def bfs_parents_reference(G, root):
+    """BFS tree parents one level at a time (root gets -1, unreached None)."""
+    parents = [None] * G.n
+    parents[root] = -1
+    queue = [root]
+    while queue:
+        nxt = []
+        for u in queue:
+            for v in G.neighbors(u):
+                if parents[v] is None:
+                    parents[v] = u
+                    nxt.append(v)
+        queue = nxt
+    return parents
+
+
+def bfs_order_reference(G):
+    """Breadth-first vertex order over every component, neighbors in increasing order."""
+    order = []
+    seen = [False] * G.n
+    for start in range(G.n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        queue = [start]
+        for u in queue:
+            for v in G.neighbors(u):
+                if not seen[v]:
+                    seen[v] = True
+                    queue.append(v)
+        order.extend(queue)
+    return order
+
+
+def simple_path_ordering_reference(G):
+    """Every directed simple path of G, grown on an explicit stack, sorted by
+    length and then lexicographically."""
+    paths = []
+    stack = [(v,) for v in G.vertices()]
+    while stack:
+        seq = stack.pop()
+        paths.append(seq)
+        stack.extend(seq + (w,) for w in G.neighbors(seq[-1]) if w not in seq)
+    return tuple(sorted(paths, key=lambda p: (len(p), p)))
 
 
 def fiber_candidates_bounded(f, max_norm, cap=DEFAULT_CAP):

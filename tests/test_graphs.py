@@ -8,7 +8,7 @@ common-neighbor formulation under test.
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from homcx import (
     Graph,
@@ -33,10 +33,20 @@ from homcx import (
     petersen_graph,
     product,
     require_square_free,
+    simple_path_ordering,
     times_k2,
 )
+from homcx.graphs import bfs_order, bfs_parents
 
-from oracles import find_isomorphism
+from oracles import (
+    bfs_order_reference,
+    bfs_parents_reference,
+    connected_components_reference,
+    find_isomorphism,
+    is_bipartite_reference,
+    is_connected_reference,
+    simple_path_ordering_reference,
+)
 
 
 def brute_square(G):
@@ -45,6 +55,24 @@ def brute_square(G):
         if G.has_edge(a, b) and G.has_edge(b, c) and G.has_edge(c, d) and G.has_edge(d, a):
             return True
     return False
+
+
+@st.composite
+def small_graphs(draw, max_edges=None):
+    """0 to 12 vertices and any set of edges, so that disconnected graphs,
+    odd cycles and isolated vertices all turn up."""
+    n = draw(st.integers(0, 12))
+    pairs = list(itertools.combinations(range(n), 2))
+    if not pairs:
+        return Graph(n)
+    return Graph(n, draw(st.lists(st.sampled_from(pairs), unique=True, max_size=max_edges)))
+
+
+# three components with interleaved labels: an odd cycle, a lone vertex and a path
+SCATTERED = permute_graph(
+    disjoint_union(disjoint_union(cycle_graph(5), Graph(1)), path_graph(3)),
+    (6, 2, 8, 0, 4, 1, 7, 3, 5),
+)
 
 
 def all_labeled_graphs(n):
@@ -156,6 +184,33 @@ class TestStructure:
                 if two_colorable:
                     f = GraphHom(G, complete_graph(2), tuple(0 if u in side[0] else 1 for u in G.vertices()))
                     assert f.factors_through_edge()
+
+
+class TestOneSearch:
+    """Each traversal read off the one breadth-first search returns exactly
+    what the search of its own that it replaced returned (tests/oracles.py)."""
+
+    @given(small_graphs())
+    @example(Graph(0))
+    @example(Graph(12))
+    @example(SCATTERED)
+    @example(disjoint_union(cycle_graph(7), cycle_graph(4)))
+    @settings(max_examples=300, deadline=None)
+    def test_traversals_match_their_references(self, G):
+        assert connected_components(G) == connected_components_reference(G)
+        assert is_connected(G) == is_connected_reference(G)
+        assert is_bipartite(G) == is_bipartite_reference(G)
+        assert bfs_order(G) == bfs_order_reference(G)
+        for root in G.vertices():
+            assert bfs_parents(G, root) == bfs_parents_reference(G, root)
+
+    # at most 14 edges keeps the number of simple paths small
+    @given(small_graphs(max_edges=14))
+    @example(Graph(0))
+    @example(SCATTERED)
+    @settings(max_examples=150, deadline=None)
+    def test_simple_paths_match_the_stack_search(self, G):
+        assert simple_path_ordering(G) == simple_path_ordering_reference(G)
 
 
 class TestProduct:

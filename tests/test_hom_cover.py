@@ -20,6 +20,7 @@ from homcx import (
     ExplosionGuard,
     Graph,
     GraphHom,
+    GraphInputError,
     InvariantViolation,
     NotConnected,
     NotInDomain,
@@ -553,6 +554,15 @@ class TestDeckGroup:
         fiber = enumerate_Ef_bounded(EDGE_IN_C5, 40)
         assert all(g in fiber for g in gs)
         assert gs[0] == identity_element(EDGE_IN_C5)
+
+    def test_base_vertex_outside_the_domain_rejected(self):
+        fiber = enumerate_Ef_bounded(EDGE_IN_C5, 6)
+        tight = tight_vertices(EDGE_IN_C5)
+        for u in (5, 2, -1):
+            with pytest.raises(GraphInputError):
+                gamma_elements_bounded(EDGE_IN_C5, u, 6)
+            with pytest.raises(GraphInputError):
+                hom_cover.deck_transformations(EDGE_IN_C5, u, fiber, tight)
 
     def test_deck_checks_inverses_and_base_walks(self):
         deck_transformations = hom_cover.deck_transformations

@@ -21,8 +21,10 @@ from homcx import (
     InvariantViolation,
     NotHomomorphism,
     SetValuedHom,
+    classify_component,
     complete_graph,
     component_census,
+    component_summary,
     census_report,
     cycle_graph,
     enumerate_component,
@@ -200,6 +202,20 @@ class TestEnumeration:
 
 
 class TestComponents:
+    @pytest.mark.parametrize(
+        "seed",
+        [
+            GraphHom(K2, complete_graph(4), (0, 2)),  # (0, 2) is no edge of C5
+            GraphHom(K2, C6, (0, 5)),  # 5 is no vertex of C5
+            SetValuedHom(K2, C6, [{0}, {1, 5}]),
+            GraphHom(P3, C5, (0, 1, 0)),  # the domain is not K2
+        ],
+    )
+    def test_seed_must_map_the_domain_to_the_target(self, seed):
+        for run in (enumerate_component, component_summary, classify_component):
+            with pytest.raises(NotHomomorphism):
+                run(K2, C5, seed)
+
     def test_single_moves_reach_the_zigzag_closure(self):
         # the oracle enumerates everything and never prunes
         for G, H in [(K2, C5), (P3, P4), (C3, C3), (K2, complete_graph(3)), (K2, cycle_graph(4))]:

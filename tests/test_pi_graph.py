@@ -22,6 +22,7 @@ from homcx import (
     ExplosionGuard,
     Graph,
     GraphHom,
+    GraphInputError,
     Homotopy,
     NotNeighbor,
     NotValid,
@@ -310,6 +311,17 @@ class TestValidity:
             assert h.source_hom == h.target_hom == wind
             for u, v in C6.edges:
                 transport(h, edge_walk(C6, u, v))
+
+    def test_base_vertex_outside_the_domain_rejected(self):
+        K2 = Graph(2, [(0, 1)])
+        f = GraphHom(K2, C5, (0, 1))
+        # -1 would index the last vertex, whose image 1 is the walk's source
+        for u, source in ((9, 0), (2, 0), (-1, 1)):
+            xi = ReducedWalk(C5, (source,))
+            with pytest.raises(GraphInputError):
+                is_topologically_valid(xi, f, f, u)
+            with pytest.raises(GraphInputError):
+                homotopy_from_valid_walk(xi, f, f, u)
 
     def test_invalid_walk_rejected_when_spanning(self):
         bow = Graph(5, [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4)])
