@@ -117,7 +117,7 @@ class GraphHom:
                 f"mapping has {len(mapping)} entries for a domain on {domain.n} vertices"
             )
         for x in mapping:
-            if not (isinstance(x, int) and 0 <= x < codomain.n):
+            if not (_is_int(x) and 0 <= x < codomain.n):
                 raise NotHomomorphism(f"image vertex {x!r} out of range")
         for u, v in domain.edges:
             if not codomain.has_edge(mapping[u], mapping[v]):

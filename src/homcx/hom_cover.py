@@ -19,16 +19,16 @@ all walk lengths must be even, and any vertex lying on a tight closed walk
 walk. Tight vertices are found by Kosaraju's two passes, the second a
 `graphs.closure`. Self-homotopies of f act on the fiber as deck
 transformations, the singleton members of the identity component that return
-to f: each `GammaElement` is an `EfElement`. The local covering check reads
-each projection off the key as int bitmasks, takes the base elements above
-it from `hom_poset.larger_cells`, and counts lifts on the key's tuples.
+to f: each `GammaElement` is an `EfElement`. The local covering check groups
+the walked elements by projection, read off the key as int bitmasks, takes
+the base elements above each from `hom_poset.larger_cells`, and counts the
+lifts of a target among the elements in its group.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 
 from .errors import (
@@ -42,7 +42,6 @@ from .errors import (
 from .graphs import (
     GraphHom,
     _over_cap,
-    backtrack,
     closure,
     is_connected,
     is_square_free,
@@ -480,71 +479,30 @@ def _upsets_in_base(G, H, base, cap):
     return sorted(cells, key=lambda cell: [mask_bits(s) for s in cell])
 
 
-def _count_down_lifts(by_target, cell):
-    """Number of elements below phi whose projection is exactly cell, given
-    by_target, per vertex the number of phi's walks ending at each vertex."""
-    total = 1
-    for counts, t in zip(by_target, cell):
-        for x in mask_bits(t):
-            total *= (1 << counts[x]) - 1
-    return total
-
-
-def _joinable_walks(phi):
-    """Per vertex u, the walks an element above phi may add at u, as vertex
-    tuples: the walks through a walk eta at the first neighbor of u (the edge
-    (f(u), s(eta)), then eta, then one more step) that are not at u and are
-    adjacent to every walk at every neighbor of u."""
-    f = phi.base_hom
-    G, H, key = f.domain, f.codomain, phi.key()
-    joinable = []
-    for u in G.vertices():
-        nbrs = G.neighbors(u)
-        pool = {conjugate(f(u), eta, y) for eta in key[nbrs[0]] for y in H.neighbors(eta[-1])}
-        near = [eta for v in nbrs for eta in key[v]]
-        joinable.append(
-            [w for w in pool.difference(key[u]) if all(walks_adjacent(H, w, b) for b in near)]
-        )
-    return joinable
-
-
-def _count_up_lifts(phi, joinable, cell):
-    """Number of elements above phi whose projection is exactly cell, given
-    _joinable_walks(phi)."""
-    G, H, key = phi.base_hom.domain, phi.base_hom.codomain, phi.key()
-    targets = [set(mask_bits(t)) for t in cell]
-    optional = [[w for w in ws if w[-1] in t] for ws, t in zip(joinable, targets)]
-
-    def candidates(u, partial):
-        out = []
-        for extra in _subsets(optional[u]):
-            s = key[u] + extra
-            if {w[-1] for w in s} == targets[u] and all(
-                walks_adjacent(H, a, b)
-                for v in G.neighbors(u)
-                if v in partial
-                for a in s
-                for b in partial[v]
-            ):
-                out.append(s)
-        return out
-
-    return sum(1 for _ in backtrack(G.vertices(), candidates))
-
-
 def check_poset_covering_local(f, max_norm, cap=DEFAULT_CAP):
     """Verify unique lifting of comparabilities across the bounded fiber.
 
-    For every enumerated element phi sufficiently inside the norm bound and
+    For every walked element phi sufficiently inside the norm bound and
     every base element comparable to its projection, exactly one comparable
     fiber element must project onto it. Downward checks run for norms up to
-    max_norm - 2; upward checks, which can lengthen every walk by two, only
-    up to max_norm - 2|V(G)|. Returns a report; any count other than one is
-    recorded as a violation. H is not required to be square-free here, so
-    the expected failure on a 4-cycle target can be demonstrated.
+    max_norm - 2, upward checks up to max_norm - 2|V(G)|. The lifts are
+    counted among the walked elements, grouped once by projection, which
+    finds every lift: each is comparable to phi, so it lies in phi's
+    component, and its norm is within max_norm. One below phi has norm at
+    most norm(phi). One above phi adds at u only walks w adjacent to a walk
+    eta of phi at a neighbor v, itself adjacent to a walk xi of phi at u.
+    Adjacency changes length by 0 or 2, and |w| = |xi| + 4 would make w
+    (f(u), f(v), f(u), ...), which is not reduced. So each vertex gains at
+    most 2, and the lift's norm is at most norm(phi) + 2|V(G)|. Returns a
+    report; any count other than one is recorded as a violation. H is not
+    required to be square-free here, so the expected failure on a 4-cycle
+    target can be demonstrated.
     """
     G, H = f.domain, f.codomain
     elements = fiber_component_bounded(f, max_norm, cap=cap)
+    over = {}
+    for e in elements:
+        over.setdefault(_projection(e), []).append(e)
     report = {
         "down_checks": 0,
         "up_checks": 0,
@@ -557,15 +515,12 @@ def check_poset_covering_local(f, max_norm, cap=DEFAULT_CAP):
         base = _projection(phi)
         checks = []
         if phi.norm() <= max_norm - 2:
-            by_target = [Counter(w[-1] for w in s) for s in phi.key()]
-            down = functools.partial(_count_down_lifts, by_target)
-            checks.append(("down", _targets_below(base), down))
+            checks.append(("down", _targets_below(base), lambda e: e.leq(phi)))
         if phi.norm() <= max_norm - 2 * G.n:
-            up = functools.partial(_count_up_lifts, phi, _joinable_walks(phi))
-            checks.append(("up", _upsets_in_base(G, H, base, cap), up))
-        for direction, targets, count_lifts in checks:
+            checks.append(("up", _upsets_in_base(G, H, base, cap), phi.leq))
+        for direction, targets, comparable in checks:
             for cell in targets:
-                count = count_lifts(cell)
+                count = sum(map(comparable, over.get(cell, ())))
                 report[direction + "_checks"] += 1
                 if count != 1:
                     psi = SetValuedHom(G, H, map(mask_bits, cell))

@@ -215,6 +215,15 @@ def inverse_homotopy(h):
     )
 
 
+def _conjugated(f, g, omega, xi):
+    """reduce(f(omega))^-1 * xi * reduce(g(omega)), for a walk omega in G
+    from u and a walk xi from f(u) to g(u): the value at omega's far end of
+    the homotopy f -> g whose value at u is xi."""
+    return walk_product(
+        walk_product(walk_inverse(pushed_walk(f, omega)), xi), pushed_walk(g, omega)
+    )
+
+
 def transport(h, omega):
     """Recompute h at the far end of a walk omega in G and check consistency.
 
@@ -224,12 +233,8 @@ def transport(h, omega):
 
     A mismatch against the stored walk means the input was not a homotopy.
     """
-    f, g = h.source_hom, h.target_hom
-    u, v = omega.source, omega.target
-    expected = walk_product(
-        walk_product(walk_inverse(pushed_walk(f, omega)), h.walks[u]),
-        pushed_walk(g, omega),
-    )
+    expected = _conjugated(h.source_hom, h.target_hom, omega, h.walks[omega.source])
+    v = omega.target
     if expected != h.walks[v]:
         raise TransportMismatch(
             f"transport along {omega.vertices} lands on {expected.vertices}, "
@@ -276,14 +281,7 @@ def is_topologically_valid(xi, f, g, u):
         raise EndpointMismatch(
             f"walk runs {xi.source}->{xi.target}, needs {f(u)}->{g(u)}"
         )
-    for loop in _chord_loops(G, u):
-        conj = walk_product(
-            walk_product(walk_inverse(pushed_walk(f, loop)), xi),
-            pushed_walk(g, loop),
-        )
-        if conj != xi:
-            return False
-    return True
+    return all(_conjugated(f, g, loop, xi) == xi for loop in _chord_loops(G, u))
 
 
 def homotopy_from_valid_walk(xi, f, g, u):
@@ -298,11 +296,7 @@ def homotopy_from_valid_walk(xi, f, g, u):
     parents = bfs_parents(G, u)
     walks = [None] * G.n
     for v in G.vertices():
-        path = Walk(G, tree_path_vertices(parents, u, v))
-        walks[v] = walk_product(
-            walk_product(walk_inverse(pushed_walk(f, path)), xi),
-            pushed_walk(g, path),
-        )
+        walks[v] = _conjugated(f, g, Walk(G, tree_path_vertices(parents, u, v)), xi)
     return Homotopy(f, g, tuple(walks))
 
 

@@ -9,7 +9,7 @@ the seam. Length-zero walks act as identities and reversal is inversion.
 from __future__ import annotations
 
 from .errors import NotClosed, SourceTargetMismatch
-from .graphs import _over_cap
+from .graphs import _is_int, _over_cap, require_vertex
 
 
 class Walk:
@@ -22,7 +22,9 @@ class Walk:
         if not vertices:
             raise ValueError("a walk needs at least one vertex")
         for x in vertices:
-            if not (0 <= x < graph.n):
+            # _is_int's test, with its call skipped for a plain int: every walk
+            # the package builds is checked here, one vertex at a time
+            if not ((type(x) is int or _is_int(x)) and 0 <= x < graph.n):
                 raise ValueError(f"vertex {x!r} out of range")
         for a, b in zip(vertices, vertices[1:]):
             if not graph.has_edge(a, b):
@@ -193,8 +195,10 @@ def _reduced_walks(graph, sources, max_len, cap):
 def reduced_walks_from(graph, source, max_len, cap=None):
     """All reduced walks starting at source with length <= max_len.
 
-    Ordered by (length, vertex sequence).
+    Ordered by (length, vertex sequence). A source outside the graph raises
+    GraphInputError.
     """
+    require_vertex(graph, source)
     return _reduced_walks(graph, (source,), max_len, cap)
 
 

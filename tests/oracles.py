@@ -7,7 +7,9 @@ search, the simple paths by an explicit stack instead of a closure,
 adjacency straight from the conjugation equation, a window's
 edges by scanning every pair of walks, the fiber by structural search with
 no connectivity walk, the fiber's component walk over validated elements
-instead of vertex tuples, a component of Hom(G, H) by walking its cells one
+instead of vertex tuples, the local covering check with each lift counted
+by a product formula below and a search over joinable walks above instead
+of among the walked elements, a component of Hom(G, H) by walking its cells one
 image vertex at a time instead of growing each from its least homomorphism,
 the cellular chain complex from sorted vertex tuples instead of bitmasks,
 Betti numbers on the order complex instead of the cellular complex, and the
@@ -17,16 +19,35 @@ boundary carries no torsion. None of them runs outside the tests.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+from collections import Counter
 
 from homcx.errors import GraphInputError, InvariantViolation, NotConnected, OutOfWindow
-from homcx.graphs import GraphHom, backtrack, bfs_order, closure, is_connected, mask_bits
-from homcx.hom_cover import EfElement, _require_cover_setting, identity_element
-from homcx.hom_poset import DEFAULT_CAP, HomPoset, larger_cells
+from homcx.graphs import (
+    GraphHom,
+    backtrack,
+    bfs_order,
+    closure,
+    is_connected,
+    is_square_free,
+    mask_bits,
+)
+from homcx.hom_cover import (
+    EfElement,
+    _projection,
+    _require_cover_setting,
+    _subsets,
+    _targets_below,
+    _upsets_in_base,
+    fiber_component_bounded,
+    identity_element,
+)
+from homcx.hom_poset import DEFAULT_CAP, HomPoset, SetValuedHom, larger_cells
 from homcx.homology import ChainComplex, chain_complex, complex_from_chains, exact_rank
-from homcx.pi_graph import classify_adjacency, pi_neighbor
-from homcx.walks import Walk, edge_walk, reduced_walks_from, walk_product
+from homcx.pi_graph import classify_adjacency, pi_neighbor, walks_adjacent
+from homcx.walks import Walk, conjugate, edge_walk, reduced_walks_from, walk_product
 
 
 def pi_adjacent(xi, eta):
@@ -286,6 +307,102 @@ def fiber_component_reference(f, max_norm, cap=DEFAULT_CAP):
         identity_element(f), lambda phi: _fiber_moves(phi, max_norm), cap, "fiber elements"
     )
     return sorted(seen, key=lambda e: e.key())
+
+
+def _count_down_lifts(by_target, cell):
+    """Number of elements below phi whose projection is exactly cell, given
+    by_target, per vertex the number of phi's walks ending at each vertex."""
+    total = 1
+    for counts, t in zip(by_target, cell):
+        for x in mask_bits(t):
+            total *= (1 << counts[x]) - 1
+    return total
+
+
+def _joinable_walks(phi):
+    """Per vertex u, the walks an element above phi may add at u, as vertex
+    tuples: the walks through a walk eta at the first neighbor of u (the edge
+    (f(u), s(eta)), then eta, then one more step) that are not at u and are
+    adjacent to every walk at every neighbor of u."""
+    f = phi.base_hom
+    G, H, key = f.domain, f.codomain, phi.key()
+    joinable = []
+    for u in G.vertices():
+        nbrs = G.neighbors(u)
+        pool = {conjugate(f(u), eta, y) for eta in key[nbrs[0]] for y in H.neighbors(eta[-1])}
+        near = [eta for v in nbrs for eta in key[v]]
+        joinable.append(
+            [w for w in pool.difference(key[u]) if all(walks_adjacent(H, w, b) for b in near)]
+        )
+    return joinable
+
+
+def _count_up_lifts(phi, joinable, cell):
+    """Number of elements above phi whose projection is exactly cell, given
+    _joinable_walks(phi)."""
+    G, H, key = phi.base_hom.domain, phi.base_hom.codomain, phi.key()
+    targets = [set(mask_bits(t)) for t in cell]
+    optional = [[w for w in ws if w[-1] in t] for ws, t in zip(joinable, targets)]
+
+    def candidates(u, partial):
+        out = []
+        for extra in _subsets(optional[u]):
+            s = key[u] + extra
+            if {w[-1] for w in s} == targets[u] and all(
+                walks_adjacent(H, a, b)
+                for v in G.neighbors(u)
+                if v in partial
+                for a in s
+                for b in partial[v]
+            ):
+                out.append(s)
+        return out
+
+    return sum(1 for _ in backtrack(G.vertices(), candidates))
+
+
+def covering_report_reference(f, max_norm, cap=DEFAULT_CAP):
+    """The reference for `hom_cover.check_poset_covering_local`: the same
+    report, with each lift counted without looking at the other walked
+    elements. Below phi, every choice of a nonempty subset of phi's walks
+    ending at each target vertex is a lift, so the count is a product; above
+    phi, a backtracking search picks at each vertex phi's walks plus a
+    subset of the walks that may join them."""
+    G, H = f.domain, f.codomain
+    elements = fiber_component_bounded(f, max_norm, cap=cap)
+    report = {
+        "down_checks": 0,
+        "up_checks": 0,
+        "elements": len(elements),
+        "max_norm": max_norm,
+        "square_free": is_square_free(H),
+        "violations": [],
+    }
+    for phi in elements:
+        base = _projection(phi)
+        checks = []
+        if phi.norm() <= max_norm - 2:
+            by_target = [Counter(w[-1] for w in s) for s in phi.key()]
+            down = functools.partial(_count_down_lifts, by_target)
+            checks.append(("down", _targets_below(base), down))
+        if phi.norm() <= max_norm - 2 * G.n:
+            up = functools.partial(_count_up_lifts, phi, _joinable_walks(phi))
+            checks.append(("up", _upsets_in_base(G, H, base, cap), up))
+        for direction, targets, count_lifts in checks:
+            for cell in targets:
+                count = count_lifts(cell)
+                report[direction + "_checks"] += 1
+                if count != 1:
+                    psi = SetValuedHom(G, H, map(mask_bits, cell))
+                    report["violations"].append(
+                        {
+                            "direction": direction,
+                            "element": phi.to_json(),
+                            "lift_count": count,
+                            "target": psi.to_json(),
+                        }
+                    )
+    return report
 
 
 def smaller_cells(cell):

@@ -116,6 +116,12 @@ class TestHom:
         with pytest.raises(NotHomomorphism):
             GraphHom(C5, C5, (0, 0, 1, 2, 3))  # edge (0,1) -> (0,0), a loop
 
+    @pytest.mark.parametrize("mapping", [(True, 2), (0, True)])
+    def test_image_vertices_must_be_vertex_labels(self, mapping):
+        # bools are rejected as in Graph, not read as 1 and 0
+        with pytest.raises(NotHomomorphism):
+            GraphHom(complete_graph(2), cycle_graph(5), mapping)
+
     def test_factors_through_edge(self):
         C6, C3 = cycle_graph(6), cycle_graph(3)
         assert GraphHom(C6, C3, (0, 1, 0, 1, 0, 1)).factors_through_edge()

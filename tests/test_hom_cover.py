@@ -11,6 +11,7 @@ and tight vertices against an exhaustive search over closed walks.
 import hashlib
 import itertools
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -63,7 +64,11 @@ from homcx import (
 
 from homcx.graphs import mask_bits
 from homcx.hom_cover import _projection, _targets_below, _upsets_in_base
-from oracles import fiber_candidates_bounded, fiber_component_reference
+from oracles import (
+    covering_report_reference,
+    fiber_candidates_bounded,
+    fiber_component_reference,
+)
 from test_hom_poset import graphs, square_free_graphs
 
 K2 = Graph(2, [(0, 1)])
@@ -454,10 +459,10 @@ class TestCoveringChecks:
         ],
     )
     def test_lift_targets_are_set_valued_homs(self, f, max_norm):
-        # the covering check counts lifts on bitmask tuples without building
-        # them; each projection, read off the key, must be the validated
-        # target_hom, each target a set-valued homomorphism on the right side
-        # of it, and the upsets must come in key order
+        # the covering check groups the walked elements by bitmask tuples
+        # and builds no target; each projection, read off the key, must be
+        # the validated target_hom, each target a set-valued homomorphism on
+        # the right side of it, and the upsets must come in key order
         G, H = f.domain, f.codomain
         for phi in fiber_component_bounded(f, max_norm):
             base = _projection(phi)
@@ -470,6 +475,31 @@ class TestCoveringChecks:
             ]
             assert all(tphi.leq(psi) for psi in upsets)
             assert upsets == sorted(upsets, key=SetValuedHom.key)
+
+    @pytest.mark.parametrize(
+        "f, max_norm",
+        [
+            (GraphHom(K2, C3, (0, 1)), 8),
+            (GraphHom(K2, C5, (0, 1)), 12),
+            (GraphHom(K2, petersen_graph(), (0, 1)), 8),
+            (GraphHom(path_graph(3), cycle_graph(4), (0, 1, 2)), 8),
+        ],
+    )
+    def test_lifts_are_counted_among_the_walked_elements(self, f, max_norm):
+        # at these norms some projections have several fiber elements, so a
+        # count that skips the order test, on either side, changes the report
+        G, H = f.domain, f.codomain
+        elements = fiber_component_bounded(f, max_norm)
+        assert max(Counter(map(_projection, elements)).values()) >= 2
+        assert check_poset_covering_local(f, max_norm) == covering_report_reference(f, max_norm)
+        # and the one element below phi over each target is down_lift's
+        for phi in elements:
+            if phi.norm() > max_norm - 2:
+                continue
+            below = [e for e in elements if e.leq(phi)]
+            for cell in _targets_below(_projection(phi)):
+                psi = SetValuedHom(G, H, map(mask_bits, cell))
+                assert [e for e in below if _projection(e) == cell] == [down_lift(phi, psi)]
 
     def test_down_lift_formula(self):
         for phi in enumerate_Ef_bounded(EDGE_IN_C5, 6):

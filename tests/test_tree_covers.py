@@ -167,6 +167,10 @@ class TestFundamentalGroup:
         assert [w.length for w in pi1_elements(C5, 0, 10, even_only=True)] == [0, 10, 10]
         assert [w.length for w in pi1_elements(C10, 0, 20)] == [0, 10, 10, 20, 20]
 
+    def test_base_vertex_outside_the_graph_rejected(self):
+        with pytest.raises(GraphInputError):
+            pi1_elements(C5, 5, 5)
+
     def test_double_cover_map_is_injective_on_loops(self):
         f = GraphHom(C10, C5, tuple(z % 5 for z in range(10)))
         loops = pi1_elements(C10, 0, 20)

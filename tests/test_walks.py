@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from homcx import (
+    GraphInputError,
     NotClosed,
     ReducedWalk,
     SourceTargetMismatch,
@@ -80,6 +81,13 @@ class TestReduction:
         forms = all_normal_forms(w.vertices)
         assert forms == {reduce_walk(w).vertices}
 
+    @pytest.mark.parametrize("vertices", [(1.5,), (True, 2), (2, True)])
+    def test_constructors_reject_non_vertex_labels(self, vertices):
+        # a float or a bool is no vertex label, as Graph rejects them
+        for cls in (Walk, ReducedWalk):
+            with pytest.raises(ValueError):
+                cls(C5, vertices)
+
     def test_reduced_walk_constructor_rejects_backtracks(self):
         with pytest.raises(ValueError):
             ReducedWalk(C5, (0, 1, 0))
@@ -142,6 +150,13 @@ class TestEnumeration:
     def test_closed_walks_in_c5_come_in_multiples_of_five(self):
         lengths = sorted(w.length for w in closed_reduced_walks_at(C5, 0, 10))
         assert lengths == [0, 5, 5, 10, 10]
+
+    @pytest.mark.parametrize("source", [5, 7, 9, -1, True, 1.0])
+    def test_source_outside_the_graph_rejected(self, source):
+        with pytest.raises(GraphInputError):
+            reduced_walks_from(C5, source, 2)
+        with pytest.raises(GraphInputError):
+            closed_reduced_walks_at(C5, source, 5)
 
     def test_all_reduced_walks_window_count(self):
         assert len(all_reduced_walks(C5, 1)) == 15  # 5 trivial + 10 oriented edges
