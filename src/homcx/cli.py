@@ -114,8 +114,8 @@ def _json(o, indent, memo):
     that indent ("\\n" plus two spaces a level) marks.
 
     With indent set, json.dumps runs its pure-Python encoder; this writer
-    builds each container with one join instead. Exact str and int, and
-    lists of exact ints, are the fast path; bool, None, floats and anything
+    builds each container with one join instead. Exact str and int, bool,
+    None, and lists of exact ints, are the fast path; floats and anything
     else go to json.dumps. memo keeps each tuple's text under its identity
     and indent, as (1,) == (True,) but their texts differ.
     """
@@ -123,6 +123,10 @@ def _json(o, indent, memo):
         return _encode_str(o)
     if type(o) is int:
         return int.__repr__(o)
+    if type(o) is bool:
+        return "true" if o else "false"
+    if o is None:
+        return "null"
     if isinstance(o, tuple):
         key = (id(o), indent)
         if key not in memo:

@@ -305,40 +305,6 @@ def _over_cap(stage, count, cap):
     return ExplosionGuard(f"{stage}: reached {count}, over the cap of {cap}")
 
 
-def backtrack(order, candidates, cap=None, stage="search"):
-    """Every complete assignment of values to the keys in order, depth first.
-
-    candidates(u, partial) returns the ordered list of values for u that are
-    compatible with partial, the dict of keys already assigned (exactly those
-    before u in order). Assignments are yielded in first-found order as the
-    live dict, which the next step changes: copy what you keep. More than cap
-    of them raises ExplosionGuard; cap None means no cap.
-    """
-    partial = {}
-    if not order:
-        if cap is not None and cap < 1:
-            raise _over_cap(stage, 1, cap)
-        yield partial
-        return
-    count = 0
-    stack = [iter(candidates(order[0], partial))]
-    while stack:
-        k = len(stack) - 1
-        u = order[k]
-        for x in stack[k]:
-            partial[u] = x
-            if k + 1 < len(order):
-                stack.append(iter(candidates(order[k + 1], partial)))
-                break
-            count += 1
-            if cap is not None and count > cap:
-                raise _over_cap(stage, count, cap)
-            yield partial
-        else:
-            stack.pop()
-            partial.pop(u, None)
-
-
 def closure(start, moves, cap=None, stage="closure"):
     """The set of states reachable from start through moves(state).
 

@@ -22,8 +22,11 @@ grades a cell by its popcount and finds each face by clearing one bit.
 The Betti numbers come from an acyclic matching on the cells
 (`critical_cells`), one bit from the highest down: when it leaves no critical
 cell above dimension 1 the component is a wedge of circles with free
-homology, and only otherwise does `cellular_betti` build the cellular chain
-complex and rank it. `larger_cells`, the cells one image vertex above a cell
+homology, and only otherwise is the cellular chain complex built and ranked.
+`component_summary` folds the top vertices that are pairwise non-adjacent:
+the matching takes their bits first and leaves one cell over each choice of
+sets on the other vertices, so its walk counts the rest and keeps only
+those cells. `larger_cells`, the cells one image vertex above a cell
 given as a tuple of masks, serves the fiber's covering check. The
 homomorphisms, the cells of one-point sets, stay the walk's mapping tuples
 and are a component summary's members; only the census's seed of each
@@ -42,7 +45,6 @@ from .graphs import (
     DEFAULT_CAP,
     Graph,
     GraphHom,
-    backtrack,
     bfs_order,
     closure,
     common_neighbors,
@@ -133,21 +135,41 @@ def post_compose(k, phi):
 def _hom_mappings(G, H, cap=DEFAULT_CAP):
     """Every homomorphism G -> H as a mapping tuple, in first-found order.
 
-    Vertices are assigned in breadth-first order so each new vertex is
-    constrained by an already-assigned neighbor whenever possible.
+    Vertices are assigned depth first in breadth-first order, so each new
+    vertex is constrained by an already-assigned neighbor whenever possible.
+    Each position holds its untried images as one bitmask and takes the
+    lowest next. More than cap of them raises ExplosionGuard.
     """
+    order = bfs_order(G)
+    m = len(order)
+    position = {u: i for i, u in enumerate(order)}
+    earlier = [[v for v in G.neighbors(u) if position[v] < i] for i, u in enumerate(order)]
     nbr = H.adj_masks
     everything = (1 << H.n) - 1
-
-    def candidates(u, partial):
-        mask = everything
-        for v in G.neighbors(u):
-            if v in partial:
-                mask &= nbr[partial[v]]
-        return mask_bits(mask)
-
-    found = backtrack(bfs_order(G), candidates, cap, "graph homomorphisms")
-    return (tuple(a[u] for u in G.vertices()) for a in found)
+    image = [0] * m
+    untried = [everything] * m
+    count = i = 0
+    while i >= 0:
+        if i == m:
+            count += 1
+            if cap is not None and count > cap:
+                raise _over_cap("graph homomorphisms", count, cap)
+            yield tuple(image)
+            i -= 1
+            continue
+        left = untried[i]
+        if not left:
+            i -= 1
+            continue
+        low = left & -left
+        untried[i] = left ^ low
+        image[order[i]] = low.bit_length() - 1
+        i += 1
+        if i < m:
+            room = everything
+            for v in earlier[i]:
+                room &= nbr[image[v]]
+            untried[i] = room
 
 
 def enumerate_graph_homs(G, H, cap=DEFAULT_CAP):
@@ -231,20 +253,40 @@ def enumerate_component(G, H, f, cap=DEFAULT_CAP):
     partial cell grows into at least one cell. A seed that is not a map
     G -> H raises NotHomomorphism.
     """
+    homs, cells, _, _ = _walk(G, H, f, cap, G.n)
+    return HomPoset(G, H, tuple(sorted(cells)), homs)
+
+
+def _fold_start(G):
+    """The least s such that the vertices s .. |V(G)| - 1 are pairwise
+    non-adjacent: one more than the lower end of the highest edge."""
+    return max((u for u, _ in G.edges), default=-1) + 1
+
+
+def _walk(G, H, f, cap, start):
+    """The walk of enumerate_component with the vertices from start up
+    folded: cells grow below start only, and each such rest r, grown from h,
+    stands for 2^(sum_t |fit_t|) cells, fit_t the room R_t(r) above h(t) at
+    each folded t. All count toward the size and the cap; r with h(t) at each
+    t is kept only when every fit is empty. Returns the sorted homomorphisms,
+    the kept cells, the count of all cells and the top dimension of those not
+    kept (negative if none). start = |V(G)| keeps every cell."""
     if f.domain != G or f.codomain != H:
         raise NotHomomorphism("the seed does not map the given domain to the given target")
     n = H.n
     nbr = H.adj_masks
     everything = (1 << n) - 1
     adj = [G.neighbors(u) for u in G.vertices()]
-    cells = []
+    kept = []
+    dropped = top = 0  # cells counted but not kept, and their top popcount
 
     def check(more):
-        if cap is not None and len(cells) + more > cap:
+        if cap is not None and len(kept) + dropped + more > cap:
             raise _over_cap("component elements", cap + 1, cap)
 
     def visit(h):
         """Grow the cells whose least homomorphism is h; return h's moves."""
+        nonlocal dropped, top
         rooms, moves, least = [], [], 0
         for u, x in enumerate(h):
             room = everything
@@ -259,8 +301,8 @@ def enumerate_component(G, H, f, cap=DEFAULT_CAP):
                 moves.append(h[:u] + (low.bit_length() - 1,) + h[u + 1 :])
         level = [least]
         grew = set()
-        for u, x in enumerate(h):
-            above = rooms[u] & ~((2 << x) - 1)
+        for u in range(start):
+            above = rooms[u] & ~((2 << h[u]) - 1)
             if not above:
                 continue
             watch = [v * n for v in adj[u] if v in grew]
@@ -275,14 +317,34 @@ def enumerate_component(G, H, f, cap=DEFAULT_CAP):
                 check(len(grown) + (1 << fit.bit_count()))
                 grown.extend(cell | sub for sub in _submasks(fit << u * n))
             level = grown
-        check(len(level))
-        cells.extend(level)
+        # over a rest, each folded t adds to h(t) any subset of its fit
+        folded = []
+        for t in range(start, len(h)):
+            above = rooms[t] & ~((2 << h[t]) - 1)
+            if above:
+                folded.append((above, [v * n for v in adj[t] if v in grew]))
+        if not folded:
+            kept.extend(level)
+        else:
+            for cell in level:
+                spare = 0
+                for fit, watch in folded:
+                    for shift in watch:
+                        s = cell >> shift & everything
+                        if s & (s - 1):
+                            fit &= common_neighbors(H, s)
+                    spare += fit.bit_count()
+                if spare:
+                    dropped += 1 << spare
+                    top = max(top, cell.bit_count() + spare)
+                else:
+                    kept.append(cell)
+        check(0)
         return moves
 
-    start = tuple(f.mapping) if isinstance(f, GraphHom) else tuple(min(s) for s in f.sets)
-    homs = closure(start, visit, cap, "component elements")
-    cells.sort()
-    return HomPoset(G, H, tuple(cells), tuple(sorted(homs)))
+    seed = tuple(f.mapping) if isinstance(f, GraphHom) else tuple(min(s) for s in f.sets)
+    homs = closure(seed, visit, cap, "component elements")
+    return tuple(sorted(homs)), kept, len(kept) + dropped, top - G.n
 
 
 def cellular_chain_complex(P):
@@ -324,22 +386,25 @@ def cellular_chain_complex(P):
     return ChainComplex(tuple(map(len, grades)), tuple(boundaries))
 
 
-def _morse_pairs(P):
-    """An acyclic matching on the cells of P, as (face, coface) pairs.
-
-    It is a sequence of element matchings (Jonsson, Simplicial Complexes of
-    Graphs, 2008, section 4), one per bit from the highest down: each cell c
-    that holds the bit and is still unmatched is paired with c ^ bit when
-    that face is still unmatched too. Within one bit the pairs are disjoint,
-    and such a sequence is acyclic. The faces of c clear one bit of a set of
-    two or more vertices: c & (c - base) clears the lowest vertex of every
-    set, so the sets it leaves nonempty are those whose bits are faces.
+def _critical_counts(cells, m, n, top=0):
+    """The cells of each dimension, 0 to the top of cells and top, that the
+    acyclic matching leaves unmatched. It is a sequence of element matchings
+    (Jonsson, Simplicial Complexes of Graphs, 2008, section 4), one per bit
+    from the highest down: each cell c that holds the bit and is still
+    unmatched is paired with c ^ bit when that face is among cells and still
+    unmatched too. Within one bit the pairs are disjoint, and such a
+    sequence is acyclic. The faces of c clear one bit of a set of two or
+    more vertices: c & (c - base) clears the lowest vertex of every set, so
+    the sets it leaves nonempty are those whose bits are faces.
     """
-    m, n = P.domain.n, P.codomain.n
     everything = (1 << n) - 1
-    base = ((1 << m * n) - 1) // everything  # bit u * n for every u
+    base = sum(1 << u * n for u in range(m))  # bit u * n for every u
+    dims = [cell.bit_count() - m for cell in cells]
+    critical = [0] * (max([top, *dims]) + 1)
+    for d in dims:
+        critical[d] += 1
     holding = {}  # bit index -> the cells with that face bit
-    for cell in P.cells:
+    for cell in cells:
         rest = cell & (cell - base)
         while rest:
             shift = (rest.bit_length() - 1) // n * n
@@ -349,36 +414,33 @@ def _morse_pairs(P):
                 low = s & -s
                 s ^= low
                 holding.setdefault(shift + low.bit_length() - 1, []).append(cell)
-    matched, pairs = set(), []
+    unmatched = set(cells)
     for b in sorted(holding, reverse=True):
         bit = 1 << b
         for cell in holding[b]:
-            if cell not in matched:
-                face = cell ^ bit
-                if face not in matched:
-                    matched.add(cell)
-                    matched.add(face)
-                    pairs.append((face, cell))
-    return pairs
-
-
-def critical_cells(P):
-    """The number of cells _morse_pairs leaves unmatched in each dimension,
-    0 to the top dimension of P."""
-    m = P.domain.n
-    dims = [cell.bit_count() - m for cell in P.cells]
-    critical = [0] * (max(dims) + 1)
-    for d in dims:
-        critical[d] += 1
-    for face, _ in _morse_pairs(P):
-        d = face.bit_count() - m
-        critical[d] -= 1
-        critical[d + 1] -= 1
+            if cell in unmatched and cell ^ bit in unmatched:
+                unmatched.remove(cell)
+                unmatched.remove(cell ^ bit)
+                d = cell.bit_count() - m
+                critical[d] -= 1
+                critical[d - 1] -= 1
     return tuple(critical)
 
 
+def critical_cells(P):
+    """The number of cells the acyclic matching leaves unmatched in each
+    dimension, 0 to the top dimension of P, with every cell of P kept. The
+    folded walk of component_summary counts the same."""
+    return _critical_counts(P.cells, P.domain.n, P.codomain.n)
+
+
 def cellular_betti(P):
-    """Every Betti number b_0 .. b_top of the component's cell complex.
+    """Every Betti number b_0 .. b_top of the component's cell complex."""
+    return _betti(critical_cells(P), lambda: P)
+
+
+def _betti(critical, walk):
+    """The Betti numbers of a component from its critical cell counts.
 
     When no critical cell of the acyclic matching lies above dimension 1,
     the component is homotopy equivalent to a graph with c0 vertices and c1
@@ -386,14 +448,14 @@ def cellular_betti(P):
     connected, because the walk joins the homomorphisms by one-vertex moves
     and each move is a 1-cell, so b_0 = 1, b_1 = c1 - c0 + 1, and the
     homology is free. Otherwise the Betti numbers are ranks over the
-    rationals of the cellular chain complex, whose alternating sum must
-    equal that of the cell counts; a mismatch raises InvariantViolation.
+    rationals of the cellular chain complex of walk(), the full component,
+    whose alternating sum must equal that of the cell counts; a mismatch
+    raises InvariantViolation.
     """
-    critical = critical_cells(P)
     top = len(critical) - 1
     if not any(critical[2:]):
         return _truncate((1, critical[1] - critical[0] + 1 if top else 0), top)
-    C = cellular_chain_complex(P)
+    C = cellular_chain_complex(walk())
     betti = C.betti(len(C.counts) - 1)
     euler = sum((-1) ** d * n for d, n in enumerate(C.counts))
     if sum((-1) ** d * b for d, b in enumerate(betti)) != euler:
@@ -444,14 +506,20 @@ class ComponentSummary:
 
 
 def component_summary(G, H, f, cap=DEFAULT_CAP):
-    """Walk the component of the GraphHom f and take its mappings, its Betti
-    numbers and its edge-factoring marker. A seed that is not a map G -> H
-    raises NotHomomorphism."""
-    P = enumerate_component(G, H, f, cap=cap)
-    members = P.hom_mappings
-    return ComponentSummary(
-        len(P), members, cellular_betti(P), any(maps_into_edge(H, m) for m in members)
-    )
+    """The size, mappings, Betti numbers and edge-factoring marker of the
+    component of the GraphHom f; a seed that is not a map G -> H raises
+    NotHomomorphism. The fold set T, the vertices from _fold_start(G) up,
+    is independent, so over a rest r, a choice of sets on the other
+    vertices, the cells form a product of full simplices, one on each room
+    R_t(r). The matching takes T's bits first and pairs away all of them but
+    r + {max R_t(r)}, the cells the walk keeps. Later stages pair unmatched
+    cells only, and a face not kept is matched already, so the kept cells,
+    a face counting only if kept, leave the full matching's critical cells.
+    Only when one lies above dimension 1 is the whole component walked."""
+    members, kept, size, top = _walk(G, H, f, cap, _fold_start(G))
+    critical = _critical_counts(kept, G.n, H.n, top)
+    betti = _betti(critical, lambda: enumerate_component(G, H, f, cap=cap))
+    return ComponentSummary(size, members, betti, any(maps_into_edge(H, m) for m in members))
 
 
 def component_census(G, H, cap=DEFAULT_CAP):

@@ -3,7 +3,9 @@
 Each one answers a question the package also answers, by a slower or more
 literal route: connected components, the bipartition and the BFS trees
 and order each by a search of its own instead of one shared breadth-first
-search, the simple paths by an explicit stack instead of a closure,
+search, the homomorphisms by `backtrack`, a generic depth-first search over
+candidate lists, instead of untried-image bitmasks, the simple paths by an
+explicit stack instead of a closure,
 adjacency straight from the conjugation equation, a window's
 edges by scanning every pair of walks, the fiber by structural search with
 no connectivity walk, the fiber's component walk over validated elements
@@ -11,7 +13,8 @@ instead of vertex tuples, the local covering check with each lift counted
 by a product formula below and a search over joinable walks above instead
 of among the walked elements, a component of Hom(G, H) by walking its cells one
 image vertex at a time instead of growing each from its least homomorphism,
-the cellular chain complex from sorted vertex tuples instead of bitmasks,
+the acyclic matching on every cell, with no folded vertices, as explicit
+pairs, the cellular chain complex from sorted vertex tuples instead of bitmasks,
 Betti numbers on the order complex instead of the cellular complex, and the
 Smith normal form of a small dense matrix, which confirms that a sampled
 boundary carries no torsion. None of them runs outside the tests.
@@ -27,7 +30,7 @@ from collections import Counter
 from homcx.errors import GraphInputError, InvariantViolation, NotConnected, OutOfWindow
 from homcx.graphs import (
     GraphHom,
-    backtrack,
+    _over_cap,
     bfs_order,
     closure,
     is_connected,
@@ -48,6 +51,40 @@ from homcx.hom_poset import DEFAULT_CAP, HomPoset, SetValuedHom, larger_cells
 from homcx.homology import ChainComplex, chain_complex, complex_from_chains, exact_rank
 from homcx.pi_graph import classify_adjacency, pi_neighbor, walks_adjacent
 from homcx.walks import Walk, conjugate, edge_walk, reduced_walks_from, walk_product
+
+
+def backtrack(order, candidates, cap=None, stage="search"):
+    """Every complete assignment of values to the keys in order, depth first.
+
+    candidates(u, partial) returns the ordered list of values for u that are
+    compatible with partial, the dict of keys already assigned (exactly those
+    before u in order). Assignments are yielded in first-found order as the
+    live dict, which the next step changes: copy what you keep. More than cap
+    of them raises ExplosionGuard; cap None means no cap.
+    """
+    partial = {}
+    if not order:
+        if cap is not None and cap < 1:
+            raise _over_cap(stage, 1, cap)
+        yield partial
+        return
+    count = 0
+    stack = [iter(candidates(order[0], partial))]
+    while stack:
+        k = len(stack) - 1
+        u = order[k]
+        for x in stack[k]:
+            partial[u] = x
+            if k + 1 < len(order):
+                stack.append(iter(candidates(order[k + 1], partial)))
+                break
+            count += 1
+            if cap is not None and count > cap:
+                raise _over_cap(stage, count, cap)
+            yield partial
+        else:
+            stack.pop()
+            partial.pop(u, None)
 
 
 def pi_adjacent(xi, eta):
@@ -189,6 +226,23 @@ def bfs_order_reference(G):
                     queue.append(v)
         order.extend(queue)
     return order
+
+
+def hom_mappings_reference(G, H, cap=DEFAULT_CAP):
+    """Every homomorphism G -> H as a mapping tuple, by `backtrack` over the
+    breadth-first order with each vertex's images listed in increasing order:
+    the reference for `hom_poset._hom_mappings`, its first-found order and
+    its cap."""
+
+    def candidates(u, partial):
+        return [
+            x
+            for x in H.vertices()
+            if all(H.has_edge(partial[v], x) for v in G.neighbors(u) if v in partial)
+        ]
+
+    found = backtrack(bfs_order_reference(G), candidates, cap, "graph homomorphisms")
+    return (tuple(a[u] for u in G.vertices()) for a in found)
 
 
 def simple_path_ordering_reference(G):
@@ -436,6 +490,38 @@ def walked_component(G, H, f, cap=DEFAULT_CAP):
     )
     packed = sorted(sum(s << (u * H.n) for u, s in enumerate(cell)) for cell in cells)
     return HomPoset(G, H, tuple(packed), tuple(homs))
+
+
+def morse_pairs(P):
+    """The acyclic matching of `hom_poset.critical_cells` on every cell of P,
+    as (face, coface) pairs, with the cells that hold each bit gathered by
+    scanning each image set.
+
+    It is a sequence of element matchings (Jonsson, Simplicial Complexes of
+    Graphs, 2008, section 4), one per bit from the highest down: each cell c
+    that holds the bit and is still unmatched is paired with c ^ bit when
+    that face is still unmatched too.
+    """
+    m, n = P.domain.n, P.codomain.n
+    everything = (1 << n) - 1
+    holding = {}  # bit index -> the cells with that face bit
+    for cell in P.cells:
+        for u in range(m):
+            s = cell >> (u * n) & everything
+            if s & (s - 1):
+                for x in mask_bits(s):
+                    holding.setdefault(u * n + x, []).append(cell)
+    matched, pairs = set(), []
+    for b in sorted(holding, reverse=True):
+        bit = 1 << b
+        for cell in holding[b]:
+            if cell not in matched:
+                face = cell ^ bit
+                if face not in matched:
+                    matched.add(cell)
+                    matched.add(face)
+                    pairs.append((face, cell))
+    return pairs
 
 
 def order_complex(P, cap=DEFAULT_CAP):

@@ -318,6 +318,19 @@ class TestReportBytes:
     @pytest.mark.parametrize(
         "obj",
         [
+            True,
+            None,
+            [False, None, [True, [None]]],
+            {"a": None, "b": {"c": [True, {"d": False}], "e": (None, False)}, "f": True},
+        ],
+    )
+    def test_bools_and_none_at_every_depth(self, obj, capsys):
+        emit_report(obj, None)
+        assert capsys.readouterr().out == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
             {"a": [1, 2], "z": {1, 2}},  # a set, after a valid first entry
             {"a": list(range(50)), "b": [{"c": (1, object())}]},
             [1, 2, {1: "x", "y": 2}],  # keys that cannot be sorted

@@ -6,7 +6,7 @@ count got, and what the cap was.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from homcx import (
     ExplosionGuard,
@@ -19,11 +19,23 @@ from homcx import (
     enumerate_graph_homs,
     path_graph,
 )
-from homcx.graphs import backtrack, bfs_order, closure, mask_bits
+from homcx.graphs import bfs_order, closure, mask_bits
 from homcx.hom_cover import _upsets_in_base
+from homcx.hom_poset import _hom_mappings
 
-from oracles import cell_keys
+from oracles import backtrack, cell_keys, hom_mappings_reference
 from test_hom_poset import all_set_valued, brute_homs, graphs
+
+
+def yielded(mappings):
+    """What a capped generator yields before it stops, and the message of
+    the cap it trips, or None."""
+    out = []
+    try:
+        out.extend(mappings)
+    except ExplosionGuard as exc:
+        return out, str(exc)
+    return out, None
 
 
 class TestEngine:
@@ -54,6 +66,18 @@ class TestCallers:
         assert enumerate_graph_homs(G, H) == sorted(
             brute_homs(G, H), key=lambda f: f.mapping
         )
+
+    @settings(max_examples=100, deadline=None)
+    @given(graphs(0, 6), graphs(1, 6), st.integers(0, 40))
+    def test_hom_mappings_match_backtracking(self, G, H, cap):
+        # the same sequence, uncapped, under a drawn cap, and under a cap
+        # one below the count, which must trip after every other mapping
+        every = list(hom_mappings_reference(G, H, None))
+        assert list(_hom_mappings(G, H, None)) == every
+        for c in (cap, len(every) - 1):
+            expected = yielded(hom_mappings_reference(G, H, c))
+            assert yielded(_hom_mappings(G, H, c)) == expected
+        assert not every or yielded(_hom_mappings(G, H, len(every) - 1))[1] is not None
 
     def test_upsets_in_base_match_brute_force(self):
         for G, H, f in [

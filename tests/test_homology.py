@@ -35,11 +35,30 @@ from homcx import (
     petersen_graph,
 )
 from homcx import hom_poset
-from homcx.hom_poset import _morse_pairs, cellular_betti, cellular_chain_complex, critical_cells
+from homcx.classifier import full_case_report
+from homcx.cli import load_graph
+from homcx.hom_poset import (
+    _critical_counts,
+    _fold_start,
+    _hom_mappings,
+    _walk,
+    cellular_betti,
+    cellular_chain_complex,
+    component_summary,
+    critical_cells,
+)
 from homcx.homology import ChainComplex, incidence_rank
 
-from oracles import betti_numbers, elementary_divisors, keyed_chain_complex, order_complex
+from oracles import (
+    betti_numbers,
+    elementary_divisors,
+    keyed_chain_complex,
+    morse_pairs,
+    order_complex,
+)
 from test_engine import graphs
+from test_hom_poset import connected_graphs, square_free_graphs
+from test_report_digests import LADDER
 
 
 def dense_rank(rows, n_cols):
@@ -466,7 +485,8 @@ class TestMorseMatching:
             P = enumerate_component(G, H, f, cap=2_000)
         except ExplosionGuard:
             assume(False)
-        check_acyclic_matching(P, _morse_pairs(P))
+        check_acyclic_matching(P, morse_pairs(P))
+        assert critical_cells(P) == reference_critical(P)
 
     @pytest.mark.parametrize(
         "G, H",
@@ -481,7 +501,8 @@ class TestMorseMatching:
     )
     def test_is_acyclic_on_ladder_shapes(self, G, H):
         P = first_component(G, H)
-        check_acyclic_matching(P, _morse_pairs(P))
+        check_acyclic_matching(P, morse_pairs(P))
+        assert critical_cells(P) == reference_critical(P)
 
     @pytest.mark.parametrize(
         "G, top", [(path_graph(4), 4), (complete_bipartite(1, 3), 6)]
@@ -514,3 +535,94 @@ class TestMorseMatching:
         P = enumerate_component(C3, C3, GraphHom(C3, C3, (0, 1, 2)))
         assert critical_cells(P) == (1,)
         assert cellular_betti(P) == (1,)
+
+
+def reference_critical(P):
+    """The cells of each dimension that the oracle's matching on every cell
+    of P leaves unmatched."""
+    m = P.domain.n
+    critical = [0] * (max(cell.bit_count() for cell in P.cells) - m + 1)
+    for cell in P.cells:
+        critical[cell.bit_count() - m] += 1
+    for face, coface in morse_pairs(P):
+        critical[face.bit_count() - m] -= 1
+        critical[coface.bit_count() - m] -= 1
+    return tuple(critical)
+
+
+def full_or_guard(G, H, f, cap):
+    """The full walk's size and homomorphisms and the oracle's critical
+    counts, or the message of the cap the walk trips."""
+    try:
+        P = enumerate_component(G, H, f, cap=cap)
+    except ExplosionGuard as exc:
+        return str(exc)
+    return len(P), P.hom_mappings, reference_critical(P)
+
+
+def folded_or_guard(G, H, f, cap):
+    """The same from the folded walk and the matching on its kept cells."""
+    try:
+        homs, kept, size, top = _walk(G, H, f, cap, _fold_start(G))
+    except ExplosionGuard as exc:
+        return str(exc)
+    return size, homs, _critical_counts(kept, G.n, H.n, top)
+
+
+SQUARE_FREE = [cycle_graph(3), cycle_graph(5), cycle_graph(7), petersen_graph()]
+WITH_SQUARES = [cycle_graph(4), complete_graph(4), complete_graph(5), complete_bipartite(2, 3)]
+
+
+class TestFoldedWalk:
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(
+        st.one_of(graphs(1, 6), connected_graphs(6)),
+        st.one_of(st.sampled_from(SQUARE_FREE + WITH_SQUARES), square_free_graphs(8)),
+        st.data(),
+    )
+    def test_matches_the_full_walk(self, G, H, data):
+        # size, homomorphisms, top dimension and critical counts, or the
+        # same tripped cap; and the summary built from them
+        homs = list(itertools.islice(_hom_mappings(G, H), 50))
+        assume(homs)
+        f = GraphHom(G, H, data.draw(st.sampled_from(homs)))
+        expected = full_or_guard(G, H, f, 3_000)
+        assert folded_or_guard(G, H, f, 3_000) == expected
+        if not isinstance(expected, str):
+            s = component_summary(G, H, f, cap=3_000)
+            assert (s.size, s.members) == expected[:2]
+            assert s.cell_betti == cellular_betti(enumerate_component(G, H, f, cap=3_000))
+
+    @pytest.mark.parametrize(
+        "G, H, start, kept",
+        [
+            (complete_bipartite(1, 4), petersen_graph(), 1, 50),
+            (path_graph(3), petersen_graph(), 2, 110),
+            (cycle_graph(7), petersen_graph(), 6, 180),
+            (Graph(3), cycle_graph(5), 0, 1),
+            (Graph(3, {(0, 1)}), cycle_graph(5), 1, 10),
+        ],
+    )
+    def test_examples(self, G, H, start, kept):
+        assert _fold_start(G) == start
+        f = GraphHom(G, H, min(_hom_mappings(G, H)))
+        assert len(_walk(G, H, f, None, start)[1]) == kept
+        assert folded_or_guard(G, H, f, None) == full_or_guard(G, H, f, None)
+
+    def test_critical_two_cells_take_one_full_walk(self, monkeypatch):
+        built = []
+
+        def counted(P):
+            built.append(P)
+            return cellular_chain_complex(P)
+
+        monkeypatch.setattr(hom_poset, "cellular_chain_complex", counted)
+        C5 = cycle_graph(5)
+        f = GraphHom(P5_OUT_OF_ORDER, C5, (0, 1, 0, 1, 1))
+        assert component_summary(P5_OUT_OF_ORDER, C5, f).cell_betti == (1, 1, 0, 0)
+        assert built == [enumerate_component(P5_OUT_OF_ORDER, C5, f)]
+
+    @pytest.mark.parametrize("g, h", LADDER)
+    def test_no_ladder_instance_builds_a_chain_complex(self, g, h, monkeypatch):
+        monkeypatch.setattr(hom_poset, "cellular_chain_complex", None)
+        assert full_case_report(load_graph(g), load_graph(h))
