@@ -4,11 +4,12 @@ With a connected domain and a square-free target, every component of the
 homomorphism poset realizes a point, a circle, or a wedge of circles; the
 wedge case occurs exactly for components containing a homomorphism that
 factors through a single edge, and its rank is the cycle rank of the
-target's tensor double. The classifier computes the exact homology of each
-component's cells in every degree, checks it against this trichotomy and,
-for a connected domain with two or more vertices and a connected target,
-against the case `closed_form_type` reads off the component's least
-homomorphism alone; it raises rather than mislabel anything.
+target's tensor double. The classifier takes each component's Betti
+numbers in every degree from an acyclic matching on its cells, checks them
+against this trichotomy and, for a connected domain with two or more
+vertices and a connected target, against the case `closed_form_type` reads
+off the component's least homomorphism alone; it raises rather than
+mislabel anything.
 """
 
 from __future__ import annotations
@@ -24,11 +25,11 @@ from .graphs import (
     is_bipartite,
     is_connected,
     require_square_free,
+    tree_spread,
 )
-from .hom_cover import tight_vertices
+from .hom_cover import _require_cover_setting, tight_vertices
 from .hom_poset import DEFAULT_CAP, component_census, component_summary, has_hom
-from .pi_graph import _chord_loops
-from .walks import pushed_walk
+from .walks import extend
 
 POINT = "Point"
 CIRCLE = "Circle"
@@ -169,28 +170,37 @@ def _summary_type(G, s, rank_of):
     return _homotopy_type(s.cell_betti, k2, rank_of[s.representative[u]])
 
 
-def closed_form_type(f, loops=None):
+def closed_form_type(f):
     """The case of f's component read off f alone, for a connected domain
-    with at least two vertices and a connected square-free target.
+    with at least two vertices and a connected square-free target; other
+    inputs raise NotConnected or NotSquareFree.
 
     Point when f has a tight vertex: the membership test forces the trivial
     walk there, and a deck transformation is fixed by its walk at one
     vertex. Otherwise HxK2Component when f is trivial on the fundamental
-    group, that is, when every chord loop of the domain pushes forward to a
-    walk that reduces to a point, and Circle when it is not. loops, when
-    given, is pi_graph._chord_loops(f.domain, 0).
+    group, and Circle when it is not.
     """
+    _require_cover_setting(f)
+    return _closed_form(f)
+
+
+def _closed_form(f):
+    """closed_form_type for an f known to meet its hypotheses. f is trivial
+    on the fundamental group exactly when it lifts to the universal cover of
+    the target: the reduced f-images of the BFS tree paths from vertex 0
+    step by one edge across every edge of the domain."""
     if tight_vertices(f):
         return POINT
-    if loops is None:
-        loops = _chord_loops(f.domain, 0)
-    if all(pushed_walk(f, loop).length == 0 for loop in loops):
+    m = f.mapping
+    lift = tree_spread(f.domain, 0, (m[0],), lambda w, v: extend(w, m[v]))
+    if all(extend(lift[a], m[b]) == lift[b] for a, b in f.domain.edges):
         return EDGE_COMPONENT
     return CIRCLE
 
 
 def classify_component(G, H, f, cap=DEFAULT_CAP):
-    """The homotopy type of the component of f, via exact homology.
+    """The homotopy type of the component of f, from the Betti numbers that
+    component_summary reads off an acyclic matching on its cells.
 
     An edgeless domain makes every component a full simplex, so the
     edge-factoring case (which presumes an edge in the domain) is only
@@ -218,13 +228,12 @@ def full_case_report(G, H, cap=DEFAULT_CAP):
     facts = _instance_facts(G, H, connected_components(G), ranks)
     rank_of = _rank_by_vertex(ranks)
     connected = facts["domain_connected"] and facts["codomain_connected"] and G.n >= 2
-    loops = _chord_loops(G, 0) if connected else None
     classified = []
     for s in component_census(G, H, cap=cap):
         entry = s.to_json()
         entry.update(_summary_type(G, s, rank_of).to_json())
         if connected:
-            rule = closed_form_type(GraphHom(G, H, s.representative), loops)
+            rule = _closed_form(GraphHom(G, H, s.representative))
             if rule != entry["case"]:
                 raise InvariantViolation(
                     f"component of {s.representative} is a {entry['case']}, "

@@ -3,7 +3,8 @@
 Vertices are always 0..n-1. Graphs are immutable and hashable so they can key
 caches and sit inside walks without copying. One breadth-first search,
 `_bfs`, serves every traversal: connected components, connectivity, the
-bipartition, BFS trees and the BFS vertex order are each read off it.
+bipartition, the BFS vertex order and values spread along the BFS tree
+(`tree_spread`) are each read off it.
 """
 
 from __future__ import annotations
@@ -260,9 +261,16 @@ def is_bipartite(G):
     return side0, frozenset(range(G.n)) - side0
 
 
-def bfs_parents(G, root):
-    """BFS tree parents (root gets -1, unreached vertices None)."""
-    return _bfs(G, [root])[1]
+def tree_spread(G, root, start, step):
+    """One value per vertex, spread along the BFS tree from root: start at
+    the root, then step(value at v's parent, v) for each v in search order.
+    Vertices the root does not reach get None."""
+    order, parent, _ = _bfs(G, [root])
+    values = [None] * G.n
+    values[root] = start
+    for v in order[1:]:
+        values[v] = step(values[parent[v]], v)
+    return values
 
 
 def bfs_order(G):
@@ -320,17 +328,6 @@ def closure(start, moves, cap=None, stage="closure"):
                     raise _over_cap(stage, len(seen), cap)
                 queue.append(nxt)
     return seen
-
-
-def tree_path_vertices(parents, root, v):
-    """Vertex sequence of the unique tree path root -> v."""
-    back = [v]
-    while back[-1] != root:
-        p = parents[back[-1]]
-        if p is None:
-            raise NotConnected(f"vertex {v} not reached from root {root}")
-        back.append(p)
-    return tuple(reversed(back))
 
 
 # ---------------------------------------------------------------------------

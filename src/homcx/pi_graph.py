@@ -15,7 +15,10 @@ window scan as references.
 
 The endpoint maps s, t send a walk to its source and target; length-zero
 walks embed H into this graph. A homotopy between homomorphisms f, g: G -> H
-is a homomorphism from G into the reduced-walk graph lying over (f, g).
+is a homomorphism from G into the reduced-walk graph lying over (f, g). Its
+value at one vertex forces the rest: the validity test spreads a walk xi at
+u along the BFS tree from u (graphs.tree_spread), conjugating by (f(v), g(v))
+at each step, and checks the spread values edge by edge.
 """
 
 from __future__ import annotations
@@ -31,21 +34,12 @@ from .errors import (
     SourceTargetMismatch,
     TransportMismatch,
 )
-from .graphs import (
-    DEFAULT_CAP,
-    Graph,
-    bfs_parents,
-    is_connected,
-    require_vertex,
-    tree_path_vertices,
-)
+from .graphs import DEFAULT_CAP, Graph, require_vertex, tree_spread
 from .walks import (
     ReducedWalk,
-    Walk,
     all_reduced_walks,
     conjugate,
     edge_walk,
-    pushed_walk,
     trivial_walk,
     walk_inverse,
     walk_product,
@@ -215,15 +209,6 @@ def inverse_homotopy(h):
     )
 
 
-def _conjugated(f, g, omega, xi):
-    """reduce(f(omega))^-1 * xi * reduce(g(omega)), for a walk omega in G
-    from u and a walk xi from f(u) to g(u): the value at omega's far end of
-    the homotopy f -> g whose value at u is xi."""
-    return walk_product(
-        walk_product(walk_inverse(pushed_walk(f, omega)), xi), pushed_walk(g, omega)
-    )
-
-
 def transport(h, omega):
     """Recompute h at the far end of a walk omega in G and check consistency.
 
@@ -231,73 +216,73 @@ def transport(h, omega):
 
         h(v) = reduce(f(omega))^-1 * h(u) * reduce(g(omega))
 
-    A mismatch against the stored walk means the input was not a homotopy.
+    folded one step of omega at a time by walks.conjugate. A mismatch
+    against the stored walk means the input was not a homotopy; an omega
+    outside G raises ValueError.
     """
-    expected = _conjugated(h.source_hom, h.target_hom, omega, h.walks[omega.source])
-    v = omega.target
-    if expected != h.walks[v]:
+    f, g = h.source_hom, h.target_hom
+    if omega.graph != f.domain:
+        raise ValueError("walk does not live in the domain of the homotopy")
+    w = h.walks[omega.source].vertices
+    for v in omega.vertices[1:]:
+        w = conjugate(f(v), w, g(v))
+    stored = h.walks[omega.target]
+    if w != stored.vertices:
         raise TransportMismatch(
-            f"transport along {omega.vertices} lands on {expected.vertices}, "
-            f"stored walk is {h.walks[v].vertices}"
+            f"transport along {omega.vertices} lands on {w}, "
+            f"stored walk is {stored.vertices}"
         )
-    return expected
+    return stored
 
 
 # ---------------------------------------------------------------------------
 # walks that span homotopies
 
 
-def _chord_loops(G, base):
-    """Closed walks at base generating all loops: tree path, chord, tree path back."""
-    parents = bfs_parents(G, base)
-    tree = set()
-    for v in G.vertices():
-        p = parents[v]
-        if p is not None and p >= 0:
-            tree.add((min(p, v), max(p, v)))
-    loops = []
-    for a, b in sorted(G.edges):
-        if (a, b) in tree:
-            continue
-        to_a = tree_path_vertices(parents, base, a)
-        to_b = tree_path_vertices(parents, base, b)
-        loops.append(Walk(G, to_a + tuple(reversed(to_b))))
-    return loops
+def _spread(xi, f, g, u):
+    """The vertex tuples that the value xi at u forces: each vertex takes its
+    BFS parent's value conjugated by (f(v), g(v)), so tree edges pass."""
+    G, H = f.domain, f.codomain
+    require_vertex(G, u)
+    if not isinstance(xi, ReducedWalk) or xi.graph != H:
+        raise ValueError("the walk must be a reduced walk in the codomain of f")
+    if g.domain != G or g.codomain != H:
+        raise ValueError("homotopy endpoints must share domain and codomain")
+    if xi.source != f(u) or xi.target != g(u):
+        raise EndpointMismatch(f"walk runs {xi.source}->{xi.target}, needs {f(u)}->{g(u)}")
+    fm, gm = f.mapping, g.mapping
+    values = tree_spread(G, u, xi.vertices, lambda w, v: conjugate(fm[v], w, gm[v]))
+    if None in values:
+        raise NotConnected("validity test needs a connected domain")
+    return values
+
+
+def _spans(f, values):
+    """Are the spread values adjacent across every edge of the domain?"""
+    return all(walks_adjacent(f.codomain, values[a], values[b]) for a, b in f.domain.edges)
 
 
 def is_topologically_valid(xi, f, g, u):
-    """Can xi (a walk f(u) -> g(u)) be the value at u of a homotopy f -> g?
+    """Can xi (a reduced walk f(u) -> g(u)) be the value at u of a homotopy f -> g?
 
-    The test: xi must be fixed by conjugation along every closed walk at u.
-    Checking one loop per non-tree edge suffices, because the fixing
-    condition is closed under loop products and inverses. A u outside G
-    raises GraphInputError, a disconnected G NotConnected.
+    A homotopy's value at u forces its other values along the BFS tree, so
+    xi is valid exactly when those values are adjacent across every edge; a
+    chord passes exactly when xi is fixed by conjugation along its loop at
+    u. A u outside G raises GraphInputError, a xi that is not a reduced walk
+    in f's codomain ValueError, a disconnected G NotConnected.
     """
-    G = f.domain
-    require_vertex(G, u)
-    if not is_connected(G):
-        raise NotConnected("validity test needs a connected domain")
-    if xi.source != f(u) or xi.target != g(u):
-        raise EndpointMismatch(
-            f"walk runs {xi.source}->{xi.target}, needs {f(u)}->{g(u)}"
-        )
-    return all(_conjugated(f, g, loop, xi) == xi for loop in _chord_loops(G, u))
+    return _spans(f, _spread(xi, f, g, u))
 
 
 def homotopy_from_valid_walk(xi, f, g, u):
     """Spread a valid walk at u out to the homotopy it determines.
 
-    A u outside G raises GraphInputError, and a walk that
-    is_topologically_valid rejects NotValid.
+    Raises as is_topologically_valid does, and NotValid for a walk it rejects.
     """
-    if not is_topologically_valid(xi, f, g, u):
+    values = _spread(xi, f, g, u)
+    if not _spans(f, values):
         raise NotValid("walk is not compatible with some closed walk at the base vertex")
-    G = f.domain
-    parents = bfs_parents(G, u)
-    walks = [None] * G.n
-    for v in G.vertices():
-        walks[v] = _conjugated(f, g, Walk(G, tree_path_vertices(parents, u, v)), xi)
-    return Homotopy(f, g, tuple(walks))
+    return Homotopy(f, g, tuple(ReducedWalk(f.codomain, w) for w in values))
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from .hom_poset import DEFAULT_CAP, SetValuedHom
 from .walks import (
     Walk,
     closed_reduced_walks_at,
+    extend,
     pushed_walk,
     reduced_walks_from,
     walk_inverse,
@@ -127,9 +128,9 @@ def lift_walk(cover, start, xi):
     """Lift a walk of the base into the cover, starting at a named vertex.
 
     Each step either extends the current reduced walk or cancels its last
-    edge; both are tree edges, so the walk is kept as a vertex tuple that
-    drops its last vertex on a backtrack and grows by one otherwise. Raises
-    when any stage of the lift leaves the window.
+    edge; both are tree edges, so the walk is kept as a vertex tuple and
+    stepped by walks.extend. Raises when any stage of the lift leaves the
+    window.
     """
     start_id = cover.vertex_of(start)
     if xi.graph != cover.base:
@@ -141,7 +142,7 @@ def lift_walk(cover, start, xi):
     ids = [start_id]
     current = start.vertices
     for y in xi.vertices[1:]:
-        current = current[:-1] if len(current) >= 2 and current[-2] == y else current + (y,)
+        current = extend(current, y)
         if len(current) > cover.radius + 1:
             raise OutOfWindow(
                 f"lift reaches length {len(current) - 1} beyond radius {cover.radius}"

@@ -116,6 +116,13 @@ def conjugate(x, w, y):
     return v[:-1] if len(v) >= 2 and v[-2] == y else v + (y,)
 
 
+def extend(w, y):
+    """reduce(w + (y,)) for a reduced vertex tuple w whose last vertex
+    neighbors y: w drops its last vertex when y is the one before it, and
+    grows by y otherwise."""
+    return w[:-1] if len(w) >= 2 and w[-2] == y else w + (y,)
+
+
 def concat_walks(a, b):
     """Plain concatenation (no cancellation). Endpoints must meet."""
     if a.graph != b.graph:

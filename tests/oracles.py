@@ -7,8 +7,10 @@ search, the homomorphisms by `backtrack`, a generic depth-first search over
 candidate lists, instead of untried-image bitmasks, the simple paths by an
 explicit stack instead of a closure,
 adjacency straight from the conjugation equation, a window's
-edges by scanning every pair of walks, the fiber by structural search with
-no connectivity walk, the fiber's component walk over validated elements
+edges by scanning every pair of walks, the homotopy test, its homotopy and
+the closed form by pushing explicit chord loops and tree paths through
+walk products instead of spreading one value along the BFS tree, the fiber
+by structural search with no connectivity walk, the fiber's component walk over validated elements
 instead of vertex tuples, the local covering check with each lift counted
 by a product formula below and a search over joinable walks above instead
 of among the walked elements, a component of Hom(G, H) by walking its cells one
@@ -46,11 +48,20 @@ from homcx.hom_cover import (
     _upsets_in_base,
     fiber_component_bounded,
     identity_element,
+    tight_vertices,
 )
 from homcx.hom_poset import DEFAULT_CAP, HomPoset, SetValuedHom, larger_cells
 from homcx.homology import ChainComplex, chain_complex, complex_from_chains, exact_rank
 from homcx.pi_graph import classify_adjacency, pi_neighbor, walks_adjacent
-from homcx.walks import Walk, conjugate, edge_walk, reduced_walks_from, walk_product
+from homcx.walks import (
+    Walk,
+    conjugate,
+    edge_walk,
+    pushed_walk,
+    reduced_walks_from,
+    walk_inverse,
+    walk_product,
+)
 
 
 def backtrack(order, candidates, cap=None, stage="search"):
@@ -110,6 +121,73 @@ def window_edges(walks):
         for i, j in itertools.combinations(range(len(walks)), 2)
         if classify_adjacency(walks[i], walks[j])
     ]
+
+
+def tree_paths_reference(G, base):
+    """The vertex tuple of the path from base to each vertex in the tree of
+    bfs_parents_reference; a vertex base does not reach raises NotConnected."""
+    parents = bfs_parents_reference(G, base)
+
+    def path(v):
+        back = [v]
+        while back[-1] != base:
+            p = parents[back[-1]]
+            if p is None:
+                raise NotConnected(f"vertex {v} not reached from root {base}")
+            back.append(p)
+        return tuple(reversed(back))
+
+    return [path(v) for v in G.vertices()]
+
+
+def chord_loops_reference(G, base):
+    """Closed walks at base generating every loop: for each edge ab off the
+    BFS tree, the tree path to a, the edge and the tree path back from b."""
+    paths = tree_paths_reference(G, base)
+    tree = {(min(p[-2], p[-1]), max(p[-2], p[-1])) for p in paths if len(p) > 1}
+    return [
+        Walk(G, paths[a] + tuple(reversed(paths[b])))
+        for a, b in sorted(G.edges)
+        if (a, b) not in tree
+    ]
+
+
+def conjugated_reference(f, g, omega, xi):
+    """reduce(f(omega))^-1 * xi * reduce(g(omega)) by walk products: the
+    value at omega's far end of the homotopy f -> g whose value at omega's
+    source is xi."""
+    return walk_product(
+        walk_product(walk_inverse(pushed_walk(f, omega)), xi), pushed_walk(g, omega)
+    )
+
+
+def is_valid_reference(xi, f, g, u):
+    """`pi_graph.is_topologically_valid` as the loop condition: xi is fixed
+    by conjugation along every chord loop at u."""
+    return all(
+        conjugated_reference(f, g, loop, xi) == xi
+        for loop in chord_loops_reference(f.domain, u)
+    )
+
+
+def homotopy_walks_reference(xi, f, g, u):
+    """The walks of the homotopy with value xi at u: xi conjugated along the
+    tree path from u to each vertex."""
+    G = f.domain
+    return tuple(conjugated_reference(f, g, Walk(G, p), xi) for p in tree_paths_reference(G, u))
+
+
+def closed_form_reference(f):
+    """`classifier.closed_form_type` by the pushed chord loops: Point when f
+    has a tight vertex, otherwise HxK2Component when every chord loop at
+    vertex 0 pushes forward to a walk that reduces to a point, otherwise
+    Circle."""
+    _require_cover_setting(f)
+    if tight_vertices(f):
+        return "Point"
+    if all(pushed_walk(f, loop).length == 0 for loop in chord_loops_reference(f.domain, 0)):
+        return "HxK2Component"
+    return "Circle"
 
 
 def hom_adjacent(f, g):

@@ -5,7 +5,8 @@ component and cross-checked against the rank formula for the target. The
 two Circle instances wind a seven-cycle into an odd target, which is the
 smallest shape that is neither rigid nor edge-factoring. The closed-form
 rule, read off one homomorphism, is held to the report at every member of
-every component.
+every component, and to the pushed chord loops of tests/oracles.py at every
+homomorphism.
 """
 
 import itertools
@@ -27,6 +28,7 @@ from homcx import (
     component_census,
     cycle_graph,
     disjoint_union,
+    enumerate_graph_homs,
     expected_rank,
     full_case_report,
     has_hom,
@@ -41,7 +43,10 @@ from homcx import (
 from homcx import classifier, graphs as graphs_module
 from homcx.classifier import _homotopy_type
 
+from oracles import closed_form_reference
 from test_engine import graphs
+from test_hom_cover import connected_graphs
+from test_pi_graph import BOWTIE
 
 K1 = Graph(1, [])
 K2 = Graph(2, [(0, 1)])
@@ -287,17 +292,46 @@ class TestClosedForm:
         assert closed_form_type(GraphHom(C7, C5, (0, 1, 0, 1, 2, 3, 4))) == "Circle"
         assert closed_form_type(GraphHom(C6, C3, (0, 1, 0, 1, 0, 1))) == "HxK2Component"
         assert closed_form_type(GraphHom(P3, C5, (0, 1, 2))) == "HxK2Component"
+        # winds once, with a backtrack through 3, 4, 3, 4: tree paths of equal
+        # length meet at the chord (4, 5) without agreeing
+        f = GraphHom(cycle_graph(8), C6, (0, 1, 2, 3, 4, 3, 4, 5))
+        assert closed_form_type(f) == "Circle"
+        report = full_case_report(f.domain, C6)
+        cases = [
+            c["case"]
+            for c, s in zip(report["components"], component_census(f.domain, C6))
+            if f.mapping in s.members
+        ]
+        assert cases == ["Circle"]
+
+    @settings(max_examples=150, deadline=None)
+    @given(connected_graphs(2, 6), st.sampled_from([C3, C5, C6, C7, petersen_graph(), BOWTIE]))
+    @example(cycle_graph(8), C6)
+    def test_matches_the_chord_loops_at_every_homomorphism(self, G, H):
+        for f in enumerate_graph_homs(G, H):
+            assert closed_form_type(f) == closed_form_reference(f)
+
+    def test_refuses_inputs_outside_its_hypotheses(self):
+        with pytest.raises(NotSquareFree):
+            closed_form_type(GraphHom(K2, cycle_graph(4), (0, 1)))
+        with pytest.raises(NotConnected):
+            closed_form_type(GraphHom(K1, C5, (0,)))
+        # the edge lies in vertex 0's component
+        with pytest.raises(NotConnected):
+            closed_form_type(GraphHom(disjoint_union(K2, K1), C5, (0, 1, 0)))
+        with pytest.raises(NotConnected):
+            closed_form_type(GraphHom(K2, disjoint_union(C5, C6), (0, 1)))
 
     def test_report_gates_each_component(self, monkeypatch):
-        monkeypatch.setattr(classifier, "closed_form_type", lambda f, loops: "Circle")
+        monkeypatch.setattr(classifier, "_closed_form", lambda f: "Circle")
         with pytest.raises(InvariantViolation, match="closed form says Circle"):
             full_case_report(C3, C3)
 
     def test_gate_needs_connected_graphs_and_two_vertices(self, monkeypatch):
-        def refuse(f, loops):
+        def refuse(f):
             raise AssertionError("the closed form was consulted")
 
-        monkeypatch.setattr(classifier, "closed_form_type", refuse)
+        monkeypatch.setattr(classifier, "_closed_form", refuse)
         full_case_report(K1, C5)
         full_case_report(C7, disjoint_union(C5, C6))
         full_case_report(disjoint_union(K1, K2), C5)

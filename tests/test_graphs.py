@@ -36,7 +36,7 @@ from homcx import (
     simple_path_ordering,
     times_k2,
 )
-from homcx.graphs import bfs_order, bfs_parents
+from homcx.graphs import bfs_order, tree_spread
 
 from oracles import (
     bfs_order_reference,
@@ -208,7 +208,11 @@ class TestOneSearch:
         assert is_bipartite(G) == is_bipartite_reference(G)
         assert bfs_order(G) == bfs_order_reference(G)
         for root in G.vertices():
-            assert bfs_parents(G, root) == bfs_parents_reference(G, root)
+            # the tree paths from root, each vertex's parent read off its path
+            paths = tree_spread(G, root, (root,), lambda w, v: w + (v,))
+            parents = [None if w is None else -1 if len(w) == 1 else w[-2] for w in paths]
+            assert parents == bfs_parents_reference(G, root)
+            assert all(w is None or w[-1] == v for v, w in enumerate(paths))
 
     # at most 14 edges keeps the number of simple paths small
     @given(small_graphs(max_edges=14))

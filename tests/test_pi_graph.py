@@ -7,14 +7,17 @@ kept in tests/oracles.py) versus the five explicit shapes
 walks_adjacent, are held against pi_neighbor and classify_adjacency. A
 window's edges, which materialize_pi builds from conjugate, are checked
 against a scan of every pair of its walks. The
-validity test for spanning homotopies is checked against brute force over
-every closed walk, not just the chord loops it inspects.
+validity test for spanning homotopies, which spreads one walk along a BFS
+tree, is checked against brute force over every closed walk, and it, the
+homotopy it spans and transport are held, with f and g drawn apart, to
+the chord loops and tree paths of tests/oracles.py.
 """
 
 import itertools
 import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from homcx import (
     AdjacencyType,
@@ -36,6 +39,7 @@ from homcx import (
     compose_homotopies,
     conjugate,
     cycle_graph,
+    enumerate_graph_homs,
     edge_walk,
     homotopy_from_valid_walk,
     id_homotopy,
@@ -53,7 +57,14 @@ from homcx import (
     walks_adjacent,
 )
 
-from oracles import pi_adjacent, window_edges
+from oracles import (
+    conjugated_reference,
+    homotopy_walks_reference,
+    is_valid_reference,
+    pi_adjacent,
+    window_edges,
+)
+from test_hom_cover import connected_graphs
 
 C5 = cycle_graph(5)
 C3 = cycle_graph(3)
@@ -328,3 +339,74 @@ class TestValidity:
         f = GraphHom(C3, bow, (0, 1, 2))
         with pytest.raises(NotValid):
             homotopy_from_valid_walk(ReducedWalk(bow, (0, 3, 4, 0)), f, f, 0)
+
+    def test_foreign_or_unreduced_walk_rejected(self):
+        f = GraphHom(path_graph(3), C5, (0, 1, 0))
+        foreign_g = GraphHom(path_graph(3), C6, (0, 1, 0))
+        cases = [
+            (ReducedWalk(C6, (0,)), f),
+            (Walk(C5, (0, 1, 0)), f),
+            (ReducedWalk(C5, (0,)), foreign_g),
+        ]
+        for xi, g in cases:
+            with pytest.raises(ValueError):
+                is_topologically_valid(xi, f, g, 0)
+            with pytest.raises(ValueError):
+                homotopy_from_valid_walk(xi, f, g, 0)
+
+
+BOWTIE = Graph(5, [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4)])
+ROTATE = (GraphHom(C5, C5, (0, 1, 2, 3, 4)), GraphHom(C5, C5, (1, 2, 3, 4, 0)))
+
+
+@st.composite
+def spanning_instances(draw):
+    """(xi, f, g, u): homomorphisms f, g from a connected graph of 2 to 6
+    vertices into a small target, drawn independently half the time, and a
+    reduced walk xi from f(u) to g(u) of length at most 6."""
+    H = draw(st.sampled_from([C3, C5, C6, cycle_graph(7), petersen_graph(), BOWTIE]))
+    G = draw(connected_graphs(2, 6))
+    homs = enumerate_graph_homs(G, H)
+    if not homs:
+        G = path_graph(G.n)
+        homs = enumerate_graph_homs(G, H)
+    f = draw(st.sampled_from(homs))
+    g = draw(st.one_of(st.just(f), st.sampled_from(homs)))
+    u = draw(st.integers(0, G.n - 1))
+    pool = [w for w in all_reduced_walks(H, 6) if w.source == f(u) and w.target == g(u)]
+    if not pool:
+        g = f
+        pool = [trivial_walk(H, f(u))]
+    return draw(st.sampled_from(pool)), f, g, u
+
+
+class TestSpreadAgainstChordLoops:
+    @settings(max_examples=300, deadline=None)
+    @given(spanning_instances(), st.data())
+    @example((ReducedWalk(C5, (0, 1)), *ROTATE, 0), None)
+    @example((ReducedWalk(C5, (0, 4, 3, 2, 1)), *ROTATE, 0), None)
+    @example((ReducedWalk(C5, (2, 1, 0, 4, 3)), *ROTATE, 2), None)
+    def test_validity_homotopy_and_transport(self, instance, data):
+        xi, f, g, u = instance
+        G = f.domain
+        valid = is_topologically_valid(xi, f, g, u)
+        assert valid == is_valid_reference(xi, f, g, u)
+        if not valid:
+            with pytest.raises(NotValid):
+                homotopy_from_valid_walk(xi, f, g, u)
+            return
+        h = homotopy_from_valid_walk(xi, f, g, u)
+        assert h.walks == homotopy_walks_reference(xi, f, g, u)
+        omegas = [edge_walk(G, a, b) for a, b in G.edges] + [
+            edge_walk(G, b, a) for a, b in G.edges
+        ]
+        if data is not None:
+            # a walk that may backtrack, from a drawn vertex
+            w = [data.draw(st.integers(0, G.n - 1))]
+            for _ in range(data.draw(st.integers(0, 8))):
+                w.append(data.draw(st.sampled_from(G.neighbors(w[-1]))))
+            omegas.append(Walk(G, w))
+        for omega in omegas:
+            expected = conjugated_reference(f, g, omega, h.walks[omega.source])
+            assert transport(h, omega) == expected
+
