@@ -39,7 +39,6 @@ from .errors import (
     NotValid,
     OutOfWindow,
     SourceTargetMismatch,
-    TransportMismatch,
 )
 from .graphs import (
     Graph,

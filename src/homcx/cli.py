@@ -16,6 +16,7 @@ needed).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -386,6 +387,7 @@ def run_verify(args):
     return 0 if report["ok"] else 2
 
 
+@functools.cache
 def build_parser():
     p = argparse.ArgumentParser(
         prog="homcx",

@@ -37,10 +37,6 @@ class EndpointMismatch(HomcxError):
     """A walk's endpoints do not match the required vertex pair."""
 
 
-class TransportMismatch(HomcxError):
-    """Transported value disagrees with the stored one, so the input was inconsistent."""
-
-
 class NotValid(HomcxError):
     """A walk failed the closed-walk compatibility test needed to span a homotopy."""
 

@@ -90,7 +90,7 @@ class EfElement:
     def sets(self):
         """The walk sets as frozensets of ReducedWalks, built on each call."""
         H = self.base_hom.codomain
-        return tuple(frozenset(ReducedWalk(H, w) for w in s) for s in self._key)
+        return tuple(frozenset(ReducedWalk._from_checked(H, w) for w in s) for s in self._key)
 
     def key(self):
         return self._key
@@ -129,7 +129,8 @@ class EfElement:
         f = self.base_hom
         H = f.codomain
         g = GraphHom(f.domain, H, (s[0][-1] for s in self._key))
-        return Homotopy(f, g, (ReducedWalk(H, s[0]) for s in self._key))
+        walks = tuple(ReducedWalk._from_checked(H, s[0]) for s in self._key)
+        return Homotopy._from_checked(f, g, walks)  # the fiber checked all of it
 
     def __eq__(self, other):
         return (
@@ -317,7 +318,7 @@ def reduce_to_identity(h):
         if not sinks:
             raise NoSink("no sink although some walk still has positive length")
         v = min(sinks)
-        shorter = ReducedWalk(H, current.key()[v][0][:-2])
+        shorter = ReducedWalk._from_checked(H, current.key()[v][0][:-2])
         current = current.with_set(v, {shorter})
         chain.append(current)
     return chain
@@ -577,7 +578,7 @@ def _truncated_top_walk(phi, v):
     tops = {w[:-2] for w in phi.maximal_walks(v)}
     if len(tops) != 1:
         raise InvariantViolation("truncation depends on the maximal walk chosen")
-    return ReducedWalk(H, tops.pop())
+    return ReducedWalk._from_checked(H, tops.pop())
 
 
 def _retraction_step(phi, n, i, paths):
@@ -654,7 +655,7 @@ class GammaElement(EfElement):
     @property
     def walks(self):
         H = self.base_hom.codomain
-        return tuple(ReducedWalk(H, s[0]) for s in self._key)
+        return tuple(ReducedWalk._from_checked(H, s[0]) for s in self._key)
 
     def __repr__(self):
         return f"GammaElement({[s[0] for s in self._key]})"

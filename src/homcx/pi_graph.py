@@ -32,7 +32,6 @@ from .errors import (
     NotNeighbor,
     NotValid,
     SourceTargetMismatch,
-    TransportMismatch,
 )
 from .graphs import DEFAULT_CAP, Graph, require_vertex, tree_spread
 from .walks import (
@@ -170,6 +169,14 @@ class Homotopy:
         self.walks = walks
         self._hash = hash((f, g, walks))
 
+    @classmethod
+    def _from_checked(cls, source_hom, target_hom, walks):
+        """A homotopy whose tuple of walks passed every check of __init__."""
+        self = object.__new__(cls)
+        self.source_hom, self.target_hom, self.walks = source_hom, target_hom, walks
+        self._hash = hash((source_hom, target_hom, walks))
+        return self
+
     def norm(self):
         return sum(w.length for w in self.walks)
 
@@ -210,15 +217,16 @@ def inverse_homotopy(h):
 
 
 def transport(h, omega):
-    """Recompute h at the far end of a walk omega in G and check consistency.
+    """Recompute h at the far end of a walk omega in G.
 
     For omega from u to v the value at v is forced:
 
         h(v) = reduce(f(omega))^-1 * h(u) * reduce(g(omega))
 
-    folded one step of omega at a time by walks.conjugate. A mismatch
-    against the stored walk means the input was not a homotopy; an omega
-    outside G raises ValueError.
+    folded one step of omega at a time by walks.conjugate. The result is
+    always the stored h(v): a Homotopy holds adjacent walks on every edge,
+    and adjacency is exactly this one-edge conjugation. An omega outside G
+    raises ValueError.
     """
     f, g = h.source_hom, h.target_hom
     if omega.graph != f.domain:
@@ -226,13 +234,7 @@ def transport(h, omega):
     w = h.walks[omega.source].vertices
     for v in omega.vertices[1:]:
         w = conjugate(f(v), w, g(v))
-    stored = h.walks[omega.target]
-    if w != stored.vertices:
-        raise TransportMismatch(
-            f"transport along {omega.vertices} lands on {w}, "
-            f"stored walk is {stored.vertices}"
-        )
-    return stored
+    return ReducedWalk._from_checked(f.codomain, w)
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +284,8 @@ def homotopy_from_valid_walk(xi, f, g, u):
     values = _spread(xi, f, g, u)
     if not _spans(f, values):
         raise NotValid("walk is not compatible with some closed walk at the base vertex")
-    return Homotopy(f, g, tuple(ReducedWalk(f.codomain, w) for w in values))
+    H = f.codomain  # _spread checked the endpoints and reducedness, _spans the edges
+    return Homotopy._from_checked(f, g, tuple(ReducedWalk._from_checked(H, w) for w in values))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 from .errors import (
     GraphInputError,
-    InvariantViolation,
     NotClosed,
     NotConnected,
     OutOfWindow,
@@ -61,21 +60,7 @@ class TreeCover:
         at = {w.vertices: i for i, w in enumerate(walks)}
         edges = [(at[w.vertices[:-1]], i) for i, w in enumerate(walks) if w.length]
         graph = Graph(len(walks), edges)
-        cover = cls(base, basepoint, radius, walks, index, at, graph)
-        cover._check_local_bijectivity()
-        return cover
-
-    def _check_local_bijectivity(self):
-        for i, w in enumerate(self.walks):
-            if w.length > self.radius - 1:
-                continue
-            downstairs = sorted(
-                self.walks[j].target for j in self.graph.neighbors(i)
-            )
-            if downstairs != sorted(self.base.neighbors(w.target)):
-                raise InvariantViolation(
-                    f"cover star at {w.vertices} does not match the base star"
-                )
+        return cls(base, basepoint, radius, walks, index, at, graph)
 
     def project(self, vid):
         return self.walks[vid].target
@@ -83,7 +68,8 @@ class TreeCover:
     def project_walk(self, walk):
         if walk.graph != self.graph:
             raise GraphInputError("walk does not live in this cover")
-        return Walk(self.base, tuple(self.project(v) for v in walk.vertices))
+        # the covering map is a homomorphism, so the image is a walk
+        return Walk._from_checked(self.base, tuple(self.project(v) for v in walk.vertices))
 
     def vertex_of(self, walk):
         """The cover vertex named by a reduced walk from the basepoint."""
@@ -148,7 +134,7 @@ def lift_walk(cover, start, xi):
                 f"lift reaches length {len(current) - 1} beyond radius {cover.radius}"
             )
         ids.append(cover.at[current])
-    return Walk(cover.graph, tuple(ids))
+    return Walk._from_checked(cover.graph, tuple(ids))
 
 
 def connecting_walk(cover, i, j):

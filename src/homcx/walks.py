@@ -4,6 +4,10 @@ A walk is a nonempty vertex sequence with consecutive vertices adjacent. A
 walk is reduced when it never backtracks (no x, y, x pattern). Reduced walks
 compose like groupoid elements: concatenate, then cancel backtracking from
 the seam. Length-zero walks act as identities and reversal is inversion.
+
+The public constructors check every vertex, step and backtrack. Walks the
+package builds itself, from tuples it enumerated or from walks already
+checked, skip re-validation through `Walk._from_checked`.
 """
 
 from __future__ import annotations
@@ -22,8 +26,7 @@ class Walk:
         if not vertices:
             raise ValueError("a walk needs at least one vertex")
         for x in vertices:
-            # _is_int's test, with its call skipped for a plain int: every walk
-            # the package builds is checked here, one vertex at a time
+            # _is_int's test, with its call skipped for a plain int
             if not ((type(x) is int or _is_int(x)) and 0 <= x < graph.n):
                 raise ValueError(f"vertex {x!r} out of range")
         for a, b in zip(vertices, vertices[1:]):
@@ -32,6 +35,14 @@ class Walk:
         self.graph = graph
         self.vertices = vertices
         self._hash = hash((graph, vertices))
+
+    @classmethod
+    def _from_checked(cls, graph, vertices):
+        """A walk from a vertex tuple the package built as a walk in graph
+        (without backtracking, for a ReducedWalk): no check of __init__ runs."""
+        self = object.__new__(cls)
+        self.graph, self.vertices, self._hash = graph, vertices, hash((graph, vertices))
+        return self
 
     @property
     def source(self):
@@ -101,7 +112,7 @@ def reduce_walk(walk):
             stack.pop()
         else:
             stack.append(x)
-    return ReducedWalk(walk.graph, stack)
+    return ReducedWalk._from_checked(walk.graph, tuple(stack))
 
 
 def conjugate(x, w, y):
@@ -131,7 +142,7 @@ def concat_walks(a, b):
         raise SourceTargetMismatch(
             f"cannot append a walk starting at {b.source} after one ending at {a.target}"
         )
-    return Walk(a.graph, a.vertices + b.vertices[1:])
+    return Walk._from_checked(a.graph, a.vertices + b.vertices[1:])
 
 
 def walk_product(a, b):
@@ -141,14 +152,14 @@ def walk_product(a, b):
 
 def walk_inverse(w):
     """Reversal. Reduced walks stay reduced."""
-    return type(w)(w.graph, tuple(reversed(w.vertices)))
+    return type(w)._from_checked(w.graph, w.vertices[::-1])
 
 
 def map_walk(f, walk):
     """Push a walk through a homomorphism, vertex by vertex. No reduction."""
     if walk.graph != f.domain:
         raise ValueError("walk does not live in the domain of the homomorphism")
-    return Walk(f.codomain, tuple(f(x) for x in walk.vertices))
+    return Walk._from_checked(f.codomain, tuple(f(x) for x in walk.vertices))
 
 
 def pushed_walk(f, walk):
@@ -196,7 +207,7 @@ def _reduced_walks(graph, sources, max_len, cap):
             w + (y,) for w in frontier for y in graph.neighbors(w[-1]) if len(w) < 2 or w[-2] != y
         ]
         level += 1
-    return [ReducedWalk(graph, w) for w in out]
+    return [ReducedWalk._from_checked(graph, w) for w in out]
 
 
 def reduced_walks_from(graph, source, max_len, cap=None):
