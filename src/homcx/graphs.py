@@ -279,6 +279,116 @@ def bfs_order(G):
 
 
 # ---------------------------------------------------------------------------
+# automorphisms
+
+
+def _automorphism_generators(G):
+    """A strong generating set of Aut(G), each generator a permutation tuple
+    g with g[u] the image of u, relative to the base bfs_order(G).
+
+    Level i, from the last up, fixes the vertices before position i. Each
+    candidate image c of the i-th vertex u outside the orbit of u under the
+    generators found so far starts a search for one automorphism that fixes
+    that prefix and sends u to c; one found joins the generators. So the
+    generators from level i on span the pointwise stabilizer of the prefix.
+    A candidate at position j is a free vertex of equal degree whose
+    neighbourhood among the vertices used so far is the image of the j-th
+    vertex's earlier neighbours, and it is a neighbour of the first earlier
+    neighbour's image when there is one. Each assignment keeps adjacency and
+    non-adjacency to everything before it, so a complete one is an
+    automorphism. The search is depth first over bitmasks kept per position
+    (the room left to try, the wanted neighbourhood and the vertices used
+    before it), so it never recurses.
+    """
+    order = bfs_order(G)
+    n = len(order)
+    position = [0] * n
+    for i, u in enumerate(order):
+        position[u] = i
+    earlier = [[v for v in G.neighbors(u) if position[v] < i] for i, u in enumerate(order)]
+    nbr = G.adj_masks
+    same_degree = {}
+    for u in G.vertices():
+        same_degree[G.degree(u)] = same_degree.get(G.degree(u), 0) | 1 << u
+    room_of = [same_degree[G.degree(u)] for u in order]
+    image = list(range(n))  # positions before the current level stay fixed
+    untried = [0] * n  # per position, the room not yet tried
+    want = [0] * n  # per position, the images of its earlier neighbours
+    used = [0] * (n + 1)  # per position, the images before it
+    generators = []
+    parent = list(range(n))  # union-find over the orbits of the generators
+    orbit = [1 << u for u in range(n)]  # at each root, its orbit as a mask
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def open_position(j):
+        """Set the room and the wanted neighbourhood of position j; a vertex
+        of the room is a candidate when it fits."""
+        w = 0
+        for v in earlier[j]:
+            w |= 1 << image[v]
+        want[j] = w
+        room = room_of[j] & ~used[j]
+        if earlier[j]:
+            room &= nbr[image[earlier[j][0]]]
+        untried[j] = room
+
+    def fits(j, c):
+        return nbr[c] & used[j] == want[j]
+
+    def extends(i, c):
+        """Send order[i] to c and search the later positions for the rest."""
+        image[order[i]] = c
+        used[i + 1] = used[i] | 1 << c
+        j = i + 1
+        if j < n:
+            open_position(j)
+        while j > i:
+            if j == n:
+                return True
+            left = untried[j]
+            if not left:
+                j -= 1
+                continue
+            low = left & -left
+            untried[j] = left ^ low
+            c = low.bit_length() - 1
+            if not fits(j, c):
+                continue
+            image[order[j]] = c
+            used[j + 1] = used[j] | low
+            j += 1
+            if j < n:
+                open_position(j)
+        return False
+
+    prefix = (1 << n) - 1
+    for i in range(n - 1, -1, -1):
+        u = order[i]
+        prefix ^= 1 << u
+        used[i] = prefix
+        open_position(i)
+        left = untried[i]
+        while rest := left & ~orbit[find(u)]:
+            low = rest & -rest
+            left ^= low
+            c = low.bit_length() - 1
+            if fits(i, c) and extends(i, c):
+                g = tuple(image)
+                generators.append(g)
+                for x, y in enumerate(g):
+                    a, b = find(x), find(y)
+                    if a != b:
+                        parent[b] = a
+                        orbit[a] |= orbit[b]
+    return generators
+
+
+# ---------------------------------------------------------------------------
 # the search engine
 
 
@@ -313,11 +423,19 @@ def _over_cap(stage, count, cap):
     return ExplosionGuard(f"{stage}: reached {count}, over the cap of {cap}")
 
 
+def _require_cap(cap):
+    """Raise ValueError unless cap is None or an int of at least 1: a cap
+    that no enumeration can meet is bad input, not a tripped guard."""
+    if cap is not None and (isinstance(cap, bool) or cap < 1):
+        raise ValueError(f"the cap must be a positive integer or None, got {cap!r}")
+
+
 def closure(start, moves, cap=None, stage="closure"):
     """The set of states reachable from start through moves(state).
 
     More than cap states raises ExplosionGuard; cap None means no cap.
     """
+    _require_cap(cap)
     seen = {start}
     queue = [start]
     while queue:

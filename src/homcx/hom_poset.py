@@ -30,7 +30,11 @@ those cells. `larger_cells`, the cells one image vertex above a cell
 given as a tuple of masks, serves the fiber's covering check. The
 homomorphisms, the cells of one-point sets, stay the walk's mapping tuples
 and are a component summary's members; only the census's seed of each
-component becomes a `GraphHom`.
+component becomes a `GraphHom`. The census walks one component per orbit
+of Aut(G) and reads the others off by relabelling: precomposition with an
+automorphism of G carries a component onto one with the same cells, Betti
+numbers, homomorphism count and edge-factoring marker, so only its members
+change.
 The order complex of the face poset, the barycentric subdivision, is the
 tests' independent oracle (tests/oracles.py), built from
 `HomPoset.strict_upsets`.
@@ -51,7 +55,9 @@ from .graphs import (
     graph_to_json,
     maps_into_edge,
     mask_bits,
+    _automorphism_generators,
     _over_cap,
+    _require_cap,
 )
 from .homology import ChainComplex
 
@@ -140,6 +146,7 @@ def _hom_mappings(G, H, cap=DEFAULT_CAP):
     Each position holds its untried images as one bitmask and takes the
     lowest next. More than cap of them raises ExplosionGuard.
     """
+    _require_cap(cap)
     order = bfs_order(G)
     m = len(order)
     position = {u: i for i, u in enumerate(order)}
@@ -271,6 +278,7 @@ def _walk(G, H, f, cap, start):
     t is kept only when every fit is empty. Returns the sorted homomorphisms,
     the kept cells, the count of all cells and the top dimension of those not
     kept (negative if none). start = |V(G)| keeps every cell."""
+    _require_cap(cap)
     if f.domain != G or f.codomain != H:
         raise NotHomomorphism("the seed does not map the given domain to the given target")
     n = H.n
@@ -525,23 +533,61 @@ def component_summary(G, H, f, cap=DEFAULT_CAP):
 def component_census(G, H, cap=DEFAULT_CAP):
     """Every component of the homomorphism poset, with homology and markers.
 
-    Components are listed by their lexicographically least homomorphism: in
+    Components are listed by their lexicographically least homomorphism. In
     sorted order, the first mapping no component has claimed is the least
-    of a new one. Each component walked from it must hold exactly mappings
-    that the backtracking enumeration found and no earlier component
-    claimed, and that one as its least.
+    of a new one, and its component is walked. Precomposition with an
+    automorphism of G maps each component onto one with the same cells,
+    Betti numbers, homomorphism count and edge-factoring marker, so the
+    images of a walked component under the generators of Aut(G), and theirs
+    in turn, are read off by relabelling its members. An image whose least
+    member is unclaimed is a new component; one whose least member is
+    claimed must equal the component that claimed it. Every claimed mapping
+    must be one the backtracking enumeration found and not yet claimed, and
+    a walk's least member must be its seed. The generators are searched for
+    only once a walk leaves a mapping unclaimed, and relabelling stops once
+    every mapping is claimed.
     """
     mappings = sorted(_hom_mappings(G, H, cap))
-    unclaimed = set(mappings)
+    owner = dict.fromkeys(mappings)  # mapping -> the summary claiming it
+    left = len(mappings)
     summaries = []
+    generators = None
+
+    def claim(s):
+        nonlocal left
+        for x in s.members:
+            if x not in owner or owner[x] is not None:
+                raise InvariantViolation("components do not partition the homomorphism set")
+            owner[x] = s
+        left -= len(s.members)
+        summaries.append(s)
+
     for m in mappings:
-        if m not in unclaimed:
+        if not left:
+            break
+        if owner[m] is not None:
             continue
         s = component_summary(G, H, GraphHom(G, H, m), cap=cap)
-        if s.representative != m or not unclaimed.issuperset(s.members):
+        if s.representative != m:
             raise InvariantViolation("components do not partition the homomorphism set")
-        unclaimed.difference_update(s.members)
-        summaries.append(s)
+        claim(s)
+        queue = [s]
+        while queue and left:
+            if generators is None:
+                generators = _automorphism_generators(G)
+            t = queue.pop()
+            for g in generators:
+                image = tuple(sorted(tuple(x[v] for v in g) for x in t.members))
+                other = owner.get(image[0])
+                if other is None:
+                    other = ComponentSummary(t.size, image, t.cell_betti, t.k2_factoring)
+                    claim(other)
+                    queue.append(other)
+                    if not left:
+                        break
+                elif other.members != image:
+                    raise InvariantViolation("components do not partition the homomorphism set")
+    summaries.sort(key=lambda s: s.members[0])
     return summaries
 
 

@@ -13,7 +13,7 @@ checked, skip re-validation through `Walk._from_checked`.
 from __future__ import annotations
 
 from .errors import NotClosed, SourceTargetMismatch
-from .graphs import _is_int, _over_cap, require_vertex
+from .graphs import _is_int, _over_cap, _require_cap, require_vertex
 
 
 class Walk:
@@ -196,6 +196,7 @@ def _reduced_walks(graph, sources, max_len, cap):
     (length, vertex sequence) order, as each level extends the last in order.
     More than cap of them raises ExplosionGuard as soon as a level passes it;
     cap None means no cap."""
+    _require_cap(cap)
     out = []
     frontier = [(s,) for s in sources]
     level = 0

@@ -15,6 +15,7 @@ instead of vertex tuples, the local covering check with each lift counted
 by a product formula below and a search over joinable walks above instead
 of among the walked elements, a component of Hom(G, H) by walking its cells one
 image vertex at a time instead of growing each from its least homomorphism,
+the census by walking every component instead of one per orbit of Aut(G),
 the acyclic matching on every cell, with no folded vertices, as explicit
 pairs, the cellular chain complex from sorted vertex tuples instead of bitmasks,
 Betti numbers on the order complex instead of the cellular complex, and the
@@ -50,7 +51,14 @@ from homcx.hom_cover import (
     identity_element,
     tight_vertices,
 )
-from homcx.hom_poset import DEFAULT_CAP, HomPoset, SetValuedHom, larger_cells
+from homcx.hom_poset import (
+    DEFAULT_CAP,
+    HomPoset,
+    SetValuedHom,
+    _hom_mappings,
+    component_summary,
+    larger_cells,
+)
 from homcx.homology import ChainComplex, chain_complex, complex_from_chains, exact_rank
 from homcx.pi_graph import classify_adjacency, pi_neighbor, walks_adjacent
 from homcx.walks import (
@@ -568,6 +576,26 @@ def walked_component(G, H, f, cap=DEFAULT_CAP):
     )
     packed = sorted(sum(s << (u * H.n) for u, s in enumerate(cell)) for cell in cells)
     return HomPoset(G, H, tuple(packed), tuple(homs))
+
+
+def component_census_reference(G, H, cap=DEFAULT_CAP):
+    """Every component of the homomorphism poset, each one walked: in sorted
+    order, the first mapping no component has claimed seeds a walk, which
+    must hold it as its least member and claim only unclaimed mappings the
+    enumeration found. The reference for `hom_poset.component_census`, which
+    walks one component per orbit of Aut(G) and relabels the others."""
+    mappings = sorted(_hom_mappings(G, H, cap))
+    unclaimed = set(mappings)
+    summaries = []
+    for m in mappings:
+        if m not in unclaimed:
+            continue
+        s = component_summary(G, H, GraphHom(G, H, m), cap=cap)
+        if s.representative != m or not unclaimed.issuperset(s.members):
+            raise InvariantViolation("components do not partition the homomorphism set")
+        unclaimed.difference_update(s.members)
+        summaries.append(s)
+    return summaries
 
 
 def morse_pairs(P):

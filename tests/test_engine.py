@@ -20,8 +20,9 @@ from homcx import (
     path_graph,
 )
 from homcx.graphs import bfs_order, closure, mask_bits
-from homcx.hom_cover import _upsets_in_base
-from homcx.hom_poset import _hom_mappings
+from homcx.hom_cover import _upsets_in_base, fiber_component_bounded
+from homcx.hom_poset import _hom_mappings, component_census
+from homcx.walks import all_reduced_walks
 
 from oracles import backtrack, cell_keys, hom_mappings_reference
 from test_hom_poset import all_set_valued, brute_homs, graphs
@@ -71,13 +72,18 @@ class TestCallers:
     @given(graphs(0, 6), graphs(1, 6), st.integers(0, 40))
     def test_hom_mappings_match_backtracking(self, G, H, cap):
         # the same sequence, uncapped, under a drawn cap, and under a cap
-        # one below the count, which must trip after every other mapping
+        # one below the count, which must trip after every other mapping; a
+        # cap below 1 is bad input
         every = list(hom_mappings_reference(G, H, None))
         assert list(_hom_mappings(G, H, None)) == every
         for c in (cap, len(every) - 1):
+            if c < 1:
+                with pytest.raises(ValueError):
+                    next(_hom_mappings(G, H, c))
+                continue
             expected = yielded(hom_mappings_reference(G, H, c))
             assert yielded(_hom_mappings(G, H, c)) == expected
-        assert not every or yielded(_hom_mappings(G, H, len(every) - 1))[1] is not None
+        assert len(every) < 2 or yielded(_hom_mappings(G, H, len(every) - 1))[1] is not None
 
     def test_upsets_in_base_match_brute_force(self):
         for G, H, f in [
@@ -115,3 +121,30 @@ class TestGuardMessages:
         with pytest.raises(ExplosionGuard) as info:
             _upsets_in_base(K2, C5, (0b1, 0b10), 2)
         assert str(info.value) == "elements above the base: reached 3, over the cap of 2"
+
+
+class TestCapInput:
+    @pytest.mark.parametrize("cap", [0, -1, True, False])
+    def test_a_cap_below_one_is_bad_input(self, cap):
+        # every enumeration rejects it before it counts anything, so it is
+        # not mistaken for a tripped guard
+        K2, C5 = complete_graph(2), cycle_graph(5)
+        f = GraphHom(K2, C5, (0, 1))
+        calls = [
+            lambda: component_census(C5, C5, cap=cap),
+            lambda: next(_hom_mappings(C5, C5, cap)),
+            lambda: enumerate_component(K2, C5, f, cap=cap),
+            lambda: closure(0, lambda x: [], cap),
+            lambda: fiber_component_bounded(f, 4, cap=cap),
+            lambda: all_reduced_walks(C5, 2, cap),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="positive integer or None"):
+                call()
+
+    def test_a_cap_of_one_counts(self):
+        (s,) = component_census(Graph(0), cycle_graph(5), cap=1)
+        assert s.members == ((),)
+        assert closure(0, lambda x: [], 1) == {0}
+        with pytest.raises(ExplosionGuard, match="reached 2, over the cap of 1"):
+            component_census(complete_graph(2), complete_graph(2), cap=1)

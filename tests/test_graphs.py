@@ -36,7 +36,8 @@ from homcx import (
     simple_path_ordering,
     times_k2,
 )
-from homcx.graphs import bfs_order, tree_spread
+from homcx.graphs import _automorphism_generators, bfs_order, closure, tree_spread
+from homcx.hom_poset import component_census
 
 from oracles import (
     bfs_order_reference,
@@ -58,10 +59,10 @@ def brute_square(G):
 
 
 @st.composite
-def small_graphs(draw, max_edges=None):
-    """0 to 12 vertices and any set of edges, so that disconnected graphs,
+def small_graphs(draw, max_edges=None, max_n=12):
+    """0 to max_n vertices and any set of edges, so that disconnected graphs,
     odd cycles and isolated vertices all turn up."""
-    n = draw(st.integers(0, 12))
+    n = draw(st.integers(0, max_n))
     pairs = list(itertools.combinations(range(n), 2))
     if not pairs:
         return Graph(n)
@@ -279,3 +280,52 @@ class TestIsomorphism:
     def test_distinguishes_non_isomorphic(self):
         assert find_isomorphism(cycle_graph(6), disjoint_union(cycle_graph(3), cycle_graph(3))) is None
         assert find_isomorphism(path_graph(4), Graph(4, [(0, 1), (1, 2), (1, 3)])) is None
+
+
+def generated_group(n, generators):
+    """The permutations the generators span: the identity closed under
+    composition with each generator."""
+    return closure(tuple(range(n)), lambda a: [tuple(g[x] for x in a) for g in generators])
+
+
+class TestAutomorphisms:
+    @given(small_graphs(max_n=7))
+    @example(Graph(0))
+    @example(Graph(7))
+    @example(complete_graph(7))
+    @example(path_graph(7))
+    @example(complete_bipartite(3, 4))
+    @example(disjoint_union(cycle_graph(3), cycle_graph(3)))
+    @example(disjoint_union(disjoint_union(path_graph(2), Graph(1)), cycle_graph(4)))
+    @settings(max_examples=100, deadline=None)
+    def test_generators_span_the_whole_group(self, G):
+        generators = _automorphism_generators(G)
+        for g in generators:
+            assert sorted(g) == list(G.vertices())
+            assert {frozenset((g[u], g[v])) for u, v in G.edges} == {frozenset(e) for e in G.edges}
+        brute = sum(
+            all(G.has_edge(p[u], p[v]) for u, v in G.edges)
+            for p in itertools.permutations(G.vertices())
+        )
+        group = generated_group(G.n, generators)
+        assert len(group) == brute
+        # strong: the generators fixing the first i base points move the
+        # i-th through its whole orbit under that stabilizer
+        order, size = bfs_order(G), 1
+        for i, u in enumerate(order):
+            fixing = [g for g in generators if all(g[v] == v for v in order[:i])]
+            size *= len(closure(u, lambda x, fixing=fixing: [g[x] for g in fixing]))
+        assert size == len(group)
+
+    def test_long_path_needs_no_recursion(self):
+        # a 1,500-vertex path is searched to depth 1,500, beyond the
+        # interpreter's recursion limit, and its reversal relabels one of the
+        # two components of Hom(P1500, K2) onto the other
+        P = path_graph(1500)
+        assert _automorphism_generators(P) == [tuple(range(1499, -1, -1))]
+        summaries = component_census(P, complete_graph(2))
+        assert [s.members for s in summaries] == [
+            ((0, 1) * 750,),
+            ((1, 0) * 750,),
+        ]
+        assert [s.size for s in summaries] == [1, 1]

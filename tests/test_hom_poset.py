@@ -11,7 +11,7 @@ oracles.walked_component.
 import itertools
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from homcx import (
     ExplosionGuard,
@@ -28,16 +28,25 @@ from homcx import (
     cycle_graph,
     enumerate_component,
     enumerate_graph_homs,
+    full_case_report,
     has_hom,
     is_square_free,
     path_graph,
+    petersen_graph,
     post_compose,
 )
 from homcx import hom_poset
 from homcx.graphs import mask_bits
 from homcx.hom_poset import _hom_mappings, larger_cells
 
-from oracles import cell_keys, cell_masks, hom_adjacent, smaller_cells, walked_component
+from oracles import (
+    cell_keys,
+    cell_masks,
+    component_census_reference,
+    hom_adjacent,
+    smaller_cells,
+    walked_component,
+)
 
 K2 = Graph(2, [(0, 1)])
 C3 = cycle_graph(3)
@@ -405,3 +414,80 @@ class TestCensus:
         assert sorted(report) == ["components", "graph_meta"]
         assert [c["betti"] for c in report["components"]] == [[1, 0, 0], [1, 0, 0]]
         assert report["graph_meta"]["domain"]["n"] == 2
+
+
+def census_or_guard(census, G, H, cap):
+    """The census, or the message of the cap it trips."""
+    try:
+        return census(G, H, cap=cap)
+    except ExplosionGuard as exc:
+        return str(exc)
+
+
+PETERSEN = petersen_graph()
+
+
+class TestCensusByOrbits:
+    """component_census walks one component per orbit of Aut(G) and relabels
+    the rest; walking every component (tests/oracles.py) must give the same
+    summaries in the same order, and trip a cap at the same count."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.one_of(
+            graphs(0, 7),
+            st.integers(0, 7).map(Graph),
+            st.integers(1, 7).map(complete_graph),
+        ),
+        st.one_of(
+            st.sampled_from([cycle_graph(4), complete_graph(4), C5, PETERSEN]),
+            graphs(1, 6),
+        ),
+    )
+    @example(cycle_graph(7), PETERSEN)
+    @example(C3, C3)
+    @example(C6, C3)
+    @example(Graph(4, [(0, 1), (2, 3)]), C5)
+    def test_matches_walking_every_component(self, G, H):
+        cap = 2000
+        assert census_or_guard(component_census, G, H, cap) == census_or_guard(
+            component_census_reference, G, H, cap
+        )
+
+    def test_one_walk_per_orbit(self, monkeypatch):
+        walks, searches = [], []
+        summary, generators = hom_poset.component_summary, hom_poset._automorphism_generators
+
+        def counted_summary(*args, **kwargs):
+            walks.append(args[2])
+            return summary(*args, **kwargs)
+
+        def counted_generators(G):
+            searches.append(G)
+            return generators(G)
+
+        monkeypatch.setattr(hom_poset, "component_summary", counted_summary)
+        monkeypatch.setattr(hom_poset, "_automorphism_generators", counted_generators)
+        # one component: the search is never run
+        assert len(full_case_report(P3, PETERSEN)["components"]) == 1
+        assert (len(walks), len(searches)) == (1, 0)
+        for G, H, components, walked in [
+            (cycle_graph(7), PETERSEN, 24, 12),
+            (C3, C3, 6, 1),
+        ]:
+            walks.clear()
+            searches.clear()
+            assert len(component_census(G, H)) == components
+            assert (len(walks), len(searches)) == (walked, 1)
+
+    @pytest.mark.parametrize(
+        "domain, generator",
+        [(P4, (2, 1, 0, 3)), (P4, (0, 3, 2, 1)), (P3, (1, 0, 2))],
+    )
+    def test_images_must_be_components(self, monkeypatch, domain, generator):
+        # a permutation that is no automorphism carries a component onto a
+        # set that is not one: it meets a claimed component without being
+        # equal to it, or holds a map that is no homomorphism
+        monkeypatch.setattr(hom_poset, "_automorphism_generators", lambda G: [generator])
+        with pytest.raises(InvariantViolation, match="do not partition"):
+            component_census(domain, P4)
