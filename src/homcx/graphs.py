@@ -282,7 +282,7 @@ def bfs_order(G):
 # automorphisms
 
 
-def _automorphism_generators(G):
+def _automorphism_generators(G, budget=None):
     """A strong generating set of Aut(G), each generator a permutation tuple
     g with g[u] the image of u, relative to the base bfs_order(G).
 
@@ -299,6 +299,11 @@ def _automorphism_generators(G):
     automorphism. The search is depth first over bitmasks kept per position
     (the room left to try, the wanted neighbourhood and the vertices used
     before it), so it never recurses.
+
+    A failing candidate can cost time exponential in n, so every candidate
+    tried counts one step, and once budget steps are spent (None means no
+    bound) the generators found so far are returned: automorphisms still,
+    but perhaps spanning only a subgroup.
     """
     order = bfs_order(G)
     n = len(order)
@@ -340,8 +345,17 @@ def _automorphism_generators(G):
     def fits(j, c):
         return nbr[c] & used[j] == want[j]
 
+    steps = 0
+
+    def spend():
+        """Count one step; True once the budget is spent."""
+        nonlocal steps
+        steps += 1
+        return budget is not None and steps > budget
+
     def extends(i, c):
-        """Send order[i] to c and search the later positions for the rest."""
+        """Send order[i] to c and search the later positions for the rest;
+        None once the budget is spent."""
         image[order[i]] = c
         used[i + 1] = used[i] | 1 << c
         j = i + 1
@@ -354,6 +368,8 @@ def _automorphism_generators(G):
             if not left:
                 j -= 1
                 continue
+            if spend():
+                return None
             low = left & -left
             untried[j] = left ^ low
             c = low.bit_length() - 1
@@ -377,7 +393,14 @@ def _automorphism_generators(G):
             low = rest & -rest
             left ^= low
             c = low.bit_length() - 1
-            if fits(i, c) and extends(i, c):
+            if spend():
+                return generators
+            if not fits(i, c):
+                continue
+            found = extends(i, c)
+            if found is None:
+                return generators
+            if found:
                 g = tuple(image)
                 generators.append(g)
                 for x, y in enumerate(g):

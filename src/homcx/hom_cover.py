@@ -42,7 +42,6 @@ from .errors import (
 from .graphs import (
     GraphHom,
     _over_cap,
-    _require_cap,
     closure,
     is_connected,
     is_square_free,
@@ -345,7 +344,6 @@ def fiber_component_bounded(f, max_norm, cap=DEFAULT_CAP):
     """
     if max_norm < 0:
         raise ValueError(f"max_norm must be a nonnegative integer, got {max_norm}")
-    _require_cap(cap)
     if f.domain.n < 2 or not is_connected(f.domain):
         raise NotConnected("the domain must be connected with at least two vertices")
     G, H, m = f.domain, f.codomain, f.mapping

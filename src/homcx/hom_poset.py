@@ -34,7 +34,8 @@ component becomes a `GraphHom`. The census walks one component per orbit
 of Aut(G) and reads the others off by relabelling: precomposition with an
 automorphism of G carries a component onto one with the same cells, Betti
 numbers, homomorphism count and edge-factoring marker, so only its members
-change.
+change. The automorphism search has a step budget in proportion to the
+mappings left unclaimed; a component no generator found reaches is walked.
 The order complex of the face poset, the barycentric subdivision, is the
 tests' independent oracle (tests/oracles.py), built from
 `HomPoset.strict_upsets`.
@@ -530,6 +531,9 @@ def component_summary(G, H, f, cap=DEFAULT_CAP):
     return ComponentSummary(size, members, betti, any(maps_into_edge(H, m) for m in members))
 
 
+_SEARCH_STEPS = 4  # automorphism search steps per domain vertex and unclaimed mapping
+
+
 def component_census(G, H, cap=DEFAULT_CAP):
     """Every component of the homomorphism poset, with homology and markers.
 
@@ -545,7 +549,9 @@ def component_census(G, H, cap=DEFAULT_CAP):
     must be one the backtracking enumeration found and not yet claimed, and
     a walk's least member must be its seed. The generators are searched for
     only once a walk leaves a mapping unclaimed, and relabelling stops once
-    every mapping is claimed.
+    every mapping is claimed. The search may spend _SEARCH_STEPS * n steps
+    per unclaimed mapping, a constant times the enumeration that found
+    them; generators it misses only leave their images to be walked.
     """
     mappings = sorted(_hom_mappings(G, H, cap))
     owner = dict.fromkeys(mappings)  # mapping -> the summary claiming it
@@ -574,7 +580,7 @@ def component_census(G, H, cap=DEFAULT_CAP):
         queue = [s]
         while queue and left:
             if generators is None:
-                generators = _automorphism_generators(G)
+                generators = _automorphism_generators(G, _SEARCH_STEPS * G.n * left)
             t = queue.pop()
             for g in generators:
                 image = tuple(sorted(tuple(x[v] for v in g) for x in t.members))

@@ -5,7 +5,9 @@ The square-free test is cross-checked against a brute-force search for a
 common-neighbor formulation under test.
 """
 
+import contextlib
 import itertools
+import signal
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -37,11 +39,13 @@ from homcx import (
     times_k2,
 )
 from homcx.graphs import _automorphism_generators, bfs_order, closure, tree_spread
+from homcx import hom_poset
 from homcx.hom_poset import component_census
 
 from oracles import (
     bfs_order_reference,
     bfs_parents_reference,
+    component_census_reference,
     connected_components_reference,
     find_isomorphism,
     is_bipartite_reference,
@@ -282,6 +286,46 @@ class TestIsomorphism:
         assert find_isomorphism(path_graph(4), Graph(4, [(0, 1), (1, 2), (1, 3)])) is None
 
 
+def lopsided_tree(depth):
+    """A root whose two children each head a complete binary tree of the
+    given depth, with one pendant vertex below the last leaf. The pendant is
+    last in BFS order, so a search trying to swap the two halves meets it
+    only after every partial isomorphism of the halves."""
+    edges, n, level = [(0, 1), (0, 2)], 3, [1, 2]
+    for _ in range(depth):
+        below = []
+        for u in level:
+            for _ in range(2):
+                edges.append((u, n))
+                below.append(n)
+                n += 1
+        level = below
+    return Graph(n + 1, edges + [(level[-1], n)])
+
+
+@contextlib.contextmanager
+def finishes_within(seconds):
+    """Raise TimeoutError in the body once seconds of wall time pass, so a
+    search that blows up fails the test instead of hanging the run."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def is_automorphism(G, g):
+    return sorted(g) == list(G.vertices()) and {frozenset((g[u], g[v])) for u, v in G.edges} == {
+        frozenset(e) for e in G.edges
+    }
+
+
 def generated_group(n, generators):
     """The permutations the generators span: the identity closed under
     composition with each generator."""
@@ -301,8 +345,7 @@ class TestAutomorphisms:
     def test_generators_span_the_whole_group(self, G):
         generators = _automorphism_generators(G)
         for g in generators:
-            assert sorted(g) == list(G.vertices())
-            assert {frozenset((g[u], g[v])) for u, v in G.edges} == {frozenset(e) for e in G.edges}
+            assert is_automorphism(G, g)
         brute = sum(
             all(G.has_edge(p[u], p[v]) for u, v in G.edges)
             for p in itertools.permutations(G.vertices())
@@ -316,6 +359,45 @@ class TestAutomorphisms:
             fixing = [g for g in generators if all(g[v] == v for v in order[:i])]
             size *= len(closure(u, lambda x, fixing=fixing: [g[x] for g in fixing]))
         assert size == len(group)
+
+    @given(small_graphs(max_n=7))
+    @example(complete_graph(7))
+    @settings(max_examples=50, deadline=None)
+    def test_budget_cuts_the_generators_short(self, G):
+        # the search runs the same way under any budget until it is spent,
+        # so a budget returns a prefix of the unbounded generators
+        full = _automorphism_generators(G)
+        budget = 0
+        while (found := _automorphism_generators(G, budget)) != full:
+            assert found == full[: len(found)]
+            budget += 1
+
+    def test_budget_stops_a_failing_search(self):
+        # unbounded, level 1 tries to swap the root's two children and walks
+        # about 2**30 partial isomorphisms of the halves before it fails
+        T = lopsided_tree(5)
+        assert T.n == 128
+        with finishes_within(10):
+            generators = _automorphism_generators(T, 4 * T.n)
+        assert generators
+        assert all(is_automorphism(T, g) for g in generators)
+
+    def test_census_budgets_the_search(self, monkeypatch):
+        # Hom(T, K2) has two one-map components and no automorphism of T
+        # swaps them; the census's search must be bounded to finish at once
+        budgets = []
+
+        def bounded(G, budget=None):
+            budgets.append(budget)
+            assert budget is not None and budget <= 4 * G.n
+            return _automorphism_generators(G, budget)
+
+        monkeypatch.setattr(hom_poset, "_automorphism_generators", bounded)
+        T = lopsided_tree(5)
+        with finishes_within(10):
+            summaries = component_census(T, complete_graph(2))
+        assert summaries == component_census_reference(T, complete_graph(2))
+        assert len(summaries) == 2 and len(budgets) == 1
 
     def test_long_path_needs_no_recursion(self):
         # a 1,500-vertex path is searched to depth 1,500, beyond the

@@ -462,9 +462,9 @@ class TestCensusByOrbits:
             walks.append(args[2])
             return summary(*args, **kwargs)
 
-        def counted_generators(G):
+        def counted_generators(G, budget=None):
             searches.append(G)
-            return generators(G)
+            return generators(G, budget)
 
         monkeypatch.setattr(hom_poset, "component_summary", counted_summary)
         monkeypatch.setattr(hom_poset, "_automorphism_generators", counted_generators)
@@ -488,6 +488,6 @@ class TestCensusByOrbits:
         # a permutation that is no automorphism carries a component onto a
         # set that is not one: it meets a claimed component without being
         # equal to it, or holds a map that is no homomorphism
-        monkeypatch.setattr(hom_poset, "_automorphism_generators", lambda G: [generator])
+        monkeypatch.setattr(hom_poset, "_automorphism_generators", lambda G, budget: [generator])
         with pytest.raises(InvariantViolation, match="do not partition"):
             component_census(domain, P4)
