@@ -110,64 +110,61 @@ def _json_key(key):
     )
 
 
-def _json(o, indent, memo):
-    """json.dumps(o, sort_keys=True, indent=2) for a value nested at the depth
-    that indent ("\\n" plus two spaces a level) marks.
+def _encode(o, indent, memo, out):
+    """Append json.dumps(o, sort_keys=True, indent=2), for a value nested at
+    the depth that indent ("\\n" plus two spaces a level) marks, to the list
+    out, each piece once.
 
     With indent set, json.dumps runs its pure-Python encoder; this writer
-    builds each container with one join instead. Exact str and int, bool,
-    None, and lists of exact ints, are the fast path; floats and anything
-    else go to json.dumps. memo keeps each tuple's text under its identity
-    and indent, as (1,) == (True,) but their texts differ.
+    joins only a list of exact ints into one piece, and a tuple's text. Exact
+    str and int, bool and None are the fast path; floats, empty containers
+    and anything else go to json.dumps. memo keeps each tuple's text under
+    its identity and indent, as (1,) == (True,) but their texts differ.
     """
     if type(o) is str:
-        return _encode_str(o)
-    if type(o) is int:
-        return int.__repr__(o)
-    if type(o) is bool:
-        return "true" if o else "false"
-    if o is None:
-        return "null"
-    if isinstance(o, tuple):
+        out.append(_encode_str(o))
+    elif type(o) is int:
+        out.append(int.__repr__(o))
+    elif type(o) is bool:
+        out.append("true" if o else "false")
+    elif o is None:
+        out.append("null")
+    elif isinstance(o, tuple):
         key = (id(o), indent)
         if key not in memo:
-            memo[key] = _json(list(o), indent, memo)
-        return memo[key]
-    if isinstance(o, list):
-        if not o:
-            return "[]"
+            parts = []
+            _encode(list(o), indent, memo, parts)
+            memo[key] = "".join(parts)
+        out.append(memo[key])
+    elif isinstance(o, dict) and o:
+        inner = indent + "  "
+        sep = "{" + inner
+        for k, v in sorted(o.items()):
+            out.append(sep + _json_key(k) + ": ")
+            _encode(v, inner, memo, out)
+            sep = "," + inner
+        out.append(indent + "}")
+    elif isinstance(o, list) and o:
         inner = indent + "  "
         if set(map(type, o)) == {int}:
-            parts = map(int.__repr__, o)
-        else:
-            parts = [_json(x, inner, memo) for x in o]
-        return "[" + inner + ("," + inner).join(parts) + indent + "]"
-    if isinstance(o, dict):
-        if not o:
-            return "{}"
-        inner = indent + "  "
-        parts = [_json_key(k) + ": " + _json(v, inner, memo) for k, v in sorted(o.items())]
-        return "{" + inner + ("," + inner).join(parts) + indent + "}"
-    return json.dumps(o)
-
-
-def _chunks(o, indent, memo, depth):
-    """_json(o, indent, memo) as a list of strings, the containers of the top
-    depth levels left unjoined."""
-    if not (depth and o and isinstance(o, (list, tuple, dict))):
-        return [_json(o, indent, memo)]
-    inner, is_dict = indent + "  ", isinstance(o, dict)
-    out = ["{" if is_dict else "["]
-    for i, k in enumerate(sorted(o) if is_dict else range(len(o))):
-        head = ("," + inner if i else inner) + (_json_key(k) + ": " if is_dict else "")
-        out += [head, *_chunks(o[k], inner, memo, depth - 1)]
-    return out + [indent + ("}" if is_dict else "]")]
+            out.append("[" + inner + ("," + inner).join(map(int.__repr__, o)) + indent + "]")
+            return
+        sep = "[" + inner
+        for x in o:
+            out.append(sep)
+            _encode(x, inner, memo, out)
+            sep = "," + inner
+        out.append(indent + "]")
+    else:
+        out.append(json.dumps(o))
 
 
 def emit_report(obj, out):
     """Write obj as json.dumps(obj, sort_keys=True, indent=2) plus a newline,
     to stdout or atomically to the file out, once all of it is encoded."""
-    chunks = _chunks(obj, "\n", {}, 2) + ["\n"]
+    chunks = []
+    _encode(obj, "\n", {}, chunks)
+    chunks.append("\n")
     if out is None:
         sys.stdout.writelines(chunks)
         return
@@ -213,31 +210,23 @@ def run_check(args):
     }
     if witness is None and is_connected(G):
         report["expected_rank"] = expected_rank(G)
-    emit_report(report, args.out)
-    return 0 if witness is None else 3
+    return report, 0 if witness is None else 3
 
 
 def run_product(args):
-    G = load_graph(args.graph)
-    report = times_k2(G).to_json()
-    emit_report(report, args.out)
-    return 0
+    return times_k2(load_graph(args.graph)).to_json(), 0
 
 
 def run_census(args):
     G = load_graph(args.domain)
     H = load_graph(args.codomain)
-    report = census_report(G, H, cap=resolve_cap(args))
-    emit_report(report, args.out)
-    return 0
+    return census_report(G, H, cap=resolve_cap(args)), 0
 
 
 def run_classify(args):
     G = load_graph(args.domain)
     H = load_graph(args.codomain)
-    report = full_case_report(G, H, cap=resolve_cap(args))
-    emit_report(report, args.out)
-    return 0
+    return full_case_report(G, H, cap=resolve_cap(args)), 0
 
 
 def run_ef(args):
@@ -247,7 +236,7 @@ def run_ef(args):
     elements = enumerate_Ef_bounded(f, args.max_norm, cap=resolve_cap(args))
     tight = tight_vertices(f)
     gamma = deck_transformations(f, 0, elements, tight)
-    report = {
+    return {
         "count": len(elements),
         "deck_count": len(gamma),
         "elements": [e.to_json() for e in elements],
@@ -255,16 +244,11 @@ def run_ef(args):
         "max_norm": args.max_norm,
         "norms": sorted({e.norm() for e in elements}),
         "tight_vertices": sorted(tight),
-    }
-    emit_report(report, args.out)
-    return 0
+    }, 0
 
 
 def run_cover(args):
-    G = load_graph(args.graph)
-    cover = tree_cover(G, args.basepoint, args.radius)
-    emit_report(cover.to_json(), args.out)
-    return 0
+    return tree_cover(load_graph(args.graph), args.basepoint, args.radius).to_json(), 0
 
 
 def run_verify(args):
@@ -383,8 +367,7 @@ def run_verify(args):
         "ok": all(c["ok"] for c in checks),
         "seed": args.seed,
     }
-    emit_report(report, args.out)
-    return 0 if report["ok"] else 2
+    return report, 0 if report["ok"] else 2
 
 
 @functools.cache
@@ -458,7 +441,9 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.run(args)
+        report, code = args.run(args)
+        emit_report(report, args.out)
+        return code
     except (GraphInputError, NotHomomorphism, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -321,14 +321,6 @@ def _automorphism_generators(G, budget=None):
     want = [0] * n  # per position, the images of its earlier neighbours
     used = [0] * (n + 1)  # per position, the images before it
     generators = []
-    parent = list(range(n))  # union-find over the orbits of the generators
-    orbit = [1 << u for u in range(n)]  # at each root, its orbit as a mask
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
     def open_position(j):
         """Set the room and the wanted neighbourhood of position j; a vertex
@@ -389,7 +381,8 @@ def _automorphism_generators(G, budget=None):
         used[i] = prefix
         open_position(i)
         left = untried[i]
-        while rest := left & ~orbit[find(u)]:
+        orbit = 1 << u  # every generator so far fixes u
+        while rest := left & ~orbit:
             low = rest & -rest
             left ^= low
             c = low.bit_length() - 1
@@ -401,13 +394,9 @@ def _automorphism_generators(G, budget=None):
             if found is None:
                 return generators
             if found:
-                g = tuple(image)
-                generators.append(g)
-                for x, y in enumerate(g):
-                    a, b = find(x), find(y)
-                    if a != b:
-                        parent[b] = a
-                        orbit[a] |= orbit[b]
+                generators.append(tuple(image))
+                reached = closure(u, lambda x: [g[x] for g in generators])
+                orbit = sum(1 << x for x in reached)
     return generators
 
 

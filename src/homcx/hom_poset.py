@@ -457,21 +457,22 @@ def _betti(critical, walk):
     connected, because the walk joins the homomorphisms by one-vertex moves
     and each move is a 1-cell, so b_0 = 1, b_1 = c1 - c0 + 1, and the
     homology is free. Otherwise the Betti numbers are ranks over the
-    rationals of the cellular chain complex of walk(), the full component,
-    whose alternating sum must equal that of the cell counts; a mismatch
-    raises InvariantViolation.
+    rationals of the cellular chain complex of walk(), the full component.
+    Its cells and the critical ones have the same alternating sum, as
+    matched pairs cancel and the cells the fold drops over each rest sum to
+    zero; a mismatch, a fault in the fold or the matching, raises
+    InvariantViolation.
     """
     top = len(critical) - 1
     if not any(critical[2:]):
         return _truncate((1, critical[1] - critical[0] + 1 if top else 0), top)
     C = cellular_chain_complex(walk())
-    betti = C.betti(len(C.counts) - 1)
     euler = sum((-1) ** d * n for d, n in enumerate(C.counts))
-    if sum((-1) ** d * b for d, b in enumerate(betti)) != euler:
+    if sum((-1) ** d * c for d, c in enumerate(critical)) != euler:
         raise InvariantViolation(
-            f"Betti numbers {betti} disagree with the Euler characteristic {euler}"
+            f"critical cells {critical} disagree with the Euler characteristic {euler}"
         )
-    return betti
+    return C.betti(len(C.counts) - 1)
 
 
 def component_betti(P, max_dim=2):

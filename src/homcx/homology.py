@@ -21,8 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ExplosionGuard, InvariantViolation
-from .graphs import DEFAULT_CAP
+from .errors import InvariantViolation
+from .graphs import DEFAULT_CAP, _over_cap, _require_cap
 
 
 @dataclass(frozen=True)
@@ -66,15 +66,17 @@ def complex_from_chains(n_vertices, greater, cap=DEFAULT_CAP):
     greater[i] lists the j with i strictly below j. Chains are grown along
     the poset order, so each chain arises exactly once; a chain is recorded
     as its sorted vertex tuple because poset order need not respect the
-    numbering of the elements.
+    numbering of the elements. More than cap chains raises ExplosionGuard;
+    cap None means no cap.
     """
+    _require_cap(cap)
     levels = []
     frontier = [(i,) for i in range(n_vertices)]
     total = 0
     while frontier:
         total += len(frontier)
-        if total > cap:
-            raise ExplosionGuard(f"order complex: reached {total} chains, over the cap of {cap}")
+        if cap is not None and total > cap:
+            raise _over_cap("order complex chains", total, cap)
         levels.append(tuple(sorted(tuple(sorted(chain)) for chain in frontier)))
         nxt = []
         for chain in frontier:

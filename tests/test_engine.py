@@ -22,6 +22,8 @@ from homcx import (
 from homcx.graphs import bfs_order, closure, mask_bits
 from homcx.hom_cover import _upsets_in_base, fiber_component_bounded
 from homcx.hom_poset import _hom_mappings, component_census
+from homcx.homology import complex_from_chains
+from homcx.pi_graph import materialize_pi
 from homcx.walks import all_reduced_walks
 
 from oracles import backtrack, cell_keys, hom_mappings_reference
@@ -137,10 +139,15 @@ class TestCapInput:
             lambda: closure(0, lambda x: [], cap),
             lambda: fiber_component_bounded(f, 4, cap=cap),
             lambda: all_reduced_walks(C5, 2, cap),
+            lambda: materialize_pi(C5, 2, cap),
+            lambda: complex_from_chains(2, [[1], []], cap=cap),
         ]
         for call in calls:
             with pytest.raises(ValueError, match="positive integer or None"):
                 call()
+
+    def test_no_cap_builds_the_order_complex(self):
+        assert complex_from_chains(3, [[1, 2], [2], []], cap=None).counts() == (3, 3, 1)
 
     def test_a_cap_of_one_counts(self):
         (s,) = component_census(Graph(0), cycle_graph(5), cap=1)

@@ -14,7 +14,7 @@ import json
 from collections import Counter
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import assume, example, given, reject, settings, strategies as st
 
 from homcx import (
     EfElement,
@@ -688,6 +688,12 @@ class TestDeckGroup:
     @example(K2, C5, 20, 0)
     @example(K2, C3, 12, 0)
     @example(path_graph(3), C5, 20, 0)
+    @example(  # a fiber of more than 200,000 elements
+        complete_bipartite(1, 3),
+        Graph(7, [(0, 3), (0, 5), (1, 5), (2, 5), (3, 5), (4, 5), (5, 6)]),
+        8,
+        0,
+    )
     def test_elements_rebuilt_from_their_walk_sets(self, G, H, max_norm, pick):
         # an element holds only its key; the walk sets it builds on demand
         # must give back an equal element with the same hash, and the deck
@@ -695,7 +701,10 @@ class TestDeckGroup:
         homs = enumerate_graph_homs(G, H)
         assume(homs)
         f = homs[pick % len(homs)]
-        elements = fiber_component_bounded(f, max_norm)
+        try:
+            elements = fiber_component_bounded(f, max_norm, cap=20_000)
+        except ExplosionGuard:
+            reject()
         tight = tight_vertices(f)
         GammaElement = hom_cover.GammaElement
 

@@ -271,7 +271,7 @@ class TestComplexes:
     def test_explosion_guard(self):
         # a chain on 40 totally ordered elements has 2^40 - 1 nonempty chains
         greater = [list(range(i + 1, 40)) for i in range(40)]
-        with pytest.raises(ExplosionGuard):
+        with pytest.raises(ExplosionGuard, match="order complex chains: reached 10700, over"):
             complex_from_chains(40, greater, cap=10_000)
 
     def test_boundary_of_boundary_vanishes(self):
@@ -529,6 +529,23 @@ class TestMorseMatching:
         assert critical[2] > 0
         assert cellular_betti(P) == (1, 1, 0, 0)
         assert built == [P]
+
+    def test_a_wrong_critical_count_is_caught(self, monkeypatch):
+        # one critical 2-cell too many forces the ranks, and the Euler
+        # characteristic of the full component must disagree, on the full
+        # walk and on the folded one
+        def one_more(*args):
+            critical = list(_critical_counts(*args)) + [0, 0]
+            critical[2] += 1
+            return tuple(critical)
+
+        monkeypatch.setattr(hom_poset, "_critical_counts", one_more)
+        C5 = cycle_graph(5)
+        f = GraphHom(complete_graph(2), C5, (0, 1))
+        with pytest.raises(InvariantViolation, match="Euler characteristic"):
+            cellular_betti(enumerate_component(f.domain, C5, f))
+        with pytest.raises(InvariantViolation, match="Euler characteristic"):
+            component_summary(f.domain, C5, f)
 
     def test_single_homomorphism_is_a_point(self):
         C3 = cycle_graph(3)
