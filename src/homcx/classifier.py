@@ -164,7 +164,13 @@ def _summary_type(G, s, rank_of):
     """The homotopy type of a ComponentSummary; rank_of is _rank_by_vertex,
     read at the image of an endpoint of the least edge (vertex 0 if there is
     none), which an edge-factoring component sends into the right target
-    component."""
+    component. Homology above degree one on a disconnected domain raises
+    NotConnected: the component is then a product over the domain's
+    components, which the trichotomy does not cover."""
+    if any(s.cell_betti[2:]) and not is_connected(G):
+        raise NotConnected(
+            f"a disconnected domain gives homology above degree one: {s.cell_betti}"
+        )
     k2 = s.k2_factoring and G.edge_count > 0
     u = min(G.edges)[0] if G.edges else 0
     return _homotopy_type(s.cell_betti, k2, rank_of[s.representative[u]])

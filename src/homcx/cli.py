@@ -234,8 +234,7 @@ def run_ef(args):
     H = load_graph(args.codomain)
     f = load_hom(G, H, args.seed_hom)
     elements = enumerate_Ef_bounded(f, args.max_norm, cap=resolve_cap(args))
-    tight = tight_vertices(f)
-    gamma = deck_transformations(f, 0, elements, tight)
+    gamma = deck_transformations(f, 0, elements)
     return {
         "count": len(elements),
         "deck_count": len(gamma),
@@ -243,7 +242,7 @@ def run_ef(args):
         "f": list(f.mapping),
         "max_norm": args.max_norm,
         "norms": sorted({e.norm() for e in elements}),
-        "tight_vertices": sorted(tight),
+        "tight_vertices": sorted(tight_vertices(f)),
     }, 0
 
 

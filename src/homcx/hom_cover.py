@@ -8,7 +8,9 @@ covers the component of f; taking walk targets pointwise is the covering
 projection.
 
 Its bounded part is walked over the singleton elements, each growing, once,
-the elements whose least walks it holds. An element is held as its key
+the elements whose least walks it holds. Each walk and cross pair is tested
+as it is added, so the walked elements, and the deck transformations read
+off them, skip the constructor's checks. An element is held as its key
 alone, the sorted vertex tuples of each walk set, which the walk, the
 checks and the readers here all use; `EfElement.sets` builds the
 `ReducedWalk`s on demand for the operations that take or return walks.
@@ -74,9 +76,18 @@ class EfElement:
         if len(sets) != G.n:
             raise NotInFiber("one walk set per domain vertex is required")
         for u, s in enumerate(sets):
-            _check_walk_set(f, u, s)
+            if not s:
+                raise NotInFiber(f"empty walk set at vertex {u}")
+            for w in s:
+                if not isinstance(w, ReducedWalk) or w.graph != H:
+                    raise NotInFiber(f"entry at vertex {u} is not a reduced walk in H")
+                if w.source != f(u):
+                    raise NotInFiber(f"walk at vertex {u} starts at {w.source}, the fiber needs {f(u)}")
         key = tuple(tuple(sorted(w.vertices for w in s)) for s in sets)
-        _check_cross_pairs(G, H, key)
+        for u, v in G.edges:
+            for a, b in itertools.product(key[u], key[v]):
+                if not walks_adjacent(H, a, b):
+                    raise NotNeighbor(f"walks {a} at {u} and {b} at {v} are not adjacent")
         self.base_hom, self._key, self._hash = f, key, hash((f, key))
 
     @classmethod
@@ -150,26 +161,6 @@ class EfElement:
             "f": self.base_hom.mapping,
             "phi": {str(u): walks for u, walks in enumerate(self._key)},
         }
-
-
-def _check_walk_set(f, u, walks):
-    """The checks of EfElement on the walk set at u."""
-    if not walks:
-        raise NotInFiber(f"empty walk set at vertex {u}")
-    for w in walks:
-        if not isinstance(w, ReducedWalk) or w.graph != f.codomain:
-            raise NotInFiber(f"entry at vertex {u} is not a reduced walk in H")
-        if w.source != f(u):
-            raise NotInFiber(f"walk at vertex {u} starts at {w.source}, the fiber needs {f(u)}")
-
-
-def _check_cross_pairs(G, H, key):
-    """Every cross pair along every edge adjacent, on the key's vertex tuples."""
-    for u, v in G.edges:
-        for a in key[u]:
-            for b in key[v]:
-                if not walks_adjacent(H, a, b):
-                    raise NotNeighbor(f"walks {a} at {u} and {b} at {v} are not adjacent")
 
 
 def identity_element(f):
@@ -341,6 +332,12 @@ def fiber_component_bounded(f, max_norm, cap=DEFAULT_CAP):
     walk at each earlier neighbor, pruned by norm. The norm is monotone, so
     each element is built once, from its least singleton. Singletons, then
     elements, count against the cap. Equal walk sets share one tuple.
+
+    Every cross pair is tested once, as it is built: a room walk is a reduced
+    walk from f(u), adjacent to the walk it conjugates and tested against h
+    at u's other neighbors, and each added walk is tested against every walk
+    added at an earlier neighbor. So the elements are returned without
+    EfElement's checks.
     """
     if max_norm < 0:
         raise ValueError(f"max_norm must be a nonnegative integer, got {max_norm}")
@@ -394,13 +391,6 @@ def fiber_component_bounded(f, max_norm, cap=DEFAULT_CAP):
 
     closure(tuple((x,) for x in m), visit, cap, "fiber elements")
     keys.sort()
-    # EfElement's checks, once per distinct walk or set, then on every element
-    walk_of = {w: ReducedWalk(H, w) for w in {w for d in interned for t in d.values() for w in t}}
-    for u, d in enumerate(interned):
-        for t in d.values():
-            _check_walk_set(f, u, [walk_of[w] for w in t])
-    for key in keys:
-        _check_cross_pairs(G, H, key)
     return [EfElement._from_checked(f, key) for key in keys]
 
 
@@ -630,23 +620,12 @@ class GammaElement(EfElement):
 
     def __init__(self, base_hom, sets):
         super().__init__(base_hom, sets)
-        self._check_deck(None)
-
-    @classmethod
-    def from_element(cls, e, tight):
-        """The checked fiber element e, with only the deck checks run."""
-        return cls._from_checked(e.base_hom, e.key())._check_deck(tight)
-
-    def _check_deck(self, tight):
-        """tight, when given, is tight_vertices(base_hom) in the cover
-        setting, already checked; otherwise is_in_Ef checks both."""
         if not self.is_singleton():
             raise NotInDomain("deck transformations are singleton-valued")
-        if any(s[0][-1] != x for s, x in zip(self._key, self.base_hom.mapping)):
+        if any(s[0][-1] != x for s, x in zip(self._key, base_hom.mapping)):
             raise NotInDomain("walks must return to f at every vertex")
-        if not (is_in_Ef(self) if tight is None else _passes_membership_test(self, tight)):
+        if not is_in_Ef(self):
             raise NotInDomain("element is outside the identity component")
-        return self
 
     @classmethod
     def from_walks(cls, f, walks):
@@ -662,7 +641,8 @@ class GammaElement(EfElement):
 
 
 def gamma_identity(f):
-    return GammaElement(f, identity_element(f).sets)
+    H = f.codomain
+    return GammaElement.from_walks(f, [trivial_walk(H, x) for x in f.mapping])
 
 
 def gamma_product(a, b):
@@ -699,20 +679,19 @@ def gamma_elements_bounded(f, u, max_norm, cap=DEFAULT_CAP):
     outside the domain raises GraphInputError before the fiber is grown.
     """
     require_vertex(f.domain, u)
-    elements = enumerate_Ef_bounded(f, max_norm, cap=cap)
-    return deck_transformations(f, u, elements, tight_vertices(f))
+    return deck_transformations(f, u, enumerate_Ef_bounded(f, max_norm, cap=cap))
 
 
-def deck_transformations(f, u, elements, tight):
-    """The deck transformations among fiber elements of f, as in
-    gamma_elements_bounded, checking that their walks at u are distinct and
-    that the set is closed under inverses. tight is tight_vertices(f), which
-    every membership test here shares. A u outside the domain raises
-    GraphInputError."""
-    _require_cover_setting(f)
+def deck_transformations(f, u, elements):
+    """The deck transformations among the fiber elements of f that
+    enumerate_Ef_bounded returned, as in gamma_elements_bounded: its
+    singletons whose walks return to f, which it has already checked and
+    held to the membership test. Checks that their walks at u are distinct
+    and that the set is closed under inverses. A u outside the domain
+    raises GraphInputError."""
     require_vertex(f.domain, u)
     out = [
-        GammaElement.from_element(e, tight)
+        GammaElement._from_checked(f, e.key())
         for e in elements
         if e.is_singleton() and all(s[0][-1] == x for s, x in zip(e.key(), f.mapping))
     ]

@@ -119,6 +119,19 @@ class TestReports:
             ("HxK2Component", 1, 1),
         ]
 
+    def test_classify_disconnected_domain_with_a_torus(self, tmp_path, capsys):
+        # K2 beside K2 into C5: the component is a product of two circles,
+        # outside the theorem's connected-domain hypothesis
+        domain = tmp_path / "g.json"
+        domain.write_text(json.dumps({"n": 4, "edges": [[0, 1], [2, 3]]}))
+        assert main(["classify", "--domain", str(domain), "--codomain", "C5"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("hypothesis rejected:")
+        assert "homology above degree one: (1, 2, 1)" in err
+        code, rep = run(capsys, "census", "--domain", str(domain), "--codomain", "C5")
+        assert code == 0
+        assert [c["betti"] for c in rep["components"]] == [[1, 2, 1]]
+
     def test_classify_gates(self, capsys):
         assert main(["classify", "--domain", "K2", "--codomain", "C4"]) == 3
         assert main(["classify", "--domain", "C3", "--codomain", "P4"]) == 3
@@ -137,8 +150,8 @@ class TestReports:
         assert len(rep["elements"]) == 13
 
     def test_ef_finds_tight_vertices_at_most_twice(self, capsys, monkeypatch):
-        # once for the fiber's membership test, once for the deck group and
-        # the report, however many deck transformations there are
+        # once for the fiber's membership test, once for the report; the
+        # deck group adds none, however many deck transformations there are
         calls = []
         real = hom_cover.tight_vertices
 

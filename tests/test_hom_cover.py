@@ -587,43 +587,41 @@ class TestDeckGroup:
 
     def test_base_vertex_outside_the_domain_rejected(self):
         fiber = enumerate_Ef_bounded(EDGE_IN_C5, 6)
-        tight = tight_vertices(EDGE_IN_C5)
         for u in (5, 2, -1):
             with pytest.raises(GraphInputError):
                 gamma_elements_bounded(EDGE_IN_C5, u, 6)
             with pytest.raises(GraphInputError):
-                hom_cover.deck_transformations(EDGE_IN_C5, u, fiber, tight)
+                hom_cover.deck_transformations(EDGE_IN_C5, u, fiber)
 
     def test_deck_checks_inverses_and_base_walks(self):
         deck_transformations = hom_cover.deck_transformations
         fiber = enumerate_Ef_bounded(EDGE_IN_C5, 20)
-        tight = tight_vertices(EDGE_IN_C5)
         gs = gamma_elements_bounded(EDGE_IN_C5, 0, 20)
-        assert deck_transformations(EDGE_IN_C5, 1, fiber, tight) == gs
+        assert deck_transformations(EDGE_IN_C5, 1, fiber) == gs
         without = [e for e in fiber if e != gs[2]]
         with pytest.raises(InvariantViolation, match="inverse left the bounded set"):
-            deck_transformations(EDGE_IN_C5, 0, without, tight)
+            deck_transformations(EDGE_IN_C5, 0, without)
         with pytest.raises(InvariantViolation, match="share a base walk"):
-            deck_transformations(EDGE_IN_C5, 0, fiber + [gs[1]], tight)
+            deck_transformations(EDGE_IN_C5, 0, fiber + [gs[1]])
 
     def test_deck_transformations_skip_the_cross_pair_checks(self, monkeypatch):
-        # built from fiber elements already checked, they run only their own
-        # three checks: singleton, returns to f, and membership
+        # read off fiber elements already checked, they test no walk pair;
+        # the public constructor runs the three deck checks: singleton,
+        # returns to f, and membership
         fiber = enumerate_Ef_bounded(EDGE_IN_C5, 20)
-        tight = tight_vertices(EDGE_IN_C5)
         calls = []
-        real = hom_cover._check_cross_pairs
+        real = hom_cover.walks_adjacent
         monkeypatch.setattr(
-            hom_cover, "_check_cross_pairs", lambda *args: calls.append(args) or real(*args)
+            hom_cover, "walks_adjacent", lambda *args: calls.append(args) or real(*args)
         )
-        gs = hom_cover.deck_transformations(EDGE_IN_C5, 0, fiber, tight)
+        gs = hom_cover.deck_transformations(EDGE_IN_C5, 0, fiber)
         assert len(gs) == 3 and calls == []
         GammaElement = hom_cover.GammaElement
         with pytest.raises(NotInDomain, match="singleton"):
-            GammaElement.from_element(next(e for e in fiber if not e.is_singleton()), tight)
+            GammaElement(EDGE_IN_C5, next(e for e in fiber if not e.is_singleton()).sets)
         with pytest.raises(NotInDomain, match="return to f"):
-            GammaElement.from_element(
-                next(e for e in fiber if e.is_singleton() and e.norm() == 2), tight
+            GammaElement(
+                EDGE_IN_C5, next(e for e in fiber if e.is_singleton() and e.norm() == 2).sets
             )
         # five steps around C5: a singleton that returns to f, but odd
         loop = EfElement(
@@ -631,7 +629,7 @@ class TestDeckGroup:
             ({ReducedWalk(C5, (0, 1, 2, 3, 4, 0))}, {ReducedWalk(C5, (1, 2, 3, 4, 0, 1))}),
         )
         with pytest.raises(NotInDomain, match="outside the identity component"):
-            GammaElement.from_element(loop, tight)
+            GammaElement(EDGE_IN_C5, loop.sets)
 
     def test_group_table_is_infinite_cyclic(self):
         # indices: 0 identity, 1 and 2 the two generators (inverse to each
@@ -697,7 +695,8 @@ class TestDeckGroup:
     def test_elements_rebuilt_from_their_walk_sets(self, G, H, max_norm, pick):
         # an element holds only its key; the walk sets it builds on demand
         # must give back an equal element with the same hash, and the deck
-        # checks on the key must agree with the checking constructor
+        # transformations read off them must be exactly the elements the
+        # checking constructor accepts
         homs = enumerate_graph_homs(G, H)
         assume(homs)
         f = homs[pick % len(homs)]
@@ -705,26 +704,23 @@ class TestDeckGroup:
             elements = fiber_component_bounded(f, max_norm, cap=20_000)
         except ExplosionGuard:
             reject()
-        tight = tight_vertices(f)
         GammaElement = hom_cover.GammaElement
 
-        def outcome(build):
-            try:
-                g = build()
-            except NotInDomain as exc:
-                return str(exc)
+        def outcome(g):
             return g, hash(g), g.walks, repr(g)
 
+        accepted = {}
         for e in elements:
             again = EfElement(e.base_hom, e.sets)
             assert again == e and hash(again) == hash(e)
-            assert outcome(lambda: GammaElement.from_element(e, tight)) == outcome(
-                lambda: GammaElement(e.base_hom, e.sets)
-            )
-        deck = hom_cover.deck_transformations(f, 0, elements, tight)
+            try:
+                g = GammaElement(e.base_hom, e.sets)
+            except NotInDomain:
+                continue
+            accepted[g.key()] = outcome(g)
+        deck = hom_cover.deck_transformations(f, 0, elements)
         assert deck[0] == gamma_identity(f)
-        for g in deck:
-            assert outcome(lambda: g) == outcome(lambda: GammaElement(g.base_hom, g.sets))
+        assert {g.key(): outcome(g) for g in deck} == accepted
 
     def test_mismatched_base_rejected(self):
         g = gamma_identity(EDGE_IN_C5)

@@ -4,8 +4,9 @@ Each path that skips the checks of the public constructors is held against
 them: every walk it returns must equal, and hash like, its own vertex tuple
 passed back through `Walk` or `ReducedWalk`, and every homotopy the same
 walks passed back through `Homotopy`. A counting test pins down that the
-reduced-walk window, the tree cover and its lifts run no walk check at all,
-while the public constructors still reject bad input.
+reduced-walk window, the tree cover and its lifts, the fiber walk and the
+deck transformations read off it run no walk check at all, while the public
+constructors still reject bad input.
 """
 
 import pytest
@@ -25,6 +26,7 @@ from homcx import (
     cycle_graph,
     edge_walk,
     enumerate_Ef_bounded,
+    fiber_component_bounded,
     gamma_elements_bounded,
     homotopy_from_valid_walk,
     is_topologically_valid,
@@ -158,7 +160,11 @@ def test_window_cover_and_lifts_run_no_walk_check(monkeypatch):
     cover = tree_cover(PET, 0, 7)
     lifted = lift_walk(cover, start, xi)
     assert cover.project_walk(lifted) == xi
-    assert (len(window.walks), len(cover.walks), calls) == (940, 382, [])
+    f = GraphHom(complete_graph(2), PET, (0, 1))
+    fiber = fiber_component_bounded(f, 6)
+    deck = gamma_elements_bounded(f, 0, 6)
+    sizes = (len(window.walks), len(cover.walks), len(fiber), len(deck))
+    assert (sizes, calls) == ((940, 382, 85, 1), [])
     # the public constructors still run every check
     for cls, vertices in [
         (Walk, (0, 10)),
@@ -168,7 +174,6 @@ def test_window_cover_and_lifts_run_no_walk_check(monkeypatch):
         with pytest.raises(ValueError):
             cls(PET, vertices)
     assert len(calls) == 3
-    f = GraphHom(complete_graph(2), PET, (0, 1))
     with pytest.raises(NotNeighbor):
         Homotopy(f, f, (ReducedWalk(PET, (0,)), ReducedWalk(PET, (1, 2, 3, 4, 0, 1))))
     with pytest.raises(NotInFiber):
