@@ -92,7 +92,6 @@ from .hom_poset import (
     HomPoset,
     SetValuedHom,
     census_report,
-    component_betti,
     component_census,
     component_summary,
     critical_cells,

@@ -160,20 +160,30 @@ def _homotopy_type(betti, k2_factoring, r):
     )
 
 
-def _summary_type(G, s, rank_of):
+def _summary_type(G, H, s, rank_of, connected):
     """The homotopy type of a ComponentSummary; rank_of is _rank_by_vertex,
     read at the image of an endpoint of the least edge (vertex 0 if there is
     none), which an edge-factoring component sends into the right target
     component. Homology above degree one on a disconnected domain raises
     NotConnected: the component is then a product over the domain's
-    components, which the trichotomy does not cover."""
+    components, which the trichotomy does not cover. When connected (both
+    graphs connected, two or more domain vertices), the type must equal
+    _closed_form at the representative, or InvariantViolation is raised."""
     if any(s.cell_betti[2:]) and not is_connected(G):
         raise NotConnected(
             f"a disconnected domain gives homology above degree one: {s.cell_betti}"
         )
     k2 = s.k2_factoring and G.edge_count > 0
     u = min(G.edges)[0] if G.edges else 0
-    return _homotopy_type(s.cell_betti, k2, rank_of[s.representative[u]])
+    t = _homotopy_type(s.cell_betti, k2, rank_of[s.representative[u]])
+    if connected:
+        rule = _closed_form(GraphHom(G, H, s.representative))
+        if rule != t.case_tag:
+            raise InvariantViolation(
+                f"component of {s.representative} is a {t.case_tag}, "
+                f"the closed form says {rule}"
+            )
+    return t
 
 
 def closed_form_type(f):
@@ -210,13 +220,17 @@ def classify_component(G, H, f, cap=DEFAULT_CAP):
 
     An edgeless domain makes every component a full simplex, so the
     edge-factoring case (which presumes an edge in the domain) is only
-    recognized when the domain has one. A domain without vertices raises
-    GraphInputError, and a seed f that is not a map G -> H NotHomomorphism.
+    recognized when the domain has one. With both graphs connected and two
+    or more domain vertices, the case must also equal closed_form_type at
+    the component's representative, as in full_case_report. A domain
+    without vertices raises GraphInputError, and a seed f that is not a map
+    G -> H NotHomomorphism.
     """
     _require_domain_vertex(G)
     require_square_free(H)
     rank_of = _rank_by_vertex(_component_ranks(H))
-    return _summary_type(G, component_summary(G, H, f, cap=cap), rank_of)
+    connected = is_connected(G) and is_connected(H) and G.n >= 2
+    return _summary_type(G, H, component_summary(G, H, f, cap=cap), rank_of, connected)
 
 
 def full_case_report(G, H, cap=DEFAULT_CAP):
@@ -237,14 +251,7 @@ def full_case_report(G, H, cap=DEFAULT_CAP):
     classified = []
     for s in component_census(G, H, cap=cap):
         entry = s.to_json()
-        entry.update(_summary_type(G, s, rank_of).to_json())
-        if connected:
-            rule = _closed_form(GraphHom(G, H, s.representative))
-            if rule != entry["case"]:
-                raise InvariantViolation(
-                    f"component of {s.representative} is a {entry['case']}, "
-                    f"the closed form says {rule}"
-                )
+        entry.update(_summary_type(G, H, s, rank_of, connected).to_json())
         classified.append(entry)
     n_factoring = sum(c["case"] == EDGE_COMPONENT for c in classified)
     if connected:

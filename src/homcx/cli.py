@@ -27,6 +27,7 @@ import tempfile
 from .classifier import expected_rank, full_case_report
 from .errors import (
     EmptyHomSet,
+    ExplosionGuard,
     GraphInputError,
     HomcxError,
     NotConnected,
@@ -449,6 +450,9 @@ def main(argv=None):
     except (NotSquareFree, EmptyHomSet, NotConnected) as exc:
         print(f"hypothesis rejected: {exc}", file=sys.stderr)
         return 3
+    except ExplosionGuard as exc:
+        print(f"cap reached: {exc}", file=sys.stderr)
+        return 2
     except HomcxError as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)
         return 2

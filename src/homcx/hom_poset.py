@@ -456,11 +456,11 @@ def _betti(critical, walk):
     edges (Forman, Morse theory for cell complexes, 1998). That graph is
     connected, because the walk joins the homomorphisms by one-vertex moves
     and each move is a 1-cell, so b_0 = 1, b_1 = c1 - c0 + 1, and the
-    homology is free. Otherwise the Betti numbers are ranks over the
-    rationals of the cellular chain complex of walk(), the full component.
-    Its cells and the critical ones have the same alternating sum, as
-    matched pairs cancel and the cells the fold drops over each rest sum to
-    zero; a mismatch, a fault in the fold or the matching, raises
+    homology is free. Otherwise b_0 .. b_top come from the exact ranks of
+    every boundary of the cellular chain complex of walk(), the full
+    component. Its cells and the critical ones have the same alternating
+    sum, as matched pairs cancel and the cells the fold drops over each rest
+    sum to zero; a mismatch, a fault in the fold or the matching, raises
     InvariantViolation.
     """
     top = len(critical) - 1
@@ -472,12 +472,7 @@ def _betti(critical, walk):
         raise InvariantViolation(
             f"critical cells {critical} disagree with the Euler characteristic {euler}"
         )
-    return C.betti(len(C.counts) - 1)
-
-
-def component_betti(P, max_dim=2):
-    """Betti numbers b_0 .. b_max_dim of the component, zero above its top cell."""
-    return _truncate(cellular_betti(P), max_dim)
+    return C.betti()
 
 
 def _truncate(betti, max_dim):

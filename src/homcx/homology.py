@@ -1,19 +1,18 @@
 """Chain complexes, their exact Betti numbers, and order complexes of posets.
 
-A `ChainComplex` holds sparse boundary matrices with +1/-1 entries. A
-component of Hom(G, H) takes its Betti numbers from an acyclic matching on
-its cells (`hom_poset.critical_cells`) and builds one
+A `ChainComplex` holds sparse integer boundary matrices. A component of
+Hom(G, H) takes its Betti numbers from an acyclic matching on its cells
+(`hom_poset.critical_cells`) and builds one
 (`hom_poset.cellular_chain_complex`) only when the matching leaves a
 critical cell above dimension 1. The order complex of a finite poset,
 whose simplices are the chains of the poset, is the barycentric subdivision
 of the same space, so both must give the same Betti numbers; the tests use
 it as an independent oracle (`order_complex` and `betti_numbers` in
 tests/oracles.py), and the benchmark's traced pass times it. Betti numbers
-come from ranks over the rationals: of the first boundary, an incidence
-matrix, by union-find (`incidence_rank`); of the others by one echelon pass
-over the boundary columns (`exact_rank`) in exact integer arithmetic:
-columns are combined fraction-free and rescaled by their gcd, so no
-floating point is involved anywhere.
+come from ranks over the rationals, every boundary's by one echelon pass
+over its columns (`exact_rank`) in exact integer arithmetic: columns are
+combined fraction-free and rescaled by their gcd, so no floating point is
+involved anywhere.
 """
 
 from __future__ import annotations
@@ -91,7 +90,8 @@ class ChainComplex:
     """Boundary matrices of a cell complex, stored column-sparse.
 
     boundaries[d] describes the boundary of each d-cell as a list of
-    (row, sign) pairs into the (d-1)-cells; boundaries[0] is the zero map.
+    (row, coefficient) pairs into the (d-1)-cells, integer coefficients;
+    boundaries[0] is the zero map.
     """
 
     counts: tuple
@@ -123,21 +123,14 @@ class ChainComplex:
                     raise InvariantViolation("boundary of a boundary is nonzero")
         return True
 
-    def betti(self, max_dim):
-        """Betti numbers b_0 .. b_max_dim, exactly.
+    def betti(self):
+        """Betti numbers b_0 .. b_top, exactly, every boundary ranked by
+        exact_rank.
 
         b_d = (number of d-cells) - rank(boundary_d) - rank(boundary_{d+1}).
         """
-        ranks = {0: 0}
-        for d in range(1, min(len(self.counts) - 1, max_dim + 1) + 1):
-            cols = self.boundaries[d]
-            ranks[d] = incidence_rank(self.counts[0], cols) if d == 1 else exact_rank(map(dict, cols))
-        return tuple(
-            (self.counts[d] if d < len(self.counts) else 0)
-            - ranks.get(d, 0)
-            - ranks.get(d + 1, 0)
-            for d in range(max_dim + 1)
-        )
+        ranks = [0] + [exact_rank(map(dict, cols)) for cols in self.boundaries[1:]] + [0]
+        return tuple(n - ranks[d] - ranks[d + 1] for d, n in enumerate(self.counts))
 
 
 def chain_complex(K):
@@ -167,11 +160,14 @@ def exact_rank(rows):
     is reduced against the row stored under its leading (largest) column
     until that column is free, then stored there; the rank is the number of
     stored rows. Fraction-free: p[c]*row - row[c]*p, divided by the gcd of
-    its entries. The given dicts are never modified, and rows may be any
-    iterable; columns give the same rank.
+    its entries. Explicit zero entries are dropped as each row is taken in.
+    The given dicts are never modified, and rows may be any iterable;
+    columns give the same rank.
     """
     pivots = {}
     for row in rows:
+        if 0 in row.values():
+            row = {k: v for k, v in row.items() if v}
         while row:
             c = max(row)
             p = pivots.get(c)
@@ -187,26 +183,3 @@ def exact_rank(rows):
             g = math.gcd(*new.values())
             row = {k: v // g for k, v in new.items()} if g > 1 else new
     return len(pivots)
-
-
-def incidence_rank(n_rows, cols):
-    """Rank of an incidence matrix of sparse (row, sign) columns: the number
-    of edges joining two trees of a spanning forest, found by union-find. A
-    column other than two entries of opposite sign raises InvariantViolation."""
-    parent = list(range(n_rows))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    rank = 0
-    for col in cols:
-        if len(col) != 2 or col[0][1] != -col[1][1] or not col[0][1]:
-            raise InvariantViolation(f"boundary column {col} is not an edge")
-        a, b = find(col[0][0]), find(col[1][0])
-        if a != b:
-            parent[a] = b
-            rank += 1
-    return rank

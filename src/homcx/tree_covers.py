@@ -22,7 +22,7 @@ from .errors import (
     OutOfWindow,
 )
 from .graphs import Graph, graph_to_json, is_connected, require_vertex
-from .hom_poset import DEFAULT_CAP, SetValuedHom
+from .hom_poset import SetValuedHom
 from .walks import (
     Walk,
     closed_reduced_walks_at,
@@ -55,7 +55,7 @@ class TreeCover:
         require_vertex(base, basepoint)
         if not is_connected(base):
             raise NotConnected("covers are built over connected graphs")
-        walks = tuple(reduced_walks_from(base, basepoint, radius, DEFAULT_CAP))
+        walks = tuple(reduced_walks_from(base, basepoint, radius))
         index = {w: i for i, w in enumerate(walks)}
         at = {w.vertices: i for i, w in enumerate(walks)}
         edges = [(at[w.vertices[:-1]], i) for i, w in enumerate(walks) if w.length]
@@ -95,7 +95,8 @@ def tree_cover(base, basepoint, radius):
 
 
 def pi1_elements(G, u, max_len, even_only=False):
-    """Closed reduced walks at u up to a length bound, sorted."""
+    """Closed reduced walks at u up to a length bound, sorted; more than
+    DEFAULT_CAP reduced walks from u raise ExplosionGuard."""
     out = closed_reduced_walks_at(G, u, max_len)
     if even_only:
         out = [w for w in out if w.length % 2 == 0]

@@ -13,7 +13,7 @@ checked, skip re-validation through `Walk._from_checked`.
 from __future__ import annotations
 
 from .errors import NotClosed, SourceTargetMismatch
-from .graphs import _is_int, _over_cap, _require_cap, require_vertex
+from .graphs import DEFAULT_CAP, _is_int, _over_cap, _require_cap, require_vertex
 
 
 class Walk:
@@ -26,8 +26,7 @@ class Walk:
         if not vertices:
             raise ValueError("a walk needs at least one vertex")
         for x in vertices:
-            # _is_int's test, with its call skipped for a plain int
-            if not ((type(x) is int or _is_int(x)) and 0 <= x < graph.n):
+            if not (_is_int(x) and 0 <= x < graph.n):
                 raise ValueError(f"vertex {x!r} out of range")
         for a, b in zip(vertices, vertices[1:]):
             if not graph.has_edge(a, b):
@@ -211,7 +210,7 @@ def _reduced_walks(graph, sources, max_len, cap):
     return [ReducedWalk._from_checked(graph, w) for w in out]
 
 
-def reduced_walks_from(graph, source, max_len, cap=None):
+def reduced_walks_from(graph, source, max_len, cap=DEFAULT_CAP):
     """All reduced walks starting at source with length <= max_len.
 
     Ordered by (length, vertex sequence). A source outside the graph raises
@@ -221,11 +220,13 @@ def reduced_walks_from(graph, source, max_len, cap=None):
     return _reduced_walks(graph, (source,), max_len, cap)
 
 
-def all_reduced_walks(graph, max_len, cap=None):
+def all_reduced_walks(graph, max_len, cap=DEFAULT_CAP):
     """All reduced walks of length <= max_len from every source, sorted."""
     return _reduced_walks(graph, graph.vertices(), max_len, cap)
 
 
 def closed_reduced_walks_at(graph, base, max_len):
-    """All closed reduced walks at base with length <= max_len, sorted."""
+    """All closed reduced walks at base with length <= max_len, sorted. More
+    than DEFAULT_CAP reduced walks from base, closed or not, raise
+    ExplosionGuard."""
     return [w for w in reduced_walks_from(graph, base, max_len) if w.target == base]

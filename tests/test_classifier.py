@@ -326,6 +326,8 @@ class TestClosedForm:
         monkeypatch.setattr(classifier, "_closed_form", lambda f: "Circle")
         with pytest.raises(InvariantViolation, match="closed form says Circle"):
             full_case_report(C3, C3)
+        with pytest.raises(InvariantViolation, match="closed form says Circle"):
+            classify_component(K2, C5, GraphHom(K2, C5, (0, 1)))
 
     def test_gate_needs_connected_graphs_and_two_vertices(self, monkeypatch):
         def refuse(f):
@@ -335,3 +337,9 @@ class TestClosedForm:
         full_case_report(K1, C5)
         full_case_report(C7, disjoint_union(C5, C6))
         full_case_report(disjoint_union(K1, K2), C5)
+        for G, H, f in [
+            (K1, C5, (0,)),
+            (C7, disjoint_union(C5, C6), (0, 1, 0, 1, 2, 3, 4)),
+            (disjoint_union(K1, K2), C5, (0, 0, 1)),
+        ]:
+            classify_component(G, H, GraphHom(G, H, f))

@@ -361,6 +361,9 @@ class TestReportBytes:
 class TestCaps:
     def test_cap_flag(self, capsys):
         assert main(["census", "--domain", "K2", "--codomain", "C5", "--cap", "5"]) == 2
+        assert capsys.readouterr().err == (
+            "cap reached: graph homomorphisms: reached 6, over the cap of 5\n"
+        )
 
     def test_cap_env(self, monkeypatch, capsys):
         monkeypatch.setenv("HOMCX_CAP", "5")

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from homcx import (
+    ExplosionGuard,
     Graph,
     GraphHom,
     GraphInputError,
@@ -166,6 +167,12 @@ class TestFundamentalGroup:
         assert [w.length for w in pi1_elements(C5, 0, 10)] == [0, 5, 5, 10, 10]
         assert [w.length for w in pi1_elements(C5, 0, 10, even_only=True)] == [0, 10, 10]
         assert [w.length for w in pi1_elements(C10, 0, 20)] == [0, 10, 10, 20, 20]
+
+    def test_loop_catalogue_is_capped_by_default(self):
+        # 3 * 2**17 - 2 reduced walks from a vertex of the Petersen graph
+        message = r"^reduced walks: reached 393214, over the cap of 200000$"
+        with pytest.raises(ExplosionGuard, match=message):
+            pi1_elements(petersen_graph(), 0, 17)
 
     def test_base_vertex_outside_the_graph_rejected(self):
         with pytest.raises(GraphInputError):
