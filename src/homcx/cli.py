@@ -89,11 +89,13 @@ def load_graph(spec):
 
 
 def load_hom(G, H, text):
-    try:
-        mapping = tuple(int(t) for t in text.split(","))
-    except ValueError:
+    """The GraphHom G -> H whose vertex images text lists, comma-separated,
+    each field ASCII digits only: int() would also take signs, spaces and
+    underscores."""
+    fields = text.split(",")
+    if not all(t.isascii() and t.isdigit() for t in fields):
         raise GraphInputError(f"cannot parse vertex images from {text!r}")
-    return GraphHom(G, H, mapping)
+    return GraphHom(G, H, map(int, fields))
 
 
 _encode_str = json.encoder.encode_basestring_ascii

@@ -31,11 +31,12 @@ given as a tuple of masks, serves the fiber's covering check. The
 homomorphisms, the cells of one-point sets, stay the walk's mapping tuples
 and are a component summary's members; only the census's seed of each
 component becomes a `GraphHom`. The census walks one component per orbit
-of Aut(G) and reads the others off by relabelling: precomposition with an
-automorphism of G carries a component onto one with the same cells, Betti
-numbers, homomorphism count and edge-factoring marker, so only its members
-change. The automorphism search has a step budget in proportion to the
-mappings left unclaimed; a component no generator found reaches is walked.
+of Aut(G) and Aut(H) and reads the others off by relabelling:
+precomposition with an automorphism of G, or postcomposition with one of
+H, carries a component onto one with the same cells, Betti numbers,
+homomorphism count and edge-factoring marker, so only its members change.
+Each automorphism search has a step budget in proportion to the mappings
+left unclaimed; a component no generator found reaches is walked.
 The order complex of the face poset, the barycentric subdivision, is the
 tests' independent oracle (tests/oracles.py), built from
 `HomPoset.strict_upsets`.
@@ -57,6 +58,7 @@ from .graphs import (
     maps_into_edge,
     mask_bits,
     _automorphism_generators,
+    _is_int,
     _over_cap,
     _require_cap,
 )
@@ -76,7 +78,7 @@ class SetValuedHom:
             if not s:
                 raise NotHomomorphism(f"empty set at vertex {u}")
             for x in s:
-                if not (0 <= x < codomain.n):
+                if not (_is_int(x) and 0 <= x < codomain.n):
                     raise NotHomomorphism(f"image vertex {x!r} out of range")
         for u, v in domain.edges:
             for x in sets[u]:
@@ -527,7 +529,7 @@ def component_summary(G, H, f, cap=DEFAULT_CAP):
     return ComponentSummary(size, members, betti, any(maps_into_edge(H, m) for m in members))
 
 
-_SEARCH_STEPS = 4  # automorphism search steps per domain vertex and unclaimed mapping
+_SEARCH_STEPS = 4  # domain automorphism search steps per vertex and unclaimed mapping
 
 
 def component_census(G, H, cap=DEFAULT_CAP):
@@ -536,24 +538,27 @@ def component_census(G, H, cap=DEFAULT_CAP):
     Components are listed by their lexicographically least homomorphism. In
     sorted order, the first mapping no component has claimed is the least
     of a new one, and its component is walked. Precomposition with an
-    automorphism of G maps each component onto one with the same cells,
-    Betti numbers, homomorphism count and edge-factoring marker, so the
-    images of a walked component under the generators of Aut(G), and theirs
-    in turn, are read off by relabelling its members. An image whose least
-    member is unclaimed is a new component; one whose least member is
-    claimed must equal the component that claimed it. Every claimed mapping
-    must be one the backtracking enumeration found and not yet claimed, and
-    a walk's least member must be its seed. The generators are searched for
-    only once a walk leaves a mapping unclaimed, and relabelling stops once
-    every mapping is claimed. The search may spend _SEARCH_STEPS * n steps
-    per unclaimed mapping, a constant times the enumeration that found
-    them; generators it misses only leave their images to be walked.
+    automorphism g of G, x -> x o g, and postcomposition with an
+    automorphism s of H, x -> s o x, map each component onto one with the
+    same cells, Betti numbers, homomorphism count and edge-factoring marker,
+    so the images of a walked component under the generators of Aut(G) and
+    of Aut(H), and theirs in turn, are read off by relabelling its members.
+    An image whose least member is unclaimed is a new component; one whose
+    least member is claimed must equal the component that claimed it. Every
+    claimed mapping must be one the backtracking enumeration found and not
+    yet claimed, and a walk's least member must be its seed. The generators
+    are searched for only once a walk leaves a mapping unclaimed, and
+    relabelling stops once every mapping is claimed. With left mappings
+    unclaimed then, the search of G may spend _SEARCH_STEPS * |V(G)| * left
+    steps and that of H left steps, each a constant times the enumeration
+    that found them; generators a search misses only leave their images to
+    be walked.
     """
     mappings = sorted(_hom_mappings(G, H, cap))
     owner = dict.fromkeys(mappings)  # mapping -> the summary claiming it
     left = len(mappings)
     summaries = []
-    generators = None
+    relabellings = None
 
     def claim(s):
         nonlocal left
@@ -575,11 +580,17 @@ def component_census(G, H, cap=DEFAULT_CAP):
         claim(s)
         queue = [s]
         while queue and left:
-            if generators is None:
-                generators = _automorphism_generators(G, _SEARCH_STEPS * G.n * left)
+            if relabellings is None:
+                relabellings = [
+                    lambda x, g=g: tuple(map(x.__getitem__, g))
+                    for g in _automorphism_generators(G, _SEARCH_STEPS * G.n * left)
+                ] + [
+                    lambda x, a=a: tuple(map(a.__getitem__, x))
+                    for a in _automorphism_generators(H, left)
+                ]
             t = queue.pop()
-            for g in generators:
-                image = tuple(sorted(tuple(x[v] for v in g) for x in t.members))
+            for relabel in relabellings:
+                image = tuple(sorted(map(relabel, t.members)))
                 other = owner.get(image[0])
                 if other is None:
                     other = ComponentSummary(t.size, image, t.cell_betti, t.k2_factoring)

@@ -175,6 +175,13 @@ class TestReports:
         assert main(base + ["--seed-hom", "a,b"]) == 1
         assert main(base + ["--seed-hom", "0,3"]) == 1  # not a homomorphism
 
+    @pytest.mark.parametrize("text", ["0,1_0", "0, 1", "0,+1", "0,-1", "0,\u0661"])
+    def test_ef_seed_fields_are_ascii_digits(self, capsys, text):
+        # int() reads 1_0 as 10, and takes spaces, signs and other digits
+        argv = ["ef", "--domain", "K2", "--codomain", "petersen", "--max-norm", "4"]
+        assert main(argv + ["--seed-hom", text]) == 1
+        assert capsys.readouterr().err == f"error: cannot parse vertex images from {text!r}\n"
+
     def test_cover(self, capsys):
         code, rep = run(capsys, "cover", "--graph", "C5", "--radius", "3")
         assert code == 0

@@ -384,7 +384,8 @@ class TestAutomorphisms:
 
     def test_census_budgets_the_search(self, monkeypatch):
         # Hom(T, K2) has two one-map components and no automorphism of T
-        # swaps them; the census's search must be bounded to finish at once
+        # swaps them; the census's search of T must be bounded to finish at
+        # once, and so must its search of K2
         budgets = []
 
         def bounded(G, budget=None):
@@ -397,7 +398,28 @@ class TestAutomorphisms:
         with finishes_within(10):
             summaries = component_census(T, complete_graph(2))
         assert summaries == component_census_reference(T, complete_graph(2))
-        assert len(summaries) == 2 and len(budgets) == 1
+        assert len(summaries) == 2 and len(budgets) == 2
+
+    def test_census_budgets_the_target_search(self, monkeypatch):
+        # Hom(K2, T) has two components, one per side of an edge, and the
+        # swap of K2 relabels one onto the other; the search of T must be
+        # bounded like that of K2, a failing branch being as costly there
+        G, T = complete_graph(2), lopsided_tree(5)
+        expected = component_census_reference(G, T)
+        assert len(expected) == 2
+        left = len(expected[1].members)  # what the first walk leaves
+        budgets = []
+
+        def bounded(H, budget=None):
+            budgets.append(budget)
+            assert budget is not None and budget <= 4 * G.n * left
+            return _automorphism_generators(H, budget)
+
+        monkeypatch.setattr(hom_poset, "_automorphism_generators", bounded)
+        with finishes_within(10):
+            summaries = component_census(G, T)
+        assert summaries == expected
+        assert len(budgets) == 2
 
     def test_long_path_needs_no_recursion(self):
         # a 1,500-vertex path is searched to depth 1,500, beyond the

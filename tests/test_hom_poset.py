@@ -152,6 +152,12 @@ class TestSetValuedHom:
         with pytest.raises(NotHomomorphism):
             SetValuedHom(K2, C5, ({0},))
 
+    @pytest.mark.parametrize("x", [True, 1.0])
+    def test_image_vertices_are_ints(self, x):
+        # True and 1.0 equal the vertex 1 of C5, but are no vertex labels
+        with pytest.raises(NotHomomorphism, match=f"image vertex {x!r} out of range"):
+            SetValuedHom(K2, C5, ({x}, {0}))
+
     def test_order_and_norm(self):
         small = SetValuedHom(K2, C5, ({0}, {1}))
         big = SetValuedHom(K2, C5, ({0}, {1, 4}))
@@ -386,10 +392,13 @@ class TestCensus:
         ids=["not-a-homomorphism", "claimed-earlier", "start-swapped-count-kept"],
     )
     def test_members_must_be_unclaimed_homomorphisms(self, monkeypatch, change):
-        # the component of (1, 0, 1) gains (3, 3, 3), no homomorphism P3 ->
-        # P4, or (2, 3, 2), which the component of (0, 1, 0) claimed first;
-        # or it swaps its own start for (3, 3, 3), which keeps the count of
-        # members over all components equal to the count of homomorphisms
+        # Hom(P3, P5) has two components, told apart by the parity of the
+        # ends, and the reversals of P3 and P5 keep each one, so both are
+        # walked. The component of (1, 0, 1) gains (3, 3, 3), no
+        # homomorphism P3 -> P5, or (2, 3, 2), which the component of
+        # (0, 1, 0) claimed first; or it swaps its own start for (3, 3, 3),
+        # which keeps the count of members over all components equal to the
+        # count of homomorphisms
         real = hom_poset._walk
 
         def changed(G, H, f, cap, start):
@@ -400,7 +409,7 @@ class TestCensus:
 
         monkeypatch.setattr(hom_poset, "_walk", changed)
         with pytest.raises(InvariantViolation, match="do not partition"):
-            component_census(P3, P4)
+            component_census(P3, path_graph(5))
 
     def test_vertexless_domain_is_one_point(self):
         # one empty mapping, also into a vertexless target, whose cell
@@ -472,22 +481,32 @@ class TestCensusByOrbits:
         assert len(full_case_report(P3, PETERSEN)["components"]) == 1
         assert (len(walks), len(searches)) == (1, 0)
         for G, H, components, walked in [
-            (cycle_graph(7), PETERSEN, 24, 12),
+            (cycle_graph(7), PETERSEN, 24, 1),
             (C3, C3, 6, 1),
         ]:
             walks.clear()
             searches.clear()
             assert len(component_census(G, H)) == components
-            assert (len(walks), len(searches)) == (walked, 1)
+            assert (len(walks), searches) == (walked, [G, H])
 
     @pytest.mark.parametrize(
-        "domain, generator",
-        [(P4, (2, 1, 0, 3)), (P4, (0, 3, 2, 1)), (P3, (1, 0, 2))],
+        "domain, side, generator",
+        [
+            (P4, "domain", (2, 1, 0, 3)),
+            (P4, "domain", (0, 3, 2, 1)),
+            (P3, "domain", (1, 0, 2)),
+            (P4, "target", (2, 1, 0, 3)),
+            (P4, "target", (0, 3, 2, 1)),
+            (P3, "target", (1, 0, 2, 3)),
+        ],
     )
-    def test_images_must_be_components(self, monkeypatch, domain, generator):
-        # a permutation that is no automorphism carries a component onto a
-        # set that is not one: it meets a claimed component without being
-        # equal to it, or holds a map that is no homomorphism
-        monkeypatch.setattr(hom_poset, "_automorphism_generators", lambda G, budget: [generator])
+    def test_images_must_be_components(self, monkeypatch, domain, side, generator):
+        # a permutation that is no automorphism, of the domain or of the
+        # target P4, carries a component onto a set that is not one: it
+        # meets a claimed component without being equal to it, or holds a
+        # map that is no homomorphism
+        found = {"domain": [[generator], []], "target": [[], [generator]]}[side]
+        monkeypatch.setattr(hom_poset, "_automorphism_generators", lambda G, budget: found.pop(0))
         with pytest.raises(InvariantViolation, match="do not partition"):
             component_census(domain, P4)
+        assert not found
