@@ -65,15 +65,16 @@ from .pi_graph import materialize_pi
 from .tree_covers import lift_walk, tree_cover
 from .walks import ReducedWalk
 
-_CYCLE_PATH_COMPLETE = re.compile(r"^(C|P|K)(\d+)$")
-_COMPLETE_BIPARTITE = re.compile(r"^K(\d+),(\d+)$")
+_CYCLE_PATH_COMPLETE = re.compile(r"(C|P|K)([0-9]+)")
+_COMPLETE_BIPARTITE = re.compile(r"K([0-9]+),([0-9]+)")
 
 
 def load_graph(spec):
-    """A preset name (C5, P4, K3, K3,3, petersen) or a JSON file path."""
+    """A preset name (C5, P4, K3, K3,3, petersen; ASCII digits, the whole
+    name) or a JSON file path."""
     if spec == "petersen":
         return petersen_graph()
-    m = _CYCLE_PATH_COMPLETE.match(spec)
+    m = _CYCLE_PATH_COMPLETE.fullmatch(spec)
     if m:
         kind, k = m.group(1), int(m.group(2))
         if kind == "C":
@@ -81,11 +82,15 @@ def load_graph(spec):
         if kind == "P":
             return path_graph(k)
         return complete_graph(k)
-    m = _COMPLETE_BIPARTITE.match(spec)
+    m = _COMPLETE_BIPARTITE.fullmatch(spec)
     if m:
         return complete_bipartite(int(m.group(1)), int(m.group(2)))
     with open(spec) as fh:
-        return graph_from_json(json.load(fh))
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise GraphInputError(f"cannot read graph JSON from {spec}: nested too deeply") from None
+    return graph_from_json(data)
 
 
 def load_hom(G, H, text):
@@ -211,7 +216,7 @@ def run_check(args):
         "vertices": G.n,
         "witness": list(witness) if witness else None,
     }
-    if witness is None and is_connected(G):
+    if witness is None and G.n and is_connected(G):
         report["expected_rank"] = expected_rank(G)
     return report, 0 if witness is None else 3
 

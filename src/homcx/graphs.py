@@ -282,7 +282,7 @@ def bfs_order(G):
 # automorphisms
 
 
-def _automorphism_generators(G, budget=None):
+def _automorphism_generators(G, budget):
     """A strong generating set of Aut(G), each generator a permutation tuple
     g with g[u] the image of u, relative to the base bfs_order(G).
 
@@ -296,14 +296,17 @@ def _automorphism_generators(G, budget=None):
     vertex's earlier neighbours, and it is a neighbour of the first earlier
     neighbour's image when there is one. Each assignment keeps adjacency and
     non-adjacency to everything before it, so a complete one is an
-    automorphism. The search is depth first over bitmasks kept per position
-    (the room left to try, the wanted neighbourhood and the vertices used
-    before it), so it never recurses.
+    automorphism. Each level is one depth-first loop over positions i to
+    n - 1, with bitmasks kept per position (the room left to try, the
+    wanted neighbourhood and the vertices used before it), so it never
+    recurses. Once a generator is found, u's new orbit leaves position i's
+    room and the loop resumes there; the level ends when it backtracks
+    below position i.
 
     A failing candidate can cost time exponential in n, so every candidate
-    tried counts one step, and once budget steps are spent (None means no
-    bound) the generators found so far are returned: automorphisms still,
-    but perhaps spanning only a subgroup.
+    tried counts one step, and once budget steps are spent (math.inf means
+    no bound) the generators found so far are returned: automorphisms
+    still, but perhaps spanning only a subgroup.
     """
     order = bfs_order(G)
     n = len(order)
@@ -323,8 +326,7 @@ def _automorphism_generators(G, budget=None):
     generators = []
 
     def open_position(j):
-        """Set the room and the wanted neighbourhood of position j; a vertex
-        of the room is a candidate when it fits."""
+        """Set the room and the wanted neighbourhood of position j."""
         w = 0
         for v in earlier[j]:
             w |= 1 << image[v]
@@ -334,69 +336,38 @@ def _automorphism_generators(G, budget=None):
             room &= nbr[image[earlier[j][0]]]
         untried[j] = room
 
-    def fits(j, c):
-        return nbr[c] & used[j] == want[j]
-
-    steps = 0
-
-    def spend():
-        """Count one step; True once the budget is spent."""
-        nonlocal steps
-        steps += 1
-        return budget is not None and steps > budget
-
-    def extends(i, c):
-        """Send order[i] to c and search the later positions for the rest;
-        None once the budget is spent."""
-        image[order[i]] = c
-        used[i + 1] = used[i] | 1 << c
-        j = i + 1
-        if j < n:
-            open_position(j)
-        while j > i:
-            if j == n:
-                return True
-            left = untried[j]
-            if not left:
-                j -= 1
-                continue
-            if spend():
-                return None
-            low = left & -left
-            untried[j] = left ^ low
-            c = low.bit_length() - 1
-            if not fits(j, c):
-                continue
-            image[order[j]] = c
-            used[j + 1] = used[j] | low
-            j += 1
-            if j < n:
-                open_position(j)
-        return False
-
     prefix = (1 << n) - 1
     for i in range(n - 1, -1, -1):
         u = order[i]
         prefix ^= 1 << u
         used[i] = prefix
         open_position(i)
-        left = untried[i]
-        orbit = 1 << u  # every generator so far fixes u
-        while rest := left & ~orbit:
-            low = rest & -rest
-            left ^= low
-            c = low.bit_length() - 1
-            if spend():
-                return generators
-            if not fits(i, c):
-                continue
-            found = extends(i, c)
-            if found is None:
-                return generators
-            if found:
+        untried[i] &= ~(1 << u)  # every generator so far fixes u
+        j = i
+        while j >= i:
+            if j == n:
                 generators.append(tuple(image))
-                reached = closure(u, lambda x: [g[x] for g in generators])
-                orbit = sum(1 << x for x in reached)
+                for x in closure(u, lambda x: [g[x] for g in generators]):
+                    untried[i] &= ~(1 << x)
+                j = i
+                continue
+            left = untried[j]
+            if not left:
+                j -= 1
+                continue
+            budget -= 1
+            if budget < 0:
+                return generators
+            low = left & -left
+            untried[j] = left ^ low
+            c = low.bit_length() - 1
+            if nbr[c] & used[j] != want[j]:
+                continue
+            image[order[j]] = c
+            used[j + 1] = used[j] | low
+            j += 1
+            if j < n:
+                open_position(j)
     return generators
 
 

@@ -80,6 +80,12 @@ class TestExpectedRank:
         with pytest.raises(NotConnected):
             expected_rank(disjoint_union(C5, C6))
 
+    def test_empty_target_has_no_rank(self):
+        # the tensor double of the empty graph has no cycle, and no
+        # component whose rank could be predicted
+        with pytest.raises(NotConnected):
+            expected_rank(Graph(0))
+
     def test_induced_component(self):
         H = disjoint_union(C5, C6)
         left = induced_component(H, tuple(range(5)))

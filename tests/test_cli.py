@@ -40,6 +40,17 @@ class TestLoadGraph:
         p.write_text(json.dumps({"n": 3, "edges": [[0, 1], [1, 2]]}))
         assert load_graph(str(p)) == path_graph(3)
 
+    @pytest.mark.parametrize("spec", ["K\u0663,\u0663", "P\u0664", "C\uff15", "C5\n", "K3,3\n"])
+    def test_presets_are_whole_ascii_names(self, tmp_path, monkeypatch, capsys, spec):
+        # Arabic-Indic and fullwidth digits and a trailing newline name no
+        # preset, so each spec is a path, and here no file has that name
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(FileNotFoundError):
+            load_graph(spec)
+        assert main(["check", "--graph", spec]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+
 
 class TestCheck:
     def test_square_free_graph(self, capsys):
@@ -74,6 +85,14 @@ class TestCheck:
 
     def test_degenerate_preset(self, capsys):
         assert main(["check", "--graph", "C2"]) == 1
+
+    def test_empty_graph_has_no_rank(self, tmp_path, capsys):
+        p = tmp_path / "empty.json"
+        p.write_text(json.dumps({"n": 0, "edges": []}))
+        code, rep = run(capsys, "check", "--graph", str(p))
+        assert code == 0
+        assert rep["vertices"] == 0 and rep["square_free"] is True
+        assert "expected_rank" not in rep
 
 
 class TestReports:
@@ -448,6 +467,14 @@ class TestBounds:
         assert main(["check", "--graph", str(p)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_deeply_nested_json(self, tmp_path, capsys):
+        # json.load recurses once per bracket
+        p = tmp_path / "deep.json"
+        p.write_text("[" * 100_000)
+        assert main(["check", "--graph", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: cannot read graph JSON from {p}: nested too deeply\n"
 
     def test_boolean_vertex_count(self, tmp_path, capsys):
         # JSON true is an int to Python, but not a vertex count

@@ -7,6 +7,7 @@ common-neighbor formulation under test.
 
 import contextlib
 import itertools
+import math
 import signal
 
 import pytest
@@ -343,7 +344,7 @@ class TestAutomorphisms:
     @example(disjoint_union(disjoint_union(path_graph(2), Graph(1)), cycle_graph(4)))
     @settings(max_examples=100, deadline=None)
     def test_generators_span_the_whole_group(self, G):
-        generators = _automorphism_generators(G)
+        generators = _automorphism_generators(G, math.inf)
         for g in generators:
             assert is_automorphism(G, g)
         brute = sum(
@@ -366,11 +367,32 @@ class TestAutomorphisms:
     def test_budget_cuts_the_generators_short(self, G):
         # the search runs the same way under any budget until it is spent,
         # so a budget returns a prefix of the unbounded generators
-        full = _automorphism_generators(G)
+        full = _automorphism_generators(G, math.inf)
         budget = 0
         while (found := _automorphism_generators(G, budget)) != full:
             assert found == full[: len(found)]
             budget += 1
+
+    @pytest.mark.parametrize(
+        "G, steps, count",
+        [
+            (cycle_graph(3), 5, 2),
+            (cycle_graph(5), 9, 2),
+            (cycle_graph(7), 13, 2),
+            (complete_graph(4), 9, 3),
+            (complete_bipartite(3, 4), 24, 5),
+            (petersen_graph(), 36, 4),
+            (path_graph(40), 40, 1),
+        ],
+    )
+    def test_steps_to_the_whole_group(self, G, steps, count):
+        # every candidate tried costs one step, whether or not it fits, at
+        # the level's own position as at the later ones; steps is the least
+        # budget that returns every generator
+        full = _automorphism_generators(G, math.inf)
+        assert len(full) == count
+        assert _automorphism_generators(G, steps) == full
+        assert _automorphism_generators(G, steps - 1) != full
 
     def test_budget_stops_a_failing_search(self):
         # unbounded, level 1 tries to swap the root's two children and walks
@@ -388,7 +410,7 @@ class TestAutomorphisms:
         # once, and so must its search of K2
         budgets = []
 
-        def bounded(G, budget=None):
+        def bounded(G, budget):
             budgets.append(budget)
             assert budget is not None and budget <= 4 * G.n
             return _automorphism_generators(G, budget)
@@ -410,7 +432,7 @@ class TestAutomorphisms:
         left = len(expected[1].members)  # what the first walk leaves
         budgets = []
 
-        def bounded(H, budget=None):
+        def bounded(H, budget):
             budgets.append(budget)
             assert budget is not None and budget <= 4 * G.n * left
             return _automorphism_generators(H, budget)
@@ -426,7 +448,7 @@ class TestAutomorphisms:
         # interpreter's recursion limit, and its reversal relabels one of the
         # two components of Hom(P1500, K2) onto the other
         P = path_graph(1500)
-        assert _automorphism_generators(P) == [tuple(range(1499, -1, -1))]
+        assert _automorphism_generators(P, math.inf) == [tuple(range(1499, -1, -1))]
         summaries = component_census(P, complete_graph(2))
         assert [s.members for s in summaries] == [
             ((0, 1) * 750,),

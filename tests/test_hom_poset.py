@@ -471,7 +471,7 @@ class TestCensusByOrbits:
             walks.append(args[2])
             return summary(*args, **kwargs)
 
-        def counted_generators(G, budget=None):
+        def counted_generators(G, budget):
             searches.append(G)
             return generators(G, budget)
 
