@@ -64,7 +64,7 @@ def expected_rank(H):
     The cycle rank of the tensor double of H: E - V + 1 when H is bipartite
     (the double splits into two copies of H), 2E - 2V + 1 otherwise.
     """
-    if not H.n or not is_connected(H):
+    if not is_connected(H):
         raise NotConnected("rank prediction needs a connected target with a vertex")
     return _double_rank(H)
 

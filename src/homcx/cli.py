@@ -216,7 +216,7 @@ def run_check(args):
         "vertices": G.n,
         "witness": list(witness) if witness else None,
     }
-    if witness is None and G.n and is_connected(G):
+    if witness is None and is_connected(G):
         report["expected_rank"] = expected_rank(G)
     return report, 0 if witness is None else 3
 

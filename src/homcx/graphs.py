@@ -245,7 +245,10 @@ def connected_components(G):
 
 
 def is_connected(G):
-    return G.n <= 1 or len(_bfs(G, [0])[0]) == G.n
+    """Whether G has a vertex and every vertex is reached from vertex 0.
+    The graph without vertices, whose connectivity networkx leaves
+    undefined, is not connected."""
+    return G.n > 0 and len(_bfs(G, [0])[0]) == G.n
 
 
 def is_bipartite(G):

@@ -298,25 +298,25 @@ def _walk(G, H, f, cap, start):
     def visit(h):
         """Grow the cells whose least homomorphism is h; return h's moves."""
         nonlocal dropped, top
-        rooms, moves, least = [], [], 0
+        moves, grew, folded = [], set(), []
+        level = [sum(1 << (u * n + x) for u, x in enumerate(h))]
         for u, x in enumerate(h):
             room = everything
             for v in adj[u]:
                 room &= nbr[h[v]]
-            rooms.append(room)
-            least |= 1 << (u * n + x)
             other = room & ~(1 << x)
             while other:
                 low = other & -other
                 other ^= low
                 moves.append(h[:u] + (low.bit_length() - 1,) + h[u + 1 :])
-        level = [least]
-        grew = set()
-        for u in range(start):
-            above = rooms[u] & ~((2 << h[u]) - 1)
+            above = room & ~((2 << x) - 1)
             if not above:
                 continue
             watch = [v * n for v in adj[u] if v in grew]
+            if u >= start:
+                # over a rest, each folded u adds to h(u) any subset of its fit
+                folded.append((above, watch))
+                continue
             grew.add(u)
             grown = []
             for cell in level:
@@ -328,12 +328,6 @@ def _walk(G, H, f, cap, start):
                 check(len(grown) + (1 << fit.bit_count()))
                 grown.extend(cell | sub for sub in _submasks(fit << u * n))
             level = grown
-        # over a rest, each folded t adds to h(t) any subset of its fit
-        folded = []
-        for t in range(start, len(h)):
-            above = rooms[t] & ~((2 << h[t]) - 1)
-            if above:
-                folded.append((above, [v * n for v in adj[t] if v in grew]))
         if not folded:
             kept.extend(level)
         else:
@@ -410,10 +404,6 @@ def _critical_counts(cells, m, n, top=0):
     """
     everything = (1 << n) - 1
     base = sum(1 << u * n for u in range(m))  # bit u * n for every u
-    dims = [cell.bit_count() - m for cell in cells]
-    critical = [0] * (max([top, *dims]) + 1)
-    for d in dims:
-        critical[d] += 1
     holding = {}  # bit index -> the cells with that face bit
     for cell in cells:
         rest = cell & (cell - base)
@@ -432,9 +422,9 @@ def _critical_counts(cells, m, n, top=0):
             if cell in unmatched and cell ^ bit in unmatched:
                 unmatched.remove(cell)
                 unmatched.remove(cell ^ bit)
-                d = cell.bit_count() - m
-                critical[d] -= 1
-                critical[d - 1] -= 1
+    critical = [0] * (max([top, *(cell.bit_count() - m for cell in cells)]) + 1)
+    for cell in unmatched:
+        critical[cell.bit_count() - m] += 1
     return tuple(critical)
 
 

@@ -254,7 +254,7 @@ def connected_components_reference(G):
 
 
 def is_connected_reference(G):
-    return G.n <= 1 or len(connected_components_reference(G)) == 1
+    return len(connected_components_reference(G)) == 1
 
 
 def is_bipartite_reference(G):

@@ -10,6 +10,7 @@ homomorphism.
 """
 
 import itertools
+import re
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
@@ -200,6 +201,18 @@ class TestGates:
             _homotopy_type((1, 1, 0, 1), True, 1)
         t = _homotopy_type((1,), False, 1)
         assert (t.case_tag, t.circles) == ("Point", 0)
+
+    @pytest.mark.parametrize(
+        "betti, k2_factoring, message",
+        [
+            ((2, 0, 0), False, "component has 2 pieces, expected one"),
+            ((1, 3, 0), True, "edge-factoring component has rank 3, the target predicts 1"),
+            ((1, 2, 0), False, "component of rank 2 is neither a point nor a circle"),
+        ],
+    )
+    def test_each_gate_raises(self, betti, k2_factoring, message):
+        with pytest.raises(InvariantViolation, match=re.escape(message)):
+            _homotopy_type(betti, k2_factoring, 1)
 
 
 class TestFullReport:

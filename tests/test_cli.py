@@ -16,9 +16,9 @@ import time
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from homcx import cli, hom_cover
+from homcx import ExplosionGuard, classifier, cli, hom_cover
 from homcx.cli import emit_report, load_graph, main
-from homcx import complete_bipartite, cycle_graph, path_graph, petersen_graph
+from homcx import complete_bipartite, complete_graph, cycle_graph, path_graph, petersen_graph
 
 
 def run(capsys, *argv):
@@ -94,6 +94,13 @@ class TestCheck:
         assert rep["vertices"] == 0 and rep["square_free"] is True
         assert "expected_rank" not in rep
 
+    def test_empty_graph_is_not_connected(self, tmp_path, capsys):
+        p = tmp_path / "empty.json"
+        p.write_text(json.dumps({"n": 0, "edges": []}))
+        code, rep = run(capsys, "check", "--graph", str(p))
+        assert code == 0
+        assert rep["connected"] is False
+
 
 class TestReports:
     def test_product(self, capsys):
@@ -103,6 +110,14 @@ class TestReports:
         code, rep = run(capsys, "product", "--graph", "C6")
         assert code == 0
         assert len(rep["components"]) == 2
+
+    def test_product_of_the_empty_graph_needs_a_connected_graph(self, tmp_path, capsys):
+        p = tmp_path / "empty.json"
+        p.write_text(json.dumps({"n": 0, "edges": []}))
+        assert main(["product", "--graph", str(p)]) == 3
+        assert capsys.readouterr().err == (
+            "hypothesis rejected: H x K2 structure is only reported for connected H\n"
+        )
 
     def test_census(self, capsys):
         code, rep = run(capsys, "census", "--domain", "K2", "--codomain", "C5")
@@ -150,6 +165,16 @@ class TestReports:
         code, rep = run(capsys, "census", "--domain", str(domain), "--codomain", "C5")
         assert code == 0
         assert [c["betti"] for c in rep["components"]] == [[1, 2, 1]]
+
+    def test_classify_invariant_failure_exits_two(self, capsys, monkeypatch):
+        # K2 -> C5 has one edge-factoring component; a census that reports
+        # it twice trips the count, which main reports as an invariant
+        (summary,) = classifier.component_census(complete_graph(2), cycle_graph(5))
+        monkeypatch.setattr(classifier, "component_census", lambda G, H, cap: [summary] * 2)
+        assert main(["classify", "--domain", "K2", "--codomain", "C5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "invariant failure: 2 edge-factoring components found, expected 1\n"
 
     def test_classify_gates(self, capsys):
         assert main(["classify", "--domain", "K2", "--codomain", "C4"]) == 3
@@ -221,6 +246,16 @@ class TestReports:
         assert len(rep["checks"]) == 10
         assert all(c["ok"] for c in rep["checks"])
 
+    def test_verify_reports_a_failed_check(self, capsys, monkeypatch):
+        def explode(G, radius):
+            raise ExplosionGuard("reduced walks: reached 2, over the cap of 1")
+
+        monkeypatch.setattr(cli, "materialize_pi", explode)
+        code, rep = run(capsys, "verify", "--seed", "3")
+        assert code == 2
+        assert rep["ok"] is False
+        assert [c["name"] for c in rep["checks"] if not c["ok"]] == ["window_counts"]
+
 
 class TestOutputFiles:
     def test_out_writes_sorted_json_with_newline(self, tmp_path, capsys):
@@ -236,6 +271,16 @@ class TestOutputFiles:
         out = tmp_path / "report.json"
         main(["census", "--domain", "K2", "--codomain", "C5", "--out", str(out)])
         assert sorted(os.listdir(tmp_path)) == ["report.json"]
+
+    def test_a_failed_write_leaves_no_temp_file(self, tmp_path, capsys):
+        # the report is written to a temporary file that cannot replace a
+        # directory; the file is removed and the OSError is bad I/O
+        out = tmp_path / "report"
+        out.mkdir()
+        assert main(["check", "--graph", "C5", "--out", str(out)]) == 1
+        assert "Is a directory" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["report"]
+        assert os.listdir(out) == []
 
     def test_reruns_are_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -181,6 +181,14 @@ class TestStructure:
         assert not is_connected(G)
         assert is_connected(petersen_graph())
 
+    def test_the_empty_graph_is_not_connected(self):
+        # networkx calls connectivity of the null graph undefined; the
+        # package rejects it wherever a connected graph is needed
+        assert is_connected(Graph(0)) is False
+        assert is_connected(Graph(1)) is True
+        with pytest.raises(NotConnected, match="only reported for connected H"):
+            times_k2(Graph(0))
+
     def test_bipartition_is_deterministic_and_correct(self):
         sides = is_bipartite(cycle_graph(6))
         assert sides == (frozenset({0, 2, 4}), frozenset({1, 3, 5}))

@@ -1,0 +1,62 @@
+"""The README's examples run as documented.
+
+Each `homcx` line of the first shell block under "## Command line" runs
+through cli.main and exits 0, the documented `classify` result holds, and
+the "## Library" snippet prints what its comment says.
+"""
+
+import contextlib
+import io
+import json
+import pathlib
+import re
+import shlex
+
+import pytest
+
+from homcx.cli import main
+
+README = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+
+
+def first_block(heading, language):
+    """The body of the first fenced block of the language under heading."""
+    section = README.split(f"\n{heading}\n", 1)[1].split("\n## ", 1)[0]
+    return re.search(rf"```{language}\n(.*?)```", section, re.S).group(1)
+
+
+COMMANDS = [
+    shlex.split(line.split("#", 1)[0])[1:]
+    for line in first_block("## Command line", "sh").splitlines()
+    if line.startswith("homcx ")
+]
+
+
+def test_every_subcommand_is_shown():
+    assert [argv[0] for argv in COMMANDS] == [
+        "check", "product", "census", "classify", "ef", "cover", "verify",
+    ]
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[0])
+def test_command_line_example_exits_zero(argv, capsys):
+    assert main(argv) == 0
+    json.loads(capsys.readouterr().out)
+
+
+def test_classify_example_reports_what_the_readme_says(capsys):
+    assert main(["classify", "--domain", "K2", "--codomain", "C5"]) == 0
+    (c,) = json.loads(capsys.readouterr().out)["components"]
+    assert (c["size"], c["betti"], c["case"], c["circles"], c["expected_rank"]) == (
+        20, [1, 1, 0], "HxK2Component", 1, 1,
+    )
+
+
+def test_library_snippet_prints_its_comment():
+    code = first_block("## Library", "python")
+    expected = [line[2:] for line in code.splitlines() if line.startswith("# ")]
+    assert expected == ["HxK2Component 20 [1, 1, 0]"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(code, {})
+    assert out.getvalue().splitlines() == expected
