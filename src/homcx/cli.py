@@ -7,10 +7,11 @@ tree-cover windows, and `verify` for the built-in battery of cross-checks.
 
 Reports are JSON with sorted keys and a trailing newline, written atomically
 so two runs of the same command produce byte-identical files. Exit codes:
-0 success, 1 bad input or I/O, 2 violated internal invariant or an
-enumeration cap, 3 rejected standing hypothesis (a 4-cycle in the target, an
-empty homomorphism set, a disconnected graph where a connected one is
-needed).
+0 success, 1 bad input or I/O (a graph over DEFAULT_CAP vertices or edges
+included), 2 violated internal invariant, an enumeration cap, or a command
+line that argparse rejects, 3 rejected standing hypothesis (a 4-cycle in the
+target, an empty homomorphism set, a disconnected graph where a connected one
+is needed).
 """
 
 from __future__ import annotations
@@ -69,27 +70,47 @@ _CYCLE_PATH_COMPLETE = re.compile(r"(C|P|K)([0-9]+)")
 _COMPLETE_BIPARTITE = re.compile(r"K([0-9]+),([0-9]+)")
 
 
+def _require_size(spec, vertices, edges):
+    """Raise GraphInputError for a graph with more than DEFAULT_CAP vertices
+    or edges, before anything of that size is built."""
+    if vertices > DEFAULT_CAP or edges > DEFAULT_CAP:
+        raise GraphInputError(
+            f"graph {spec} has {vertices} vertices and {edges} edges;"
+            f" at most {DEFAULT_CAP} of each are accepted"
+        )
+
+
 def load_graph(spec):
     """A preset name (C5, P4, K3, K3,3, petersen; ASCII digits, the whole
-    name) or a JSON file path."""
+    name) or a JSON file path, of at most DEFAULT_CAP vertices and edges."""
     if spec == "petersen":
         return petersen_graph()
     m = _CYCLE_PATH_COMPLETE.fullmatch(spec)
     if m:
         kind, k = m.group(1), int(m.group(2))
         if kind == "C":
+            _require_size(spec, k, k)
             return cycle_graph(k)
         if kind == "P":
+            _require_size(spec, k, k - 1)
             return path_graph(k)
+        _require_size(spec, k, k * (k - 1) // 2)
         return complete_graph(k)
     m = _COMPLETE_BIPARTITE.fullmatch(spec)
     if m:
-        return complete_bipartite(int(m.group(1)), int(m.group(2)))
+        a, b = int(m.group(1)), int(m.group(2))
+        _require_size(spec, a + b, a * b)
+        return complete_bipartite(a, b)
     with open(spec) as fh:
         try:
             data = json.load(fh)
         except RecursionError:
             raise GraphInputError(f"cannot read graph JSON from {spec}: nested too deeply") from None
+    if isinstance(data, dict):
+        n, edges = data.get("n"), data.get("edges")
+        _require_size(
+            spec, n if isinstance(n, int) else 0, len(edges) if isinstance(edges, list) else 0
+        )
     return graph_from_json(data)
 
 

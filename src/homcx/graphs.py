@@ -153,6 +153,7 @@ class GraphHom:
 
 
 def identity_hom(G):
+    """The identity homomorphism G -> G."""
     return GraphHom(G, G, range(G.n))
 
 
@@ -168,6 +169,7 @@ def maps_into_edge(H, mapping):
 
 
 def cycle_graph(k):
+    """Cycle on k >= 3 vertices, vertex i adjacent to i + 1 mod k."""
     if k < 3:
         raise GraphInputError(f"cycle needs at least 3 vertices, got {k}")
     return Graph(k, [(i, (i + 1) % k) for i in range(k)])
@@ -181,18 +183,21 @@ def path_graph(k):
 
 
 def complete_graph(k):
+    """Complete graph on k >= 1 vertices."""
     if k < 1:
         raise GraphInputError(f"complete graph needs at least 1 vertex, got {k}")
     return Graph(k, itertools.combinations(range(k), 2))
 
 
 def complete_bipartite(a, b):
+    """Complete bipartite graph K_{a,b}: sides 0..a-1 and a..a+b-1."""
     if a < 1 or b < 1:
         raise GraphInputError("both sides of a complete bipartite graph need a vertex")
     return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
 
 def petersen_graph():
+    """Petersen graph: outer 5-cycle 0..4, spokes i -> i + 5, inner pentagram 5..9."""
     outer = [(i, (i + 1) % 5) for i in range(5)]
     spokes = [(i, i + 5) for i in range(5)]
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
@@ -200,6 +205,7 @@ def petersen_graph():
 
 
 def disjoint_union(G, H):
+    """G beside H, with H's vertices shifted up by G.n."""
     edges = list(G.edges) + [(u + G.n, v + G.n) for u, v in H.edges]
     return Graph(G.n + H.n, edges)
 
@@ -281,6 +287,18 @@ def bfs_order(G):
     return _bfs(G, range(G.n))[0]
 
 
+def _search_order(G):
+    """The order in which a backtracking search assigns G's vertices,
+    bfs_order(G), and per position i the neighbours of the i-th vertex that
+    come before it, in increasing order: each vertex is then constrained by
+    an assigned neighbour whenever one exists."""
+    order = bfs_order(G)
+    position = [0] * G.n
+    for i, u in enumerate(order):
+        position[u] = i
+    return order, [[v for v in G.neighbors(u) if position[v] < i] for i, u in enumerate(order)]
+
+
 # ---------------------------------------------------------------------------
 # automorphisms
 
@@ -311,12 +329,8 @@ def _automorphism_generators(G, budget):
     no bound) the generators found so far are returned: automorphisms
     still, but perhaps spanning only a subgroup.
     """
-    order = bfs_order(G)
+    order, earlier = _search_order(G)
     n = len(order)
-    position = [0] * n
-    for i, u in enumerate(order):
-        position[u] = i
-    earlier = [[v for v in G.neighbors(u) if position[v] < i] for i, u in enumerate(order)]
     nbr = G.adj_masks
     same_degree = {}
     for u in G.vertices():
@@ -442,11 +456,22 @@ def find_square(H):
     """Some 4-cycle subgraph (a, b, c, d) with edges ab, bc, cd, da, or None.
 
     Equivalent formulation: two distinct vertices with two common neighbors.
+    The witness is the first pair a < c with two common neighbours, in
+    lexicographic order, with its two least common neighbours b < d. For
+    each a in turn, the walks a - b - c with c > a record b among c's
+    middles, in ascending order of b; the least c with two middles closes a
+    square. That is O(sum of squared degrees), not a scan of every pair.
     """
-    for a, c in itertools.combinations(range(H.n), 2):
-        common = [b for b in H.neighbors(a) if H.has_edge(b, c)]
-        if len(common) >= 2:
-            return (a, common[0], c, common[1])
+    for a in range(H.n):
+        middles = {}
+        for b in H.neighbors(a):
+            for c in H.neighbors(b):
+                if c > a:
+                    middles.setdefault(c, []).append(b)
+        closing = [c for c, bs in middles.items() if len(bs) >= 2]
+        if closing:
+            c = min(closing)
+            return (a, middles[c][0], c, middles[c][1])
     return None
 
 
@@ -456,6 +481,7 @@ def is_square_free(H):
 
 
 def require_square_free(H):
+    """Raise NotSquareFree, carrying find_square's witness, if H has a 4-cycle."""
     witness = find_square(H)
     if witness is not None:
         raise NotSquareFree(
@@ -507,42 +533,30 @@ class TimesK2Report:
 def times_k2(H):
     """H x K2 with its component structure made explicit.
 
-    Bipartite H: two components, each isomorphic to H through (x, i) -> x.
-    Non-bipartite H: one component, a connected double cover of H.
+    The projection (x, i) -> x is a 2-fold covering of H: each vertex's
+    neighbours project one to one onto its image's. Non-bipartite H: one
+    component, a connected double cover. Bipartite H: two components, each
+    projecting bijectively onto V(H), so isomorphic to H by the covering.
     """
     if not is_connected(H):
         raise NotConnected("H x K2 structure is only reported for connected H")
     P = product(H, complete_graph(2))
     comps = connected_components(P)
-    sides = is_bipartite(H)
-    isos = []
-    if sides is not None:
-        if len(comps) != 2:
-            raise NotConnected(f"expected 2 components for bipartite H, got {len(comps)}")
-        for comp in comps:
-            mapping = {pv: pv // 2 for pv in comp}
-            _check_component_iso(P, comp, mapping, H)
-            isos.append(mapping)
-        return TimesK2Report(P, tuple(comps), True, tuple(isos), False)
-    if len(comps) != 1:
+    bipartite = is_bipartite(H) is not None
+    if bipartite and len(comps) != 2:
+        raise NotConnected(f"expected 2 components for bipartite H, got {len(comps)}")
+    if not bipartite and len(comps) != 1:
         raise NotConnected(f"expected 1 component for non-bipartite H, got {len(comps)}")
-    for pv in comps[0]:
-        images = sorted(q // 2 for q in P.neighbors(pv))
-        if images != sorted(H.neighbors(pv // 2)):
+    for pv in P.vertices():
+        if sorted(q // 2 for q in P.neighbors(pv)) != list(H.neighbors(pv // 2)):
             raise NotHomomorphism("projection onto H is not a local bijection")
-    return TimesK2Report(P, tuple(comps), False, (None,), True)
-
-
-def _check_component_iso(P, comp, mapping, H):
-    if sorted(mapping.values()) != list(range(H.n)):
+    if not bipartite:
+        return TimesK2Report(P, tuple(comps), False, (None,), True)
+    # a component is a sorted tuple, so its projection is ascending
+    if any([pv // 2 for pv in comp] != list(range(H.n)) for comp in comps):
         raise NotHomomorphism("component does not hit each H vertex exactly once")
-    comp_set = set(comp)
-    comp_edges = {(p, q) for p, q in P.edges if p in comp_set and q in comp_set}
-    if len(comp_edges) != H.edge_count:
-        raise NotHomomorphism("component edge count does not match H")
-    for p, q in comp_edges:
-        if not H.has_edge(mapping[p], mapping[q]):
-            raise NotHomomorphism("component edge maps to a non-edge of H")
+    isos = tuple({pv: pv // 2 for pv in comp} for comp in comps)
+    return TimesK2Report(P, tuple(comps), True, isos, False)
 
 
 # ---------------------------------------------------------------------------
@@ -550,10 +564,12 @@ def _check_component_iso(P, comp, mapping, H):
 
 
 def graph_to_json(G):
+    """G as {"n": vertex count, "edges": sorted vertex pairs}."""
     return {"n": G.n, "edges": [list(e) for e in G.sorted_edges()]}
 
 
 def graph_from_json(data):
+    """The Graph that a graph_to_json dict describes; GraphInputError if malformed."""
     if not isinstance(data, dict) or "n" not in data or "edges" not in data:
         raise GraphInputError("graph JSON must be an object with 'n' and 'edges'")
     if not isinstance(data["edges"], (list, tuple)):

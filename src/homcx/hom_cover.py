@@ -641,6 +641,7 @@ class GammaElement(EfElement):
 
 
 def gamma_identity(f):
+    """The identity of the deck group of f: the trivial walk at each image vertex."""
     H = f.codomain
     return GammaElement.from_walks(f, [trivial_walk(H, x) for x in f.mapping])
 
@@ -654,6 +655,7 @@ def gamma_product(a, b):
 
 
 def gamma_inverse(a):
+    """The inverse in the deck group: each walk of a reversed."""
     return GammaElement.from_walks(
         a.base_hom, tuple(walk_inverse(w) for w in a.walks)
     )

@@ -51,7 +51,6 @@ from .graphs import (
     DEFAULT_CAP,
     Graph,
     GraphHom,
-    bfs_order,
     closure,
     common_neighbors,
     graph_to_json,
@@ -61,6 +60,7 @@ from .graphs import (
     _is_int,
     _over_cap,
     _require_cap,
+    _search_order,
 )
 from .homology import ChainComplex
 
@@ -150,10 +150,8 @@ def _hom_mappings(G, H, cap=DEFAULT_CAP):
     lowest next. More than cap of them raises ExplosionGuard.
     """
     _require_cap(cap)
-    order = bfs_order(G)
+    order, earlier = _search_order(G)
     m = len(order)
-    position = {u: i for i, u in enumerate(order)}
-    earlier = [[v for v in G.neighbors(u) if position[v] < i] for i, u in enumerate(order)]
     nbr = H.adj_masks
     everything = (1 << H.n) - 1
     image = [0] * m
@@ -188,6 +186,7 @@ def enumerate_graph_homs(G, H, cap=DEFAULT_CAP):
 
 
 def has_hom(G, H):
+    """Whether there is at least one homomorphism G -> H."""
     return next(_hom_mappings(G, H), None) is not None
 
 
@@ -595,6 +594,7 @@ def component_census(G, H, cap=DEFAULT_CAP):
 
 
 def census_report(G, H, cap=DEFAULT_CAP):
+    """The census of Hom(G, H) as a JSON-ready dict: one summary per component and both graphs."""
     summaries = component_census(G, H, cap=cap)
     return {
         "components": [s.to_json() for s in summaries],

@@ -211,6 +211,7 @@ def compose_homotopies(h1, h2):
 
 
 def inverse_homotopy(h):
+    """The homotopy h run backwards: target to source, each walk reversed."""
     return Homotopy(
         h.target_hom, h.source_hom, tuple(walk_inverse(w) for w in h.walks)
     )

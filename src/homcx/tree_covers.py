@@ -91,6 +91,8 @@ class TreeCover:
 
 
 def tree_cover(base, basepoint, radius):
+    """The universal cover of base at basepoint, cut to the reduced walks of
+    length at most radius."""
     return TreeCover.build(base, basepoint, radius)
 
 

@@ -95,6 +95,7 @@ def trivial_walk(graph, x):
 
 
 def edge_walk(graph, x, y):
+    """The reduced walk of length one along the edge from x to y."""
     return ReducedWalk(graph, (x, y))
 
 

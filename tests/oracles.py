@@ -3,7 +3,8 @@
 Each one answers a question the package also answers, by a slower or more
 literal route: connected components, the bipartition and the BFS trees
 and order each by a search of its own instead of one shared breadth-first
-search, the homomorphisms by `backtrack`, a generic depth-first search over
+search, the first square by scanning every vertex pair instead of the
+walks of length two from each vertex, the homomorphisms by `backtrack`, a generic depth-first search over
 candidate lists, instead of untried-image bitmasks, the simple paths by an
 explicit stack instead of a closure,
 adjacency straight from the conjugation equation, a window's
@@ -251,6 +252,16 @@ def connected_components_reference(G):
                     queue.append(v)
         comps.append(tuple(sorted(comp)))
     return comps
+
+
+def find_square_reference(G):
+    """The first 4-cycle (a, b, c, d) by scanning every vertex pair a < c in
+    lexicographic order for two common neighbours b < d."""
+    for a, c in itertools.combinations(range(G.n), 2):
+        common = [b for b in G.neighbors(a) if G.has_edge(b, c)]
+        if len(common) >= 2:
+            return (a, common[0], c, common[1])
+    return None
 
 
 def is_connected_reference(G):
@@ -641,8 +652,8 @@ def order_complex(P, cap=DEFAULT_CAP):
 
 def betti_numbers(K, max_dim):
     """Betti numbers b_0 .. b_max_dim of an order complex, exactly, with
-    `exact_rank` in every degree (ChainComplex.betti ranks degree 1 by
-    union-find)."""
+    `exact_rank` in every degree as in `ChainComplex.betti`, and zero above
+    the top dimension."""
     C = chain_complex(K)
     ranks = [0] + [exact_rank(dict(col) for col in b) for b in C.boundaries[1:]] + [0]
     return tuple(

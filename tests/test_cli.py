@@ -1,9 +1,9 @@
 """The command line surface: parsing, reports, exit codes, determinism.
 
 Everything goes through main(argv) directly; no subprocesses. Exit code
-conventions: 0 success, 1 unusable input, 2 violated invariant or cap,
-3 rejected hypothesis (4-cycle in the target, empty hom set, disconnected
-input where a connected one is needed).
+conventions: 0 success, 1 unusable input, 2 violated invariant, cap or
+command-line usage, 3 rejected hypothesis (4-cycle in the target, empty hom
+set, disconnected input where a connected one is needed).
 """
 
 import contextlib
@@ -16,8 +16,9 @@ import time
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from homcx import ExplosionGuard, classifier, cli, hom_cover
+from homcx import ExplosionGuard, GraphInputError, classifier, cli, hom_cover
 from homcx.cli import emit_report, load_graph, main
+from homcx.hom_poset import DEFAULT_CAP
 from homcx import complete_bipartite, complete_graph, cycle_graph, path_graph, petersen_graph
 
 
@@ -481,13 +482,24 @@ class TestCaps:
 
 
 class TestParser:
-    def test_unknown_command_exits_two(self):
-        with pytest.raises(SystemExit):
-            main(["frobnicate"])
+    """argparse rejects a malformed command line itself, with exit 2 and
+    the usage on stderr."""
 
-    def test_missing_required_flag(self):
-        with pytest.raises(SystemExit):
-            main(["census", "--domain", "K2"])
+    def usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+    def test_unknown_command_exits_two(self, capsys):
+        self.usage_error(capsys, ["frobnicate"])
+
+    def test_missing_required_flag(self, capsys):
+        self.usage_error(capsys, ["census", "--domain", "K2"])
+
+    def test_non_integer_cap(self, capsys):
+        # a cap of 0 is bad input (exit 1); a cap that is no integer never parses
+        self.usage_error(capsys, ["census", "--domain", "K2", "--codomain", "C5", "--cap", "abc"])
 
 
 class TestBounds:
@@ -520,6 +532,30 @@ class TestBounds:
         assert main(["check", "--graph", str(p)]) == 1
         err = capsys.readouterr().err
         assert err == f"error: cannot read graph JSON from {p}: nested too deeply\n"
+
+    @pytest.mark.parametrize(
+        "spec", ["P99999999999", "C99999999999", "K99999999", "K99999,99999", "huge.json"]
+    )
+    def test_oversized_graphs_are_refused_before_they_are_built(self, tmp_path, capsys, spec):
+        # building any of these would take hours or exhaust memory
+        if spec.endswith(".json"):
+            spec = str(tmp_path / spec)
+            with open(spec, "w") as fh:
+                json.dump({"n": 10**12, "edges": []}, fh)
+        start = time.perf_counter()
+        assert main(["check", "--graph", spec]) == 1
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"at most {DEFAULT_CAP}" in err
+
+    def test_the_size_limit_is_inclusive(self, tmp_path):
+        p = tmp_path / "g.json"
+        p.write_text(json.dumps({"n": DEFAULT_CAP, "edges": [[0, 1]]}))
+        assert load_graph(str(p)).n == DEFAULT_CAP
+        p.write_text(json.dumps({"n": DEFAULT_CAP + 1, "edges": [[0, 1]]}))
+        with pytest.raises(GraphInputError):
+            load_graph(str(p))
 
     def test_boolean_vertex_count(self, tmp_path, capsys):
         # JSON true is an int to Python, but not a vertex count

@@ -49,6 +49,7 @@ from oracles import (
     component_census_reference,
     connected_components_reference,
     find_isomorphism,
+    find_square_reference,
     is_bipartite_reference,
     is_connected_reference,
     simple_path_ordering_reference,
@@ -166,6 +167,17 @@ class TestSquareFree:
         chosen = data.draw(st.sets(st.sampled_from(pairs)) if pairs else st.just(set()))
         G = Graph(n, chosen)
         assert is_square_free(G) == (not brute_square(G))
+
+    @given(small_graphs())
+    @example(complete_graph(6))
+    @example(complete_bipartite(3, 3))
+    @example(petersen_graph())
+    @example(path_graph(9))
+    @example(Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)]))
+    @settings(max_examples=300, deadline=None)
+    def test_witness_is_the_pair_scans(self, G):
+        # graphs with and without squares are drawn, so both outcomes are compared
+        assert find_square(G) == find_square_reference(G)
 
     @given(st.permutations(list(range(6))))
     @settings(max_examples=30, deadline=None)

@@ -2,10 +2,12 @@
 
 Each `homcx` line of the first shell block under "## Command line" runs
 through cli.main and exits 0, the documented `classify` result holds, and
-the "## Library" snippet prints what its comment says.
+the "## Library" snippet prints what its comment says, and every function
+the package exports has the docstring that section promises.
 """
 
 import contextlib
+import inspect
 import io
 import json
 import pathlib
@@ -14,6 +16,7 @@ import shlex
 
 import pytest
 
+import homcx
 from homcx.cli import main
 
 README = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -60,3 +63,13 @@ def test_library_snippet_prints_its_comment():
     with contextlib.redirect_stdout(out):
         exec(code, {})
     assert out.getvalue().splitlines() == expected
+
+
+def test_every_exported_function_has_a_docstring():
+    assert "every public function has one" in README
+    missing = [
+        name
+        for name, obj in vars(homcx).items()
+        if not name.startswith("_") and inspect.isfunction(obj) and not (obj.__doc__ or "").strip()
+    ]
+    assert missing == []
