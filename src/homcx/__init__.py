@@ -1,15 +1,20 @@
 """Homotopy types of components of graph homomorphism posets.
 
 The pipeline: finite graphs and their homomorphisms (`graphs`), reduced
-walks and their groupoid (`walks`), the reduced-walk graph with its
-adjacency shapes and homotopies (`pi_graph`), the poset of set-valued
+walks and their groupoid (`walks`), the reduced-walk graph with the
+homotopies of homomorphisms (`pi_graph`), the poset of set-valued
 homomorphisms with the cellular homology of each component (`hom_poset`,
-`homology`), the universal cover fiber with its deformation and deck group
-(`hom_cover`), tree covers of the graphs themselves (`tree_covers`), and
-the homotopy-type classifier (`classifier`).
+`homology`), the universal cover fiber with its deformation to the identity
+and its deck group (`hom_cover`), tree covers of the graphs themselves
+(`tree_covers`), and the homotopy-type classifier (`classifier`).
 
-The slower reference implementations that the tests check the package
-against live in tests/oracles.py, not here.
+Every name here is reached from the command line or the benchmark, or is
+kept for an open item that will call it (README, Library). The slower reference
+implementations that the tests check the package against, and the checks
+of the proof's intermediate steps (the five adjacency shapes, the
+sink-truncation filtration, the homotopy algebra, the maps induced between
+covers), live under tests/, in tests/oracles.py or in the one test module
+that uses them, not here.
 """
 
 from .classifier import (
@@ -52,7 +57,6 @@ from .graphs import (
     find_square,
     graph_from_json,
     graph_to_json,
-    identity_hom,
     is_bipartite,
     is_connected,
     is_square_free,
@@ -69,21 +73,14 @@ from .hom_cover import (
     GammaElement,
     aux_digraph,
     check_poset_covering_local,
-    down_lift,
     enumerate_Ef_bounded,
     fiber_component_bounded,
-    gamma_act,
     gamma_elements_bounded,
     gamma_identity,
     gamma_inverse,
     gamma_product,
-    identity_element,
-    in_stage,
     is_in_Ef,
     reduce_to_identity,
-    retraction_D,
-    retraction_U,
-    simple_path_ordering,
     tight_vertices,
 )
 from .hom_poset import (
@@ -94,11 +91,9 @@ from .hom_poset import (
     census_report,
     component_census,
     component_summary,
-    critical_cells,
     enumerate_component,
     enumerate_graph_homs,
     has_hom,
-    post_compose,
 )
 from .homology import (
     ChainComplex,
@@ -108,29 +103,16 @@ from .homology import (
     exact_rank,
 )
 from .pi_graph import (
-    AdjacencyType,
     Homotopy,
     PiWindow,
-    adjacency_type,
-    classify_adjacency,
-    compose_homotopies,
     homotopy_from_valid_walk,
-    id_homotopy,
-    inverse_homotopy,
     is_topologically_valid,
     materialize_pi,
-    pi_neighbor,
-    transport,
     walks_adjacent,
 )
 from .tree_covers import (
     TreeCover,
-    connecting_walk,
-    f_star,
-    induced_cover_map,
     lift_walk,
-    pi1_elements,
-    psi_apply,
     tree_cover,
 )
 from .walks import (
@@ -140,11 +122,9 @@ from .walks import (
     closed_reduced_walks_at,
     concat_walks,
     conjugate,
-    edge_walk,
     is_cyclically_reduced,
     is_f_tight,
     map_walk,
-    pushed_walk,
     reduce_walk,
     reduced_walks_from,
     trivial_walk,

@@ -133,10 +133,6 @@ class GraphHom:
     def __call__(self, u):
         return self.mapping[u]
 
-    def factors_through_edge(self):
-        """True when the image fits inside a single edge (or a single vertex)."""
-        return maps_into_edge(self.codomain, self.mapping)
-
     def __eq__(self, other):
         return (
             isinstance(other, GraphHom)
@@ -150,11 +146,6 @@ class GraphHom:
 
     def __repr__(self):
         return f"GraphHom({self.mapping})"
-
-
-def identity_hom(G):
-    """The identity homomorphism G -> G."""
-    return GraphHom(G, G, range(G.n))
 
 
 def maps_into_edge(H, mapping):

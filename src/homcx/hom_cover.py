@@ -24,7 +24,10 @@ transformations, the singleton members of the identity component that return
 to f: each `GammaElement` is an `EfElement`. The local covering check groups
 the walked elements by projection, read off the key as int bitmasks, takes
 the base elements above each from `hom_poset.larger_cells`, and counts the
-lifts of a target among the elements in its group.
+lifts of a target among the elements in its group. The steps of the proof
+that only the tests check, the sink-truncation filtration with its
+closure/interior pair (tests/oracles.py), the explicit down lift and the
+deck action on elements (tests/test_hom_cover.py), live under tests/.
 """
 
 from __future__ import annotations
@@ -53,14 +56,7 @@ from .graphs import (
 )
 from .hom_poset import DEFAULT_CAP, SetValuedHom, larger_cells
 from .pi_graph import Homotopy, walks_adjacent
-from .walks import (
-    ReducedWalk,
-    conjugate,
-    edge_walk,
-    trivial_walk,
-    walk_inverse,
-    walk_product,
-)
+from .walks import ReducedWalk, conjugate, trivial_walk, walk_inverse, walk_product
 
 
 class EfElement:
@@ -163,12 +159,6 @@ class EfElement:
         }
 
 
-def identity_element(f):
-    """Every vertex carries just its trivial walk."""
-    H = f.codomain
-    return EfElement(f, (frozenset({trivial_walk(H, f(u))}) for u in f.domain.vertices()))
-
-
 def _require_cover_setting(f):
     if f.domain.n < 2 or not is_connected(f.domain):
         raise NotConnected("the domain must be connected with at least two vertices")
@@ -255,11 +245,6 @@ class AuxDigraph:
     def sinks(self):
         with_out = {u for u, v in self.arcs}
         return sorted(self.vertices - with_out)
-
-    def contains_directed_walk(self, seq):
-        if any(v not in self.vertices for v in seq):
-            return False
-        return all((a, b) in self.arcs for a, b in zip(seq, seq[1:]))
 
 
 def aux_digraph(phi):
@@ -420,36 +405,6 @@ def _subsets(items):
 # local covering checks
 
 
-def down_lift(phi, psi):
-    """The element below phi projecting onto psi, built by the explicit formula.
-
-    Each walk of phi at a neighbor v is rerouted through u and retargeted at
-    the requested endpoints: (f(u), f(v)) * eta * (t(eta), x) for x in psi(u).
-    """
-    f = phi.base_hom
-    G, H = f.domain, f.codomain
-    if psi.domain != G or psi.codomain != H:
-        raise NotInFiber("target lives over the wrong graphs")
-    if not psi.leq(phi.target_hom()):
-        raise NotInFiber("psi must sit below the projection of phi")
-    sets = phi.sets
-    new_sets = []
-    for u in G.vertices():
-        v = G.neighbors(u)[0]
-        eta = min(sets[v], key=lambda w: w.vertices)
-        first_leg = walk_product(edge_walk(H, f(u), f(v)), eta)
-        walks = {
-            walk_product(first_leg, edge_walk(H, eta.target, x)) for x in psi.sets[u]
-        }
-        if not walks <= sets[u]:
-            raise InvariantViolation("down lift left the original element")
-        new_sets.append(walks)
-    out = EfElement(f, new_sets)
-    if out.target_hom() != psi:
-        raise InvariantViolation("down lift misses the requested projection")
-    return out
-
-
 def _projection(phi):
     """phi.target_hom() as a tuple of int bitmasks, read off the key."""
     return tuple(sum(1 << w[-1] for w in s) for s in phi.key())
@@ -527,88 +482,6 @@ def check_poset_covering_local(f, max_norm, cap=DEFAULT_CAP):
 
 
 # ---------------------------------------------------------------------------
-# the filtration operators
-
-
-def simple_path_ordering(G):
-    """Every directed simple path of G (single vertices included), found as
-    the closure of the empty path under adding a vertex at the end, sorted by
-    length and then lexicographically. The position of a path in this list
-    is its 1-based stage index in the filtration."""
-
-    def extend(seq):
-        ends = G.neighbors(seq[-1]) if seq else G.vertices()
-        return [seq + (w,) for w in ends if w not in seq]
-
-    return tuple(sorted(closure((), extend) - {()}, key=lambda p: (len(p), p)))
-
-
-def _level_digraph(phi, n):
-    """The interaction digraph restricted to vertices at exactly level 2n."""
-    D = aux_digraph(phi)
-    verts = frozenset(u for u in D.vertices if phi.len_at(u) == 2 * n)
-    arcs = frozenset((a, b) for a, b in D.arcs if a in verts and b in verts)
-    return AuxDigraph(verts, arcs)
-
-
-def in_stage(phi, n, i, paths=None):
-    """Is phi in stage (n, i): levels at most 2n, and the level digraph
-    contains none of the paths after stage i as a directed walk?"""
-    G = phi.base_hom.domain
-    if paths is None:
-        paths = simple_path_ordering(G)
-    if any(phi.len_at(u) > 2 * n for u in G.vertices()):
-        return False
-    D = _level_digraph(phi, n)
-    return not any(D.contains_directed_walk(p) for p in paths[i:])
-
-
-def _truncated_top_walk(phi, v):
-    H = phi.base_hom.codomain
-    tops = {w[:-2] for w in phi.maximal_walks(v)}
-    if len(tops) != 1:
-        raise InvariantViolation("truncation depends on the maximal walk chosen")
-    return ReducedWalk._from_checked(H, tops.pop())
-
-
-def _retraction_step(phi, n, i, paths):
-    """The terminal vertex v of stage (n, i) and the two-step truncation of
-    phi's top walk there, or None when phi already lies in stage (n, i - 1)."""
-    if paths is None:
-        paths = simple_path_ordering(phi.base_hom.domain)
-    if not 1 <= i <= len(paths):
-        raise NotInDomain(f"stage index {i} out of range")
-    if not is_in_Ef(phi) or not in_stage(phi, n, i, paths):
-        raise NotInDomain("element is not in this stage of the filtration")
-    if in_stage(phi, n, i - 1, paths):
-        return None
-    v = paths[i - 1][-1]
-    return v, _truncated_top_walk(phi, v)
-
-
-def retraction_U(phi, n, i, paths=None):
-    """Closure half of stage (n, i): add the two-step truncation at the
-    terminal vertex of the stage path. Identity on earlier stages."""
-    step = _retraction_step(phi, n, i, paths)
-    if step is None:
-        return phi
-    v, shorter = step
-    return phi.with_set(v, phi.sets[v] | {shorter})
-
-
-def retraction_D(phi, n, i, paths=None):
-    """Interior half of stage (n, i): keep only the truncation at the
-    terminal vertex. Defined on the image of the closure half."""
-    step = _retraction_step(phi, n, i, paths)
-    if step is None:
-        return phi
-    v, shorter = step
-    if shorter.vertices not in phi.key()[v]:
-        raise NotInDomain("element is not in the image of the closure operator")
-    return phi.with_set(v, {shorter})
-
-
-# ---------------------------------------------------------------------------
 # deck transformations
 
 
@@ -659,18 +532,6 @@ def gamma_inverse(a):
     return GammaElement.from_walks(
         a.base_hom, tuple(walk_inverse(w) for w in a.walks)
     )
-
-
-def gamma_act(h, phi):
-    """The deck transformation h applied to a fiber element.
-
-    Prepends h's walk pointwise: (h.phi)(u) = {h(u) * xi}. Endpoints are
-    untouched, so the projection to the base poset commutes with the action.
-    """
-    if h.base_hom != phi.base_hom:
-        raise NotInFiber("action and element sit over different homomorphisms")
-    pairs = zip(h.walks, phi.sets)
-    return EfElement(phi.base_hom, ({walk_product(w, xi) for xi in s} for w, s in pairs))
 
 
 def gamma_elements_bounded(f, u, max_norm, cap=DEFAULT_CAP):

@@ -20,7 +20,7 @@ the component exactly once, with no set of cells seen. `HomPoset` keeps the
 cells in ascending order; inclusion is one AND, the cellular chain complex
 grades a cell by its popcount and finds each face by clearing one bit.
 The Betti numbers come from an acyclic matching on the cells
-(`critical_cells`), one bit from the highest down: when it leaves no critical
+(`_critical_counts`), one bit from the highest down: when it leaves no critical
 cell above dimension 1 the component is a wedge of circles with free
 homology, and only otherwise is the cellular chain complex built and ranked.
 `component_summary` folds the top vertices that are pairwise non-adjacent:
@@ -39,7 +39,8 @@ Each automorphism search has a step budget in proportion to the mappings
 left unclaimed; a component no generator found reaches is walked.
 The order complex of the face poset, the barycentric subdivision, is the
 tests' independent oracle (tests/oracles.py), built from
-`HomPoset.strict_upsets`.
+`HomPoset.strict_upsets`; so are the matching's counts and Betti numbers
+over every cell of a component.
 """
 
 from __future__ import annotations
@@ -107,10 +108,6 @@ class SetValuedHom:
             raise NotHomomorphism("not singleton-valued")
         return GraphHom(self.domain, self.codomain, (min(s) for s in self.sets))
 
-    @classmethod
-    def from_graph_hom(cls, f):
-        return cls(f.domain, f.codomain, ({x} for x in f.mapping))
-
     def norm(self):
         return sum(len(s) for s in self.sets)
 
@@ -130,15 +127,6 @@ class SetValuedHom:
 
     def to_json(self):
         return {"sets": [list(s) for s in self.key()]}
-
-
-def post_compose(k, phi):
-    """Apply a homomorphism k: H -> K to every image set of phi."""
-    if k.domain != phi.codomain:
-        raise NotHomomorphism("composition mismatch: k must start where phi lands")
-    return SetValuedHom(
-        phi.domain, k.codomain, (frozenset(k(x) for x in s) for s in phi.sets)
-    )
 
 
 def _hom_mappings(G, H, cap=DEFAULT_CAP):
@@ -425,18 +413,6 @@ def _critical_counts(cells, m, n, top=0):
     for cell in unmatched:
         critical[cell.bit_count() - m] += 1
     return tuple(critical)
-
-
-def critical_cells(P):
-    """The number of cells the acyclic matching leaves unmatched in each
-    dimension, 0 to the top dimension of P, with every cell of P kept. The
-    folded walk of component_summary counts the same."""
-    return _critical_counts(P.cells, P.domain.n, P.codomain.n)
-
-
-def cellular_betti(P):
-    """Every Betti number b_0 .. b_top of the component's cell complex."""
-    return _betti(critical_cells(P), lambda: P)
 
 
 def _betti(critical, walk):

@@ -2,13 +2,15 @@
 
 A `ChainComplex` holds sparse integer boundary matrices. A component of
 Hom(G, H) takes its Betti numbers from an acyclic matching on its cells
-(`hom_poset.critical_cells`) and builds one
+(`hom_poset.component_summary`) and builds one
 (`hom_poset.cellular_chain_complex`) only when the matching leaves a
 critical cell above dimension 1. The order complex of a finite poset,
 whose simplices are the chains of the poset, is the barycentric subdivision
 of the same space, so both must give the same Betti numbers; the tests use
 it as an independent oracle (`order_complex` and `betti_numbers` in
-tests/oracles.py), and the benchmark's traced pass times it. Betti numbers
+tests/oracles.py), and the benchmark's traced pass times it. The tests
+also check that boundaries compose to zero and take Euler characteristics
+themselves. Betti numbers
 come from ranks over the rationals, every boundary's by one echelon pass
 over its columns (`exact_rank`) in exact integer arithmetic: columns are
 combined fraction-free and rescaled by their gcd, so no floating point is
@@ -54,9 +56,6 @@ class OrderComplex:
 
     def counts(self):
         return tuple(len(level) for level in self.simplices)
-
-    def euler_characteristic(self):
-        return sum((-1) ** d * len(level) for d, level in enumerate(self.simplices))
 
 
 def complex_from_chains(n_vertices, greater, cap=DEFAULT_CAP):
@@ -109,19 +108,6 @@ class ChainComplex:
                 for row, sign in entries:
                     rows[row][col] = sign
         return rows
-
-    def check_boundary_squared(self):
-        """Verify that consecutive boundary maps compose to zero."""
-        for d in range(2, len(self.boundaries)):
-            lower = self.boundaries[d - 1]
-            for entries in self.boundaries[d]:
-                acc = {}
-                for mid, sign in entries:
-                    for row, sign2 in lower[mid]:
-                        acc[row] = acc.get(row, 0) + sign * sign2
-                if any(v != 0 for v in acc.values()):
-                    raise InvariantViolation("boundary of a boundary is nonzero")
-        return True
 
     def betti(self):
         """Betti numbers b_0 .. b_top, exactly, every boundary ranked by

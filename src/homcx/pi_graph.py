@@ -6,12 +6,11 @@ two connecting edges gives back xi:
 
     xi == (s(xi), s(eta)) * eta * (t(eta), t(xi))
 
-Adjacent pairs fall into five explicit shapes (A1 to A5 below), and only a
-pair of length-1 walks can match two shapes at once (A2 and A4 together).
-Finite windows take their edges from the conjugates of each walk's vertex
-tuple (walks.conjugate). pi_neighbor builds the same conjugates through walk
-products, and the tests keep the conjugation equation and an all-pairs
-window scan as references.
+An adjacent pair takes one of five shapes, which `walks_adjacent` tests by
+slicing vertex tuples, and finite windows take their edges from the
+conjugates of each walk's vertex tuple (walks.conjugate). The five shapes,
+the conjugation equation and an all-pairs window scan are the tests'
+references (tests/oracles.py).
 
 The endpoint maps s, t send a walk to its source and target; length-zero
 walks embed H into this graph. A homotopy between homomorphisms f, g: G -> H
@@ -23,72 +22,21 @@ at each step, and checks the spread values edge by edge.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
-from .errors import (
-    EndpointMismatch,
-    NotConnected,
-    NotNeighbor,
-    NotValid,
-    SourceTargetMismatch,
-)
+from .errors import EndpointMismatch, NotConnected, NotNeighbor, NotValid
 from .graphs import DEFAULT_CAP, Graph, require_vertex, tree_spread
-from .walks import (
-    ReducedWalk,
-    all_reduced_walks,
-    conjugate,
-    edge_walk,
-    trivial_walk,
-    walk_inverse,
-    walk_product,
-)
-
-
-class AdjacencyType(enum.Enum):
-    """The five shapes an ordered adjacent pair (xi, eta) can take.
-
-    With xi = (x_0..x_l) and eta = (y_0..y_m):
-
-    A1: m = l + 2 and x_i = y_{i+1} for all i (xi is the middle of eta)
-    A2: m = l > 0 and x_{i+1} = y_i for i < l (eta trails xi by one step)
-    A3: l = m + 2 and x_{i+1} = y_i for all i (eta is the middle of xi)
-    A4: m = l > 0 and x_i = y_{i+1} for i < l (eta leads xi by one step)
-    A5: l = m = 0 and x_0 y_0 is an edge
-    """
-
-    A1 = "A1"
-    A2 = "A2"
-    A3 = "A3"
-    A4 = "A4"
-    A5 = "A5"
-
-
-def classify_adjacency(xi, eta):
-    """The set of shape tags matched by the ordered pair, empty if not adjacent."""
-    H = xi.graph
-    if eta.graph != H:
-        raise ValueError("walks live in different graphs")
-    x, y = xi.vertices, eta.vertices
-    lx, ly = xi.length, eta.length
-    tags = set()
-    if ly == lx + 2 and all(x[i] == y[i + 1] for i in range(lx + 1)):
-        tags.add(AdjacencyType.A1)
-    if lx == ly > 0 and all(x[i + 1] == y[i] for i in range(lx)):
-        tags.add(AdjacencyType.A2)
-    if lx == ly + 2 and all(x[i + 1] == y[i] for i in range(ly + 1)):
-        tags.add(AdjacencyType.A3)
-    if lx == ly > 0 and all(x[i] == y[i + 1] for i in range(lx)):
-        tags.add(AdjacencyType.A4)
-    if lx == ly == 0 and H.has_edge(x[0], y[0]):
-        tags.add(AdjacencyType.A5)
-    return frozenset(tags)
+from .walks import ReducedWalk, all_reduced_walks, conjugate
 
 
 def walks_adjacent(H, a, b):
     """Are the reduced walks with vertex tuples a and b in H adjacent?
 
-    The shapes of classify_adjacency, tested by slicing the tuples.
+    With a of length l and b of length m, the pair is adjacent exactly when
+    b is a with one step added at each end (m = l + 2), a is b with one
+    added at each end (l = m + 2), one trails the other by a step (m = l >
+    0), or both are single vertices joined by an edge; each is tested by
+    slicing the tuples.
     """
     if len(a) == len(b):
         if len(a) == 1:
@@ -97,36 +45,6 @@ def walks_adjacent(H, a, b):
     if len(b) == len(a) + 2:
         return a == b[1:-1]
     return len(a) == len(b) + 2 and a[1:-1] == b
-
-
-def adjacency_type(xi, eta):
-    """The unique shape tag of an adjacent pair.
-
-    Only defined away from the ambiguous case (both walks of length 1 matching
-    A2 and A4 at once).
-    """
-    tags = classify_adjacency(xi, eta)
-    if not tags:
-        raise NotNeighbor(f"{xi!r} and {eta!r} are not adjacent")
-    if len(tags) > 1:
-        raise ValueError("type is ambiguous for this pair of length-1 walks")
-    return next(iter(tags))
-
-
-def pi_neighbor(xi, x, y):
-    """The neighbor of xi whose source is x and target is y.
-
-    x must neighbor s(xi) and y must neighbor t(xi); every neighbor of xi
-    arises this way, exactly once.
-    """
-    H = xi.graph
-    if x not in H.neighbors(xi.source):
-        raise NotNeighbor(f"{x} is not adjacent to the source {xi.source}")
-    if y not in H.neighbors(xi.target):
-        raise NotNeighbor(f"{y} is not adjacent to the target {xi.target}")
-    return walk_product(
-        walk_product(edge_walk(H, x, xi.source), xi), edge_walk(H, xi.target, y)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -195,49 +113,6 @@ class Homotopy:
         return f"Homotopy({[w.vertices for w in self.walks]})"
 
 
-def id_homotopy(f):
-    """The identity homotopy at f: every vertex carries a length-zero walk."""
-    return Homotopy(f, f, tuple(trivial_walk(f.codomain, f(u)) for u in f.domain.vertices()))
-
-
-def compose_homotopies(h1, h2):
-    """Pointwise product; h1 must end where h2 starts."""
-    if h1.target_hom != h2.source_hom:
-        raise SourceTargetMismatch(
-            "cannot compose: first homotopy ends at a different homomorphism"
-        )
-    walks = tuple(walk_product(a, b) for a, b in zip(h1.walks, h2.walks))
-    return Homotopy(h1.source_hom, h2.target_hom, walks)
-
-
-def inverse_homotopy(h):
-    """The homotopy h run backwards: target to source, each walk reversed."""
-    return Homotopy(
-        h.target_hom, h.source_hom, tuple(walk_inverse(w) for w in h.walks)
-    )
-
-
-def transport(h, omega):
-    """Recompute h at the far end of a walk omega in G.
-
-    For omega from u to v the value at v is forced:
-
-        h(v) = reduce(f(omega))^-1 * h(u) * reduce(g(omega))
-
-    folded one step of omega at a time by walks.conjugate. The result is
-    always the stored h(v): a Homotopy holds adjacent walks on every edge,
-    and adjacency is exactly this one-edge conjugation. An omega outside G
-    raises ValueError.
-    """
-    f, g = h.source_hom, h.target_hom
-    if omega.graph != f.domain:
-        raise ValueError("walk does not live in the domain of the homotopy")
-    w = h.walks[omega.source].vertices
-    for v in omega.vertices[1:]:
-        w = conjugate(f(v), w, g(v))
-    return ReducedWalk._from_checked(f.codomain, w)
-
-
 # ---------------------------------------------------------------------------
 # walks that span homotopies
 
@@ -298,19 +173,13 @@ class PiWindow:
     """All reduced walks of length <= max_len in H, with their adjacencies.
 
     Walks of length >= max_len - 1 may be missing neighbors that only exist
-    beyond the window; indices of fully safe walks are in interior.
+    beyond the window.
     """
 
     base: Graph
     max_len: int
     walks: tuple
     edges: tuple  # pairs of indices (i, j), i < j
-
-    @property
-    def interior(self):
-        return tuple(
-            i for i, w in enumerate(self.walks) if w.length <= self.max_len - 2
-        )
 
     def to_json(self):
         return {
@@ -323,9 +192,9 @@ class PiWindow:
 def materialize_pi(H, max_len, cap=DEFAULT_CAP):
     """Build the finite window of the reduced-walk graph up to max_len.
 
-    The neighbors of a walk xi are its conjugates, pi_neighbor(xi, x, y) for
-    x adjacent to s(xi) and y adjacent to t(xi), computed on vertex tuples
-    by walks.conjugate; those longer than max_len fall outside the window.
+    The neighbors of a walk xi are its conjugates conjugate(x, xi, y) for x
+    adjacent to s(xi) and y adjacent to t(xi), each the neighbor with source
+    x and target y; those longer than max_len fall outside the window.
     A window of more than cap walks raises ExplosionGuard while it grows.
     """
     walks = all_reduced_walks(H, max_len, cap)

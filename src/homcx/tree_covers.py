@@ -6,32 +6,18 @@ the endpoint map is a covering projection. Only a finite window (walks up to
 a chosen radius) is materialized; operations that would leave the window
 raise instead of guessing.
 
-A homomorphism f: G -> H induces a map between the covers by pushing walks
-forward, and a fiber element over f induces a set-valued map between them
-by appending its walks. Both are computed here.
+Walks of the base lift into the window one step at a time. The maps
+between covers that a homomorphism, or a fiber element over it, induces
+are the tests' (tests/oracles.py).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import (
-    GraphInputError,
-    NotClosed,
-    NotConnected,
-    OutOfWindow,
-)
+from .errors import GraphInputError, NotConnected, OutOfWindow
 from .graphs import Graph, graph_to_json, is_connected, require_vertex
-from .hom_poset import SetValuedHom
-from .walks import (
-    Walk,
-    closed_reduced_walks_at,
-    extend,
-    pushed_walk,
-    reduced_walks_from,
-    walk_inverse,
-    walk_product,
-)
+from .walks import Walk, extend, reduced_walks_from
 
 
 @dataclass(frozen=True)
@@ -96,23 +82,6 @@ def tree_cover(base, basepoint, radius):
     return TreeCover.build(base, basepoint, radius)
 
 
-def pi1_elements(G, u, max_len, even_only=False):
-    """Closed reduced walks at u up to a length bound, sorted; more than
-    DEFAULT_CAP reduced walks from u raise ExplosionGuard."""
-    out = closed_reduced_walks_at(G, u, max_len)
-    if even_only:
-        out = [w for w in out if w.length % 2 == 0]
-    return list(out)
-
-
-def f_star(f, walk):
-    """Push a closed walk through a homomorphism and reduce: the induced
-    map on fundamental groups."""
-    if not walk.is_closed():
-        raise NotClosed("only closed walks represent group elements")
-    return pushed_walk(f, walk)
-
-
 def lift_walk(cover, start, xi):
     """Lift a walk of the base into the cover, starting at a named vertex.
 
@@ -138,55 +107,3 @@ def lift_walk(cover, start, xi):
             )
         ids.append(cover.at[current])
     return Walk._from_checked(cover.graph, tuple(ids))
-
-
-def connecting_walk(cover, i, j):
-    """The base walk read off the unique tree path between two cover vertices."""
-    return walk_product(walk_inverse(cover.walks[i]), cover.walks[j])
-
-
-def induced_cover_map(f, cover_G, cover_H):
-    """The vertex map between covers induced by pushing walks through f."""
-    _check_cover_pair(f, cover_G, cover_H)
-    mapping = []
-    for w in cover_G.walks:
-        fw = pushed_walk(f, w)
-        if fw.length > cover_H.radius:
-            raise OutOfWindow(
-                f"image walk of length {fw.length} exceeds radius {cover_H.radius}"
-            )
-        mapping.append(cover_H.index[fw])
-    return tuple(mapping)
-
-
-def psi_apply(phi, cover_G, cover_H):
-    """Transport a fiber element to a set-valued map between the covers.
-
-    A cover vertex named by the walk w is sent to the endpoints of
-    reduce(f(w)) * xi for xi in phi at the endpoint of w. The result is
-    validated as a set-valued homomorphism between the two trees; its
-    pointwise projection recovers the walk targets of phi.
-    """
-    f = phi.base_hom
-    _check_cover_pair(f, cover_G, cover_H)
-    phi_sets = phi.sets
-    sets = []
-    for w in cover_G.walks:
-        f_tilde = pushed_walk(f, w)
-        lifted = set()
-        for xi in phi_sets[w.target]:
-            end = walk_product(f_tilde, xi)
-            if end.length > cover_H.radius:
-                raise OutOfWindow(
-                    f"lifted walk of length {end.length} exceeds radius {cover_H.radius}"
-                )
-            lifted.add(cover_H.index[end])
-        sets.append(frozenset(lifted))
-    return SetValuedHom(cover_G.graph, cover_H.graph, sets)
-
-
-def _check_cover_pair(f, cover_G, cover_H):
-    if cover_G.base != f.domain or cover_H.base != f.codomain:
-        raise GraphInputError("covers do not sit over the given homomorphism")
-    if cover_H.basepoint != f(cover_G.basepoint):
-        raise GraphInputError("cover basepoints do not correspond under f")

@@ -94,11 +94,6 @@ def trivial_walk(graph, x):
     return ReducedWalk(graph, (x,))
 
 
-def edge_walk(graph, x, y):
-    """The reduced walk of length one along the edge from x to y."""
-    return ReducedWalk(graph, (x, y))
-
-
 def reduce_walk(walk):
     """Fully cancel backtracking.
 
@@ -160,11 +155,6 @@ def map_walk(f, walk):
     if walk.graph != f.domain:
         raise ValueError("walk does not live in the domain of the homomorphism")
     return Walk._from_checked(f.codomain, tuple(f(x) for x in walk.vertices))
-
-
-def pushed_walk(f, walk):
-    """reduce(f(walk)): the image walk in reduced form."""
-    return reduce_walk(map_walk(f, walk))
 
 
 def is_cyclically_reduced(walk):

@@ -1,37 +1,58 @@
-"""Reference implementations that the tests hold the package against.
+"""Reference implementations that the tests hold the package against, and
+the steps of the paper's proof that only the tests check.
 
-Each one answers a question the package also answers, by a slower or more
-literal route: connected components, the bipartition and the BFS trees
-and order each by a search of its own instead of one shared breadth-first
-search, the first square by scanning every vertex pair instead of the
-walks of length two from each vertex, the homomorphisms by `backtrack`, a generic depth-first search over
-candidate lists, instead of untried-image bitmasks, the simple paths by an
-explicit stack instead of a closure,
-adjacency straight from the conjugation equation, a window's
-edges by scanning every pair of walks, the homotopy test, its homotopy and
-the closed form by pushing explicit chord loops and tree paths through
-walk products instead of spreading one value along the BFS tree, the fiber
-by structural search with no connectivity walk, the fiber's component walk over validated elements
-instead of vertex tuples, the local covering check with each lift counted
-by a product formula below and a search over joinable walks above instead
-of among the walked elements, a component of Hom(G, H) by walking its cells one
-image vertex at a time instead of growing each from its least homomorphism,
-the census by walking every component instead of one per orbit of Aut(G),
-the acyclic matching on every cell, with no folded vertices, as explicit
-pairs, the cellular chain complex from sorted vertex tuples instead of bitmasks,
-Betti numbers on the order complex instead of the cellular complex, and the
-Smith normal form of a small dense matrix, which confirms that a sampled
-boundary carries no torsion. None of them runs outside the tests.
+Each reference answers a question the package also answers, by a slower or
+more literal route: connected components, the bipartition and the BFS
+trees and order each by a search of its own instead of one shared
+breadth-first search, the first square by scanning every vertex pair
+instead of the walks of length two from each vertex, the homomorphisms by
+`backtrack`, a generic depth-first search over candidate lists, instead of
+untried-image bitmasks, adjacency straight from the conjugation equation
+(`pi_adjacent`), which every reference here uses, and by the five explicit
+shapes (`classify_adjacency`), the lemma behind `pi_graph.walks_adjacent`,
+a walk's neighbours by walk products (`pi_neighbor`) instead of
+`walks.conjugate`, a window's edges by scanning every pair of walks, the
+homotopy test, its homotopy and the closed form by pushing explicit chord
+loops and tree paths through walk products instead of spreading one value
+along the BFS tree, the fiber by structural search with no connectivity
+walk, the fiber's component walk over validated elements instead of vertex
+tuples, the local covering check with each lift counted by a product
+formula below and a search over joinable walks above instead of among the
+walked elements, a component of Hom(G, H) by walking its cells one image
+vertex at a time instead of growing each from its least homomorphism, the
+census by walking every component instead of one per orbit of Aut(G), the
+acyclic matching on every cell, with no folded vertices, as explicit
+pairs, and its critical counts and Betti numbers over every cell, the
+cellular chain complex from sorted vertex tuples instead of bitmasks,
+Betti numbers on the order complex instead of the cellular complex, a
+tree-cover lift by walk products, and the Smith normal form of a small
+dense matrix, which confirms that a sampled boundary carries no torsion.
+
+The proof steps: the edge walks and pushed walks that the references build
+from, the identity fiber element, the sink-truncation filtration of the
+fiber (its stages, indexed by the simple paths of the domain grown on an
+explicit stack, and the closure and interior operators between them), and
+the maps that a homomorphism and a fiber element over it induce between
+tree covers. None of this runs outside the tests.
 """
 
 from __future__ import annotations
 
+import enum
 import functools
 import itertools
 import math
 from collections import Counter
 
-from homcx.errors import GraphInputError, InvariantViolation, NotConnected, OutOfWindow
+from homcx import hom_poset
+from homcx.errors import (
+    GraphInputError,
+    InvariantViolation,
+    NotConnected,
+    NotInDomain,
+    NotNeighbor,
+    OutOfWindow,
+)
 from homcx.graphs import (
     GraphHom,
     _over_cap,
@@ -42,32 +63,37 @@ from homcx.graphs import (
     mask_bits,
 )
 from homcx.hom_cover import (
+    AuxDigraph,
     EfElement,
     _projection,
     _require_cover_setting,
     _subsets,
     _targets_below,
     _upsets_in_base,
+    aux_digraph,
     fiber_component_bounded,
-    identity_element,
+    is_in_Ef,
     tight_vertices,
 )
 from homcx.hom_poset import (
     DEFAULT_CAP,
     HomPoset,
     SetValuedHom,
+    _betti,
     _hom_mappings,
     component_summary,
     larger_cells,
 )
 from homcx.homology import ChainComplex, chain_complex, complex_from_chains, exact_rank
-from homcx.pi_graph import classify_adjacency, pi_neighbor, walks_adjacent
+from homcx.pi_graph import walks_adjacent
 from homcx.walks import (
+    ReducedWalk,
     Walk,
     conjugate,
-    edge_walk,
-    pushed_walk,
+    map_walk,
+    reduce_walk,
     reduced_walks_from,
+    trivial_walk,
     walk_inverse,
     walk_product,
 )
@@ -107,6 +133,89 @@ def backtrack(order, candidates, cap=None, stage="search"):
             partial.pop(u, None)
 
 
+def edge_walk(graph, x, y):
+    """The reduced walk of length one along the edge from x to y."""
+    return ReducedWalk(graph, (x, y))
+
+
+def pushed_walk(f, walk):
+    """reduce(f(walk)): the image walk in reduced form, which for a closed
+    walk is the induced map on fundamental groups."""
+    return reduce_walk(map_walk(f, walk))
+
+
+class AdjacencyType(enum.Enum):
+    """The five shapes an ordered adjacent pair (xi, eta) can take.
+
+    With xi = (x_0..x_l) and eta = (y_0..y_m):
+
+    A1: m = l + 2 and x_i = y_{i+1} for all i (xi is the middle of eta)
+    A2: m = l > 0 and x_{i+1} = y_i for i < l (eta trails xi by one step)
+    A3: l = m + 2 and x_{i+1} = y_i for all i (eta is the middle of xi)
+    A4: m = l > 0 and x_i = y_{i+1} for i < l (eta leads xi by one step)
+    A5: l = m = 0 and x_0 y_0 is an edge
+    """
+
+    A1 = "A1"
+    A2 = "A2"
+    A3 = "A3"
+    A4 = "A4"
+    A5 = "A5"
+
+
+def classify_adjacency(xi, eta):
+    """The set of shape tags matched by the ordered pair, empty if not
+    adjacent: the lemma that `pi_graph.walks_adjacent` tests by slicing."""
+    H = xi.graph
+    if eta.graph != H:
+        raise ValueError("walks live in different graphs")
+    x, y = xi.vertices, eta.vertices
+    lx, ly = xi.length, eta.length
+    tags = set()
+    if ly == lx + 2 and all(x[i] == y[i + 1] for i in range(lx + 1)):
+        tags.add(AdjacencyType.A1)
+    if lx == ly > 0 and all(x[i + 1] == y[i] for i in range(lx)):
+        tags.add(AdjacencyType.A2)
+    if lx == ly + 2 and all(x[i + 1] == y[i] for i in range(ly + 1)):
+        tags.add(AdjacencyType.A3)
+    if lx == ly > 0 and all(x[i] == y[i + 1] for i in range(lx)):
+        tags.add(AdjacencyType.A4)
+    if lx == ly == 0 and H.has_edge(x[0], y[0]):
+        tags.add(AdjacencyType.A5)
+    return frozenset(tags)
+
+
+def adjacency_type(xi, eta):
+    """The unique shape tag of an adjacent pair.
+
+    Only defined away from the ambiguous case (both walks of length 1 matching
+    A2 and A4 at once).
+    """
+    tags = classify_adjacency(xi, eta)
+    if not tags:
+        raise NotNeighbor(f"{xi!r} and {eta!r} are not adjacent")
+    if len(tags) > 1:
+        raise ValueError("type is ambiguous for this pair of length-1 walks")
+    return next(iter(tags))
+
+
+def pi_neighbor(xi, x, y):
+    """The neighbor of xi whose source is x and target is y, by walk
+    products: the reference for `walks.conjugate` on vertex tuples.
+
+    x must neighbor s(xi) and y must neighbor t(xi); every neighbor of xi
+    arises this way, exactly once.
+    """
+    H = xi.graph
+    if x not in H.neighbors(xi.source):
+        raise NotNeighbor(f"{x} is not adjacent to the source {xi.source}")
+    if y not in H.neighbors(xi.target):
+        raise NotNeighbor(f"{y} is not adjacent to the target {xi.target}")
+    return walk_product(
+        walk_product(edge_walk(H, x, xi.source), xi), edge_walk(H, xi.target, y)
+    )
+
+
 def pi_adjacent(xi, eta):
     """Adjacency test straight from the definition (conjugation equation)."""
     H = xi.graph
@@ -128,7 +237,7 @@ def window_edges(walks):
     return [
         (i, j)
         for i, j in itertools.combinations(range(len(walks)), 2)
-        if classify_adjacency(walks[i], walks[j])
+        if pi_adjacent(walks[i], walks[j])
     ]
 
 
@@ -342,9 +451,11 @@ def hom_mappings_reference(G, H, cap=DEFAULT_CAP):
     return (tuple(a[u] for u in G.vertices()) for a in found)
 
 
-def simple_path_ordering_reference(G):
-    """Every directed simple path of G, grown on an explicit stack, sorted by
-    length and then lexicographically."""
+def simple_path_ordering(G):
+    """Every directed simple path of G (single vertices included), grown on
+    an explicit stack, sorted by length and then lexicographically. The
+    position of a path in this list is its 1-based stage index in the
+    sink-truncation filtration."""
     paths = []
     stack = [(v,) for v in G.vertices()]
     while stack:
@@ -381,7 +492,7 @@ def fiber_candidates_bounded(f, max_norm, cap=DEFAULT_CAP):
             w
             for w in pool
             if used + w.length <= max_norm
-            and all(classify_adjacency(w, a) for a in anchors)
+            and all(pi_adjacent(w, a) for a in anchors)
         ]
 
     def walk_sets(u, partial):
@@ -392,7 +503,7 @@ def fiber_candidates_bounded(f, max_norm, cap=DEFAULT_CAP):
             for w in through(u, partial[0, nbrs[0]])
             if w != h
             and w.length <= max_norm
-            and all(classify_adjacency(w, partial[0, v]) for v in nbrs)
+            and all(pi_adjacent(w, partial[0, v]) for v in nbrs)
         }
         placed = [partial[1, v] for v in nbrs if (1, v) in partial]
         used = sum(max(w.length for w in s) for (phase, _), s in partial.items() if phase)
@@ -401,7 +512,7 @@ def fiber_candidates_bounded(f, max_norm, cap=DEFAULT_CAP):
             for extra in itertools.combinations(extras, r):
                 s = frozenset((h, *extra))
                 if used + max(w.length for w in s) <= max_norm and all(
-                    classify_adjacency(a, b) for t in placed for a in s for b in t
+                    pi_adjacent(a, b) for t in placed for a in s for b in t
                 ):
                     out.append(s)
         return out
@@ -416,6 +527,13 @@ def fiber_candidates_bounded(f, max_norm, cap=DEFAULT_CAP):
     return sorted(elements, key=lambda e: e.key())
 
 
+def identity_element(f):
+    """The fiber element over f at which every vertex carries just its
+    trivial walk."""
+    H = f.codomain
+    return EfElement(f, (frozenset({trivial_walk(H, f(u))}) for u in f.domain.vertices()))
+
+
 def _addition_candidates(phi, u, max_norm):
     """Walks that could be added at u: adjacent to every walk at every neighbor."""
     G, H = phi.base_hom.domain, phi.base_hom.codomain
@@ -427,7 +545,7 @@ def _addition_candidates(phi, u, max_norm):
         for cand in (pi_neighbor(eta0, phi.base_hom(u), y) for y in H.neighbors(eta0.target))
         if cand not in phi.sets[u]
         and base_norm + max(phi.len_at(u), cand.length) <= max_norm
-        and all(classify_adjacency(cand, eta) for v in nbrs for eta in phi.sets[v])
+        and all(pi_adjacent(cand, eta) for v in nbrs for eta in phi.sets[v])
     ]
 
 
@@ -458,6 +576,84 @@ def fiber_component_reference(f, max_norm, cap=DEFAULT_CAP):
         identity_element(f), lambda phi: _fiber_moves(phi, max_norm), cap, "fiber elements"
     )
     return sorted(seen, key=lambda e: e.key())
+
+
+# ---------------------------------------------------------------------------
+# the sink-truncation filtration of the fiber: a step of the paper's proof
+# that the identity component retracts onto the identity element
+
+
+def contains_directed_walk(D, seq):
+    """Is the vertex sequence seq a directed walk in the AuxDigraph D?"""
+    if any(v not in D.vertices for v in seq):
+        return False
+    return all((a, b) in D.arcs for a, b in zip(seq, seq[1:]))
+
+
+def _level_digraph(phi, n):
+    """The interaction digraph restricted to vertices at exactly level 2n."""
+    D = aux_digraph(phi)
+    verts = frozenset(u for u in D.vertices if phi.len_at(u) == 2 * n)
+    arcs = frozenset((a, b) for a, b in D.arcs if a in verts and b in verts)
+    return AuxDigraph(verts, arcs)
+
+
+def in_stage(phi, n, i, paths=None):
+    """Is phi in stage (n, i): levels at most 2n, and the level digraph
+    contains none of the paths after stage i as a directed walk? The stages
+    are numbered by simple_path_ordering, from 1."""
+    G = phi.base_hom.domain
+    if paths is None:
+        paths = simple_path_ordering(G)
+    if any(phi.len_at(u) > 2 * n for u in G.vertices()):
+        return False
+    D = _level_digraph(phi, n)
+    return not any(contains_directed_walk(D, p) for p in paths[i:])
+
+
+def _truncated_top_walk(phi, v):
+    H = phi.base_hom.codomain
+    tops = {w[:-2] for w in phi.maximal_walks(v)}
+    if len(tops) != 1:
+        raise InvariantViolation("truncation depends on the maximal walk chosen")
+    return ReducedWalk._from_checked(H, tops.pop())
+
+
+def _retraction_step(phi, n, i, paths):
+    """The terminal vertex v of stage (n, i) and the two-step truncation of
+    phi's top walk there, or None when phi already lies in stage (n, i - 1)."""
+    if paths is None:
+        paths = simple_path_ordering(phi.base_hom.domain)
+    if not 1 <= i <= len(paths):
+        raise NotInDomain(f"stage index {i} out of range")
+    if not is_in_Ef(phi) or not in_stage(phi, n, i, paths):
+        raise NotInDomain("element is not in this stage of the filtration")
+    if in_stage(phi, n, i - 1, paths):
+        return None
+    v = paths[i - 1][-1]
+    return v, _truncated_top_walk(phi, v)
+
+
+def retraction_U(phi, n, i, paths=None):
+    """Closure half of stage (n, i): add the two-step truncation at the
+    terminal vertex of the stage path. Identity on earlier stages."""
+    step = _retraction_step(phi, n, i, paths)
+    if step is None:
+        return phi
+    v, shorter = step
+    return phi.with_set(v, phi.sets[v] | {shorter})
+
+
+def retraction_D(phi, n, i, paths=None):
+    """Interior half of stage (n, i): keep only the truncation at the
+    terminal vertex. Defined on the image of the closure half."""
+    step = _retraction_step(phi, n, i, paths)
+    if step is None:
+        return phi
+    v, shorter = step
+    if shorter.vertices not in phi.key()[v]:
+        raise NotInDomain("element is not in the image of the closure operator")
+    return phi.with_set(v, {shorter})
 
 
 def _count_down_lifts(by_target, cell):
@@ -610,7 +806,7 @@ def component_census_reference(G, H, cap=DEFAULT_CAP):
 
 
 def morse_pairs(P):
-    """The acyclic matching of `hom_poset.critical_cells` on every cell of P,
+    """The acyclic matching of `critical_cells` on every cell of P,
     as (face, coface) pairs, with the cells that hold each bit gathered by
     scanning each image set.
 
@@ -639,6 +835,20 @@ def morse_pairs(P):
                     matched.add(face)
                     pairs.append((face, cell))
     return pairs
+
+
+def critical_cells(P):
+    """The number of cells the acyclic matching of `hom_poset` leaves
+    unmatched in each dimension, 0 to the top dimension of P, with every
+    cell of P kept. The folded walk of `component_summary` counts the same.
+    Read through the module, so a test that patches the matching reaches it."""
+    return hom_poset._critical_counts(P.cells, P.domain.n, P.codomain.n)
+
+
+def cellular_betti(P):
+    """Every Betti number b_0 .. b_top of the component's cell complex, by
+    the route `component_summary` takes, over every cell of P."""
+    return _betti(critical_cells(P), lambda: P)
 
 
 def order_complex(P, cap=DEFAULT_CAP):
@@ -727,6 +937,53 @@ def lift_walk_by_products(cover, start, xi):
             )
         ids.append(cover.index[current])
     return Walk(cover.graph, tuple(ids))
+
+
+def _check_cover_pair(f, cover_G, cover_H):
+    if cover_G.base != f.domain or cover_H.base != f.codomain:
+        raise GraphInputError("covers do not sit over the given homomorphism")
+    if cover_H.basepoint != f(cover_G.basepoint):
+        raise GraphInputError("cover basepoints do not correspond under f")
+
+
+def induced_cover_map(f, cover_G, cover_H):
+    """The vertex map between covers induced by pushing walks through f."""
+    _check_cover_pair(f, cover_G, cover_H)
+    mapping = []
+    for w in cover_G.walks:
+        fw = pushed_walk(f, w)
+        if fw.length > cover_H.radius:
+            raise OutOfWindow(
+                f"image walk of length {fw.length} exceeds radius {cover_H.radius}"
+            )
+        mapping.append(cover_H.index[fw])
+    return tuple(mapping)
+
+
+def psi_apply(phi, cover_G, cover_H):
+    """Transport a fiber element to a set-valued map between the covers.
+
+    A cover vertex named by the walk w is sent to the endpoints of
+    reduce(f(w)) * xi for xi in phi at the endpoint of w. The result is
+    validated as a set-valued homomorphism between the two trees; its
+    pointwise projection recovers the walk targets of phi.
+    """
+    f = phi.base_hom
+    _check_cover_pair(f, cover_G, cover_H)
+    phi_sets = phi.sets
+    sets = []
+    for w in cover_G.walks:
+        f_tilde = pushed_walk(f, w)
+        lifted = set()
+        for xi in phi_sets[w.target]:
+            end = walk_product(f_tilde, xi)
+            if end.length > cover_H.radius:
+                raise OutOfWindow(
+                    f"lifted walk of length {end.length} exceeds radius {cover_H.radius}"
+                )
+            lifted.add(cover_H.index[end])
+        sets.append(frozenset(lifted))
+    return SetValuedHom(cover_G.graph, cover_H.graph, sets)
 
 
 def elementary_divisors(matrix):

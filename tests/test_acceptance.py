@@ -30,27 +30,30 @@ from homcx import (
     gamma_identity,
     gamma_inverse,
     gamma_product,
-    identity_element,
-    in_stage,
-    induced_cover_map,
     is_in_Ef,
     is_square_free,
     lift_walk,
     materialize_pi,
     path_graph,
     petersen_graph,
-    psi_apply,
     reduce_to_identity,
-    retraction_D,
-    retraction_U,
-    simple_path_ordering,
     times_k2,
     tree_cover,
     Walk,
 )
 from homcx.cli import main as cli_main
 
-from oracles import fiber_candidates_bounded, find_isomorphism
+from oracles import (
+    fiber_candidates_bounded,
+    find_isomorphism,
+    identity_element,
+    in_stage,
+    induced_cover_map,
+    psi_apply,
+    retraction_D,
+    retraction_U,
+    simple_path_ordering,
+)
 
 K2 = Graph(2, [(0, 1)])
 C3 = cycle_graph(3)

@@ -27,7 +27,6 @@ from homcx import (
     find_square,
     graph_from_json,
     graph_to_json,
-    identity_hom,
     is_bipartite,
     is_connected,
     is_square_free,
@@ -36,10 +35,9 @@ from homcx import (
     petersen_graph,
     product,
     require_square_free,
-    simple_path_ordering,
     times_k2,
 )
-from homcx.graphs import _automorphism_generators, bfs_order, closure, tree_spread
+from homcx.graphs import _automorphism_generators, bfs_order, closure, maps_into_edge, tree_spread
 from homcx import hom_poset
 from homcx.hom_poset import component_census
 
@@ -52,7 +50,6 @@ from oracles import (
     find_square_reference,
     is_bipartite_reference,
     is_connected_reference,
-    simple_path_ordering_reference,
 )
 
 
@@ -65,14 +62,14 @@ def brute_square(G):
 
 
 @st.composite
-def small_graphs(draw, max_edges=None, max_n=12):
+def small_graphs(draw, max_n=12):
     """0 to max_n vertices and any set of edges, so that disconnected graphs,
     odd cycles and isolated vertices all turn up."""
     n = draw(st.integers(0, max_n))
     pairs = list(itertools.combinations(range(n), 2))
     if not pairs:
         return Graph(n)
-    return Graph(n, draw(st.lists(st.sampled_from(pairs), unique=True, max_size=max_edges)))
+    return Graph(n, draw(st.lists(st.sampled_from(pairs), unique=True)))
 
 
 # three components with interleaved labels: an odd cycle, a lone vertex and a path
@@ -118,8 +115,7 @@ class TestConstruction:
 class TestHom:
     def test_identity_and_validation(self):
         C5 = cycle_graph(5)
-        f = identity_hom(C5)
-        assert f.mapping == tuple(range(5))
+        assert GraphHom(C5, C5, range(5)).mapping == tuple(range(5))
         with pytest.raises(NotHomomorphism):
             GraphHom(C5, C5, (0, 0, 1, 2, 3))  # edge (0,1) -> (0,0), a loop
 
@@ -129,10 +125,10 @@ class TestHom:
         with pytest.raises(NotHomomorphism):
             GraphHom(complete_graph(2), cycle_graph(5), mapping)
 
-    def test_factors_through_edge(self):
-        C6, C3 = cycle_graph(6), cycle_graph(3)
-        assert GraphHom(C6, C3, (0, 1, 0, 1, 0, 1)).factors_through_edge()
-        assert not GraphHom(C6, C3, (0, 1, 2, 0, 1, 2)).factors_through_edge()
+    def test_maps_into_edge(self):
+        C3 = cycle_graph(3)
+        assert maps_into_edge(C3, (0, 1, 0, 1, 0, 1))
+        assert not maps_into_edge(C3, (0, 1, 2, 0, 1, 2))
 
 
 class TestSquareFree:
@@ -215,7 +211,7 @@ class TestStructure:
                 side = is_bipartite(G)
                 if two_colorable:
                     f = GraphHom(G, complete_graph(2), tuple(0 if u in side[0] else 1 for u in G.vertices()))
-                    assert f.factors_through_edge()
+                    assert maps_into_edge(f.codomain, f.mapping)
 
 
 class TestOneSearch:
@@ -239,14 +235,6 @@ class TestOneSearch:
             parents = [None if w is None else -1 if len(w) == 1 else w[-2] for w in paths]
             assert parents == bfs_parents_reference(G, root)
             assert all(w is None or w[-1] == v for v, w in enumerate(paths))
-
-    # at most 14 edges keeps the number of simple paths small
-    @given(small_graphs(max_edges=14))
-    @example(Graph(0))
-    @example(SCATTERED)
-    @settings(max_examples=150, deadline=None)
-    def test_simple_paths_match_the_stack_search(self, G):
-        assert simple_path_ordering(G) == simple_path_ordering_reference(G)
 
 
 class TestProduct:

@@ -5,7 +5,9 @@ local covering property, the filtration operators, and the deck group. The
 bounded fiber walk is held against an independent structural search
 (all candidate elements, filtered by the closed-form membership test) and
 against a closure through every element that validates each one it reaches,
-and tight vertices against an exhaustive search over closed walks.
+and tight vertices against an exhaustive search over closed walks. The
+explicit down lift and the deck action on elements, which only these tests
+use, are defined here, and the filtration operators in tests/oracles.py.
 """
 
 import hashlib
@@ -36,18 +38,14 @@ from homcx import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
-    down_lift,
     enumerate_Ef_bounded,
     enumerate_graph_homs,
     fiber_component_bounded,
-    gamma_act,
     gamma_elements_bounded,
     gamma_identity,
     gamma_inverse,
     gamma_product,
     hom_cover,
-    identity_element,
-    in_stage,
     is_f_tight,
     is_connected,
     is_in_Ef,
@@ -55,19 +53,24 @@ from homcx import (
     path_graph,
     petersen_graph,
     reduce_to_identity,
-    retraction_D,
-    retraction_U,
-    simple_path_ordering,
     tight_vertices,
     trivial_walk,
 )
 
 from homcx.graphs import mask_bits
 from homcx.hom_cover import _projection, _targets_below, _upsets_in_base
+from homcx.walks import walk_product
 from oracles import (
+    contains_directed_walk,
     covering_report_reference,
+    edge_walk,
     fiber_candidates_bounded,
     fiber_component_reference,
+    identity_element,
+    in_stage,
+    retraction_D,
+    retraction_U,
+    simple_path_ordering,
 )
 from test_hom_poset import graphs, square_free_graphs
 
@@ -79,6 +82,48 @@ C6 = cycle_graph(6)
 EDGE_IN_C5 = GraphHom(K2, C5, (0, 1))
 WIND = GraphHom(C6, C3, (0, 1, 2, 0, 1, 2))
 FLAT = GraphHom(C6, C3, (0, 1, 0, 1, 0, 1))
+
+
+def down_lift(phi, psi):
+    """The element below phi projecting onto psi, built by the explicit formula.
+
+    Each walk of phi at a neighbor v is rerouted through u and retargeted at
+    the requested endpoints: (f(u), f(v)) * eta * (t(eta), x) for x in psi(u).
+    """
+    f = phi.base_hom
+    G, H = f.domain, f.codomain
+    if psi.domain != G or psi.codomain != H:
+        raise NotInFiber("target lives over the wrong graphs")
+    if not psi.leq(phi.target_hom()):
+        raise NotInFiber("psi must sit below the projection of phi")
+    sets = phi.sets
+    new_sets = []
+    for u in G.vertices():
+        v = G.neighbors(u)[0]
+        eta = min(sets[v], key=lambda w: w.vertices)
+        first_leg = walk_product(edge_walk(H, f(u), f(v)), eta)
+        walks = {
+            walk_product(first_leg, edge_walk(H, eta.target, x)) for x in psi.sets[u]
+        }
+        if not walks <= sets[u]:
+            raise InvariantViolation("down lift left the original element")
+        new_sets.append(walks)
+    out = EfElement(f, new_sets)
+    if out.target_hom() != psi:
+        raise InvariantViolation("down lift misses the requested projection")
+    return out
+
+
+def gamma_act(h, phi):
+    """The deck transformation h applied to a fiber element.
+
+    Prepends h's walk pointwise: (h.phi)(u) = {h(u) * xi}. Endpoints are
+    untouched, so the projection to the base poset commutes with the action.
+    """
+    if h.base_hom != phi.base_hom:
+        raise NotInFiber("action and element sit over different homomorphisms")
+    pairs = zip(h.walks, phi.sets)
+    return EfElement(phi.base_hom, ({walk_product(w, xi) for xi in s} for w, s in pairs))
 
 
 @st.composite
@@ -381,7 +426,7 @@ class TestInteractionDigraph:
         )
         D = aux_digraph(e)
         assert D.vertices == frozenset({0, 1})
-        assert not D.contains_directed_walk((0, 7))
+        assert not contains_directed_walk(D, (0, 7))
 
 
 class TestReduceToIdentity:

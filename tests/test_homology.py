@@ -41,15 +41,15 @@ from homcx.hom_poset import (
     _fold_start,
     _hom_mappings,
     _walk,
-    cellular_betti,
     cellular_chain_complex,
     component_summary,
-    critical_cells,
 )
 from homcx.homology import ChainComplex
 
 from oracles import (
     betti_numbers,
+    cellular_betti,
+    critical_cells,
     elementary_divisors,
     keyed_chain_complex,
     morse_pairs,
@@ -58,6 +58,25 @@ from oracles import (
 from test_engine import graphs
 from test_hom_poset import connected_graphs, square_free_graphs
 from test_report_digests import LADDER
+
+
+def boundary_squared_vanishes(C):
+    """Do the consecutive boundary maps of the chain complex C compose to zero?"""
+    for d in range(2, len(C.boundaries)):
+        lower = C.boundaries[d - 1]
+        for entries in C.boundaries[d]:
+            acc = {}
+            for mid, sign in entries:
+                for row, sign2 in lower[mid]:
+                    acc[row] = acc.get(row, 0) + sign * sign2
+            if any(acc.values()):
+                return False
+    return True
+
+
+def euler_characteristic(K):
+    """The alternating sum of the simplex counts of K."""
+    return sum((-1) ** d * n for d, n in enumerate(K.counts()))
 
 
 def dense_rank(rows, n_cols):
@@ -274,7 +293,7 @@ class TestComplexes:
 
     def test_boundary_of_boundary_vanishes(self):
         K = simplex_complex((0, 1, 2, 3))
-        assert chain_complex(K).check_boundary_squared()
+        assert boundary_squared_vanishes(chain_complex(K))
 
 
 class TestBetti:
@@ -296,7 +315,7 @@ class TestBetti:
             simplex_complex((0, 1, 2), (2, 3), (3, 4), (2, 4)),
         ]:
             betti = betti_numbers(K, K.dim)
-            assert K.euler_characteristic() == sum(
+            assert euler_characteristic(K) == sum(
                 (-1) ** d * b for d, b in enumerate(betti)
             )
 
@@ -333,9 +352,9 @@ class TestHomComponentHomology:
         comp = enumerate_component(K2, C5, GraphHom(K2, C5, (0, 1)))
         K = order_complex(comp)
         assert K.counts() == (20, 20)
-        assert K.euler_characteristic() == 0
+        assert euler_characteristic(K) == 0
         C = chain_complex(K)
-        assert C.check_boundary_squared()
+        assert boundary_squared_vanishes(C)
         rows = C.boundary_rows(1)
         dense = [
             [rows[i].get(c, 0) for c in range(K.counts()[1])]
@@ -392,7 +411,7 @@ class TestCellularHomology:
     def test_boundary_squared_vanishes(self, G, H, f):
         C = cellular_chain_complex(enumerate_component(G, H, GraphHom(G, H, f)))
         assert len(C.counts) >= 3
-        assert C.check_boundary_squared()
+        assert boundary_squared_vanishes(C)
 
     @pytest.mark.parametrize(
         "n, betti", [(3, (1, 1, 0)), (4, (1, 0, 1, 0)), (5, (1, 0, 0, 1, 0))]

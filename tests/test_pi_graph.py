@@ -1,16 +1,17 @@
 """The reduced-walk graph: adjacency shapes, homotopies, finite windows.
 
 Two independent routes to adjacency exist, and the tests hold them against
-each other everywhere: the conjugation equation (pi_adjacent, a reference
-kept in tests/oracles.py) versus the five explicit shapes
-(classify_adjacency). The vertex-tuple fast paths, walks.conjugate and
-walks_adjacent, are held against pi_neighbor and classify_adjacency. A
-window's edges, which materialize_pi builds from conjugate, are checked
-against a scan of every pair of its walks. The
-validity test for spanning homotopies, which spreads one walk along a BFS
-tree, is checked against brute force over every closed walk, and it, the
-homotopy it spans and transport are held, with f and g drawn apart, to
-the chord loops and tree paths of tests/oracles.py.
+each other everywhere: the conjugation equation (pi_adjacent) versus the
+five explicit shapes (classify_adjacency), both kept in tests/oracles.py.
+The vertex-tuple fast paths, walks.conjugate and walks_adjacent, are held
+against pi_neighbor and classify_adjacency. A window's edges, which
+materialize_pi builds from conjugate, are checked against a scan of every
+pair of its walks. The validity test for spanning homotopies, which spreads
+one walk along a BFS tree, is checked against brute force over every closed
+walk, and it and the homotopy it spans are held, with f and g drawn apart,
+to the chord loops, tree paths and conjugation along walks of
+tests/oracles.py. The homotopy algebra (identity, composition, inverse)
+lives here, as only these tests use it.
 """
 
 import itertools
@@ -20,7 +21,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from homcx import (
-    AdjacencyType,
     EndpointMismatch,
     ExplosionGuard,
     Graph,
@@ -30,26 +30,18 @@ from homcx import (
     NotNeighbor,
     NotValid,
     ReducedWalk,
+    SourceTargetMismatch,
     Walk,
     all_reduced_walks,
-    classify_adjacency,
-    adjacency_type,
     complete_graph,
-    compose_homotopies,
     conjugate,
     cycle_graph,
     enumerate_graph_homs,
-    edge_walk,
     homotopy_from_valid_walk,
-    id_homotopy,
-    inverse_homotopy,
     is_topologically_valid,
     materialize_pi,
     path_graph,
     petersen_graph,
-    pi_neighbor,
-    pushed_walk,
-    transport,
     trivial_walk,
     walk_inverse,
     walk_product,
@@ -57,10 +49,16 @@ from homcx import (
 )
 
 from oracles import (
+    AdjacencyType,
+    adjacency_type,
+    classify_adjacency,
     conjugated_reference,
+    edge_walk,
     homotopy_walks_reference,
     is_valid_reference,
     pi_adjacent,
+    pi_neighbor,
+    pushed_walk,
     window_edges,
 )
 from test_hom_cover import connected_graphs
@@ -69,6 +67,34 @@ C5 = cycle_graph(5)
 C3 = cycle_graph(3)
 C6 = cycle_graph(6)
 P4 = path_graph(4)
+
+
+def interior(W):
+    """The indices of the window's walks whose neighbors all lie inside it:
+    those of length at most max_len - 2."""
+    return [i for i, w in enumerate(W.walks) if w.length <= W.max_len - 2]
+
+
+def id_homotopy(f):
+    """The identity homotopy at f: every vertex carries a length-zero walk."""
+    return Homotopy(f, f, tuple(trivial_walk(f.codomain, f(u)) for u in f.domain.vertices()))
+
+
+def compose_homotopies(h1, h2):
+    """Pointwise product; h1 must end where h2 starts."""
+    if h1.target_hom != h2.source_hom:
+        raise SourceTargetMismatch(
+            "cannot compose: first homotopy ends at a different homomorphism"
+        )
+    walks = tuple(walk_product(a, b) for a, b in zip(h1.walks, h2.walks))
+    return Homotopy(h1.source_hom, h2.target_hom, walks)
+
+
+def inverse_homotopy(h):
+    """The homotopy h run backwards: target to source, each walk reversed."""
+    return Homotopy(
+        h.target_hom, h.source_hom, tuple(walk_inverse(w) for w in h.walks)
+    )
 
 
 def adjacency(W):
@@ -130,7 +156,7 @@ class TestAdjacency:
         # conjugates by edge pairs at its endpoints, one per pair
         W = materialize_pi(C5, 4)
         adj = adjacency(W)
-        for i in W.interior:
+        for i in interior(W):
             xi = W.walks[i]
             family = {}
             for x in C5.neighbors(xi.source):
@@ -202,7 +228,7 @@ class TestWindows:
     def test_interior_walks_keep_their_full_neighborhood(self):
         W = materialize_pi(C5, 3)
         adj = adjacency(W)
-        for i in W.interior:
+        for i in interior(W):
             xi = W.walks[i]
             assert len(adj[i]) == len(C5.neighbors(xi.source)) * len(C5.neighbors(xi.target))
 
@@ -256,15 +282,14 @@ class TestHomotopy:
         assert compose_homotopies(id_homotopy(f), h) == h
         assert compose_homotopies(h, id_homotopy(g)) == h
 
-    def test_transport_detects_corruption(self):
+    def test_spliced_homotopies_are_rejected(self):
         wind = GraphHom(C6, C3, (0, 1, 2, 0, 1, 2))
         loop = ReducedWalk(C3, (0, 1, 2, 0))
         h = homotopy_from_valid_walk(loop, wind, wind, 0)
-        for u, v in C6.edges:
-            transport(h, edge_walk(C6, u, v))
         # splicing per-vertex walks from two different spanning homotopies
         # breaks adjacency somewhere; adjacency is one-edge conjugation, so the
-        # constructor rejects every value transport could disagree with
+        # constructor rejects every value that conjugation along a walk could
+        # disagree with
         other = homotopy_from_valid_walk(ReducedWalk(C3, (0, 1, 2, 0, 1, 2, 0)), wind, wind, 0)
         mixed = list(h.walks[:3]) + list(other.walks[3:])
         with pytest.raises(NotNeighbor):
@@ -320,7 +345,8 @@ class TestValidity:
             assert h.walks[0] == xi
             assert h.source_hom == h.target_hom == wind
             for u, v in C6.edges:
-                transport(h, edge_walk(C6, u, v))
+                omega = edge_walk(C6, u, v)
+                assert conjugated_reference(wind, wind, omega, h.walks[u]) == h.walks[v]
 
     def test_base_vertex_outside_the_domain_rejected(self):
         K2 = Graph(2, [(0, 1)])
@@ -407,5 +433,5 @@ class TestSpreadAgainstChordLoops:
             omegas.append(Walk(G, w))
         for omega in omegas:
             expected = conjugated_reference(f, g, omega, h.walks[omega.source])
-            assert transport(h, omega) == expected
+            assert h.walks[omega.target] == expected
 

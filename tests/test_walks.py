@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from homcx import (
+    ExplosionGuard,
     GraphInputError,
     NotClosed,
     ReducedWalk,
@@ -23,7 +24,6 @@ from homcx import (
     map_walk,
     path_graph,
     petersen_graph,
-    pushed_walk,
     reduce_walk,
     reduced_walks_from,
     trivial_walk,
@@ -31,6 +31,8 @@ from homcx import (
     walk_product,
     GraphHom,
 )
+
+from oracles import pushed_walk
 
 C5 = cycle_graph(5)
 PET = petersen_graph()
@@ -147,9 +149,16 @@ class TestEnumeration:
             assert {w.vertices for w in got} == naive
             assert [w.vertices for w in got] == sorted(naive, key=lambda v: (len(v), v))
 
-    def test_closed_walks_in_c5_come_in_multiples_of_five(self):
-        lengths = sorted(w.length for w in closed_reduced_walks_at(C5, 0, 10))
-        assert lengths == [0, 5, 5, 10, 10]
+    @pytest.mark.parametrize("k", [5, 10])
+    def test_closed_walks_in_a_cycle_come_in_multiples_of_its_length(self, k):
+        lengths = [w.length for w in closed_reduced_walks_at(cycle_graph(k), 0, 2 * k)]
+        assert lengths == [0, k, k, 2 * k, 2 * k]
+
+    def test_closed_walks_are_capped_by_default(self):
+        # 3 * 2**17 - 2 reduced walks from a vertex of the Petersen graph
+        message = r"^reduced walks: reached 393214, over the cap of 200000$"
+        with pytest.raises(ExplosionGuard, match=message):
+            closed_reduced_walks_at(PET, 0, 17)
 
     @pytest.mark.parametrize("source", [5, 7, 9, -1, True, 1.0])
     def test_source_outside_the_graph_rejected(self, source):
@@ -169,6 +178,18 @@ class TestMappings:
         w = ReducedWalk(C6, (0, 1, 2, 3))
         assert map_walk(flat, w).vertices == (0, 1, 0, 1)
         assert pushed_walk(flat, w).vertices == (0, 1)
+
+    def test_double_cover_map_is_injective_on_loops(self):
+        # pushed through the double cover C10 -> C5, distinct closed reduced
+        # walks stay distinct: the induced map on fundamental groups
+        C10 = cycle_graph(10)
+        f = GraphHom(C10, C5, tuple(z % 5 for z in range(10)))
+        loops = closed_reduced_walks_at(C10, 0, 20)
+        images = [pushed_walk(f, w) for w in loops]
+        assert len(set(images)) == len(loops)
+        for im in images:
+            assert im.is_closed() and im.is_reduced()
+        assert sorted(im.length for im in images) == [0, 10, 10, 20, 20]
 
     def test_cyclic_reduction_and_tightness(self):
         tri = Walk(cycle_graph(3), (0, 1, 2, 0))
