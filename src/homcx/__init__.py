@@ -18,7 +18,6 @@ that uses them, not here.
 """
 
 from .classifier import (
-    HomotopyType,
     classify_component,
     closed_form_type,
     expected_rank,

@@ -9,12 +9,11 @@ numbers in every degree from an acyclic matching on its cells, checks them
 against this trichotomy and, for a connected domain with two or more
 vertices and a connected target, against the case `closed_form_type` reads
 off the component's least homomorphism alone; it raises rather than
-mislabel anything.
+mislabel anything. `classify_component` returns, for the component of one
+given homomorphism, the entry that `classify` prints for it.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import EmptyHomSet, GraphInputError, InvariantViolation, NotConnected
 from .graphs import (
@@ -36,28 +35,6 @@ CIRCLE = "Circle"
 EDGE_COMPONENT = "HxK2Component"
 
 
-@dataclass(frozen=True)
-class HomotopyType:
-    """A wedge of `circles` circles; the tag separates the three cases.
-
-    A component is tagged HxK2Component exactly when it contains a
-    homomorphism factoring through one edge; such a component realizes the
-    tensor double of the target and its circle count must match
-    expected_rank. Otherwise the component is a Point or a Circle.
-    """
-
-    circles: int
-    case_tag: str
-    expected_rank: int
-
-    def to_json(self):
-        return {
-            "case": self.case_tag,
-            "circles": self.circles,
-            "expected_rank": self.expected_rank,
-        }
-
-
 def expected_rank(H):
     """Number of circles in the wedge realized by the edge-factoring component.
 
@@ -66,11 +43,6 @@ def expected_rank(H):
     """
     if not is_connected(H):
         raise NotConnected("rank prediction needs a connected target with a vertex")
-    return _double_rank(H)
-
-
-def _double_rank(H):
-    """expected_rank of a graph already known to be connected."""
     e, n = H.edge_count, H.n
     if is_bipartite(H) is not None:
         return e - n + 1
@@ -127,18 +99,15 @@ def _require_domain_vertex(G):
 
 def _component_ranks(H):
     """Each connected component of H, with the rank it predicts."""
-    return [(comp, _double_rank(induced_component(H, comp))) for comp in connected_components(H)]
-
-
-def _rank_by_vertex(ranks):
-    """The rank each vertex's component predicts, keyed by vertex, from
-    _component_ranks."""
-    return {v: r for comp, r in ranks for v in comp}
+    return [(comp, expected_rank(induced_component(H, comp))) for comp in connected_components(H)]
 
 
 def _homotopy_type(betti, k2_factoring, r):
-    """Classify by every Betti number of the component; r is the rank the
-    target component predicts for the edge-factoring case."""
+    """The case, circles and expected_rank keys of a component, classified
+    by every Betti number; r is the rank the target component predicts for
+    the edge-factoring case. A component containing a homomorphism that
+    factors through one edge is an HxK2Component whose circle count must
+    be r; any other is a Point or a Circle."""
     if betti[0] != 1:
         raise InvariantViolation(f"component has {betti[0]} pieces, expected one")
     if any(b != 0 for b in betti[2:]):
@@ -149,41 +118,43 @@ def _homotopy_type(betti, k2_factoring, r):
             raise InvariantViolation(
                 f"edge-factoring component has rank {b1}, the target predicts {r}"
             )
-        return HomotopyType(circles=b1, case_tag=EDGE_COMPONENT, expected_rank=r)
-    if b1 == 0:
-        return HomotopyType(circles=0, case_tag=POINT, expected_rank=r)
-    if b1 == 1:
-        return HomotopyType(circles=1, case_tag=CIRCLE, expected_rank=r)
-    raise InvariantViolation(
-        f"component of rank {b1} is neither a point nor a circle "
-        "and contains no edge-factoring homomorphism"
-    )
+        case = EDGE_COMPONENT
+    elif b1 > 1:
+        raise InvariantViolation(
+            f"component of rank {b1} is neither a point nor a circle "
+            "and contains no edge-factoring homomorphism"
+        )
+    else:
+        case = CIRCLE if b1 else POINT
+    return {"case": case, "circles": b1, "expected_rank": r}
 
 
-def _summary_type(G, H, s, rank_of, connected):
-    """The homotopy type of a ComponentSummary; rank_of is _rank_by_vertex,
-    read at the image of an endpoint of the least edge (vertex 0 if there is
-    none), which an edge-factoring component sends into the right target
+def _report_entry(G, H, s, ranks, connected):
+    """The classify report entry of a ComponentSummary: its census keys
+    plus those of _homotopy_type. ranks is _component_ranks(H), read at the
+    image of an endpoint of the least edge (vertex 0 if there is none),
+    which an edge-factoring component sends into the right target
     component. Homology above degree one on a disconnected domain raises
     NotConnected: the component is then a product over the domain's
     components, which the trichotomy does not cover. When connected (both
-    graphs connected, two or more domain vertices), the type must equal
+    graphs connected, two or more domain vertices), the case must equal
     _closed_form at the representative, or InvariantViolation is raised."""
     if any(s.cell_betti[2:]) and not is_connected(G):
         raise NotConnected(
             f"a disconnected domain gives homology above degree one: {s.cell_betti}"
         )
-    k2 = s.k2_factoring and G.edge_count > 0
-    u = min(G.edges)[0] if G.edges else 0
-    t = _homotopy_type(s.cell_betti, k2, rank_of[s.representative[u]])
+    x = s.representative[min(G.edges)[0] if G.edges else 0]
+    r = next(r for comp, r in ranks if x in comp)
+    entry = s.to_json()
+    entry.update(_homotopy_type(s.cell_betti, s.k2_factoring and G.edge_count > 0, r))
     if connected:
         rule = _closed_form(GraphHom(G, H, s.representative))
-        if rule != t.case_tag:
+        if rule != entry["case"]:
             raise InvariantViolation(
-                f"component of {s.representative} is a {t.case_tag}, "
+                f"component of {s.representative} is a {entry['case']}, "
                 f"the closed form says {rule}"
             )
-    return t
+    return entry
 
 
 def closed_form_type(f):
@@ -215,22 +186,24 @@ def _closed_form(f):
 
 
 def classify_component(G, H, f, cap=DEFAULT_CAP):
-    """The homotopy type of the component of f, from the Betti numbers that
-    component_summary reads off an acyclic matching on its cells.
+    """The entry that classify reports for the component of f: its census
+    keys (size, homs, Betti numbers, edge-factoring marker, least
+    homomorphism) plus case, circles and expected_rank, from the Betti
+    numbers that component_summary reads off an acyclic matching on its
+    cells. It equals that component's entry in full_case_report.
 
     An edgeless domain makes every component a full simplex, so the
     edge-factoring case (which presumes an edge in the domain) is only
     recognized when the domain has one. With both graphs connected and two
     or more domain vertices, the case must also equal closed_form_type at
-    the component's representative, as in full_case_report. A domain
-    without vertices raises GraphInputError, and a seed f that is not a map
-    G -> H NotHomomorphism.
+    the component's representative. A domain without vertices raises
+    GraphInputError, and a seed f that is not a map G -> H NotHomomorphism.
     """
     _require_domain_vertex(G)
     require_square_free(H)
-    rank_of = _rank_by_vertex(_component_ranks(H))
+    ranks = _component_ranks(H)
     connected = is_connected(G) and is_connected(H) and G.n >= 2
-    return _summary_type(G, H, component_summary(G, H, f, cap=cap), rank_of, connected)
+    return _report_entry(G, H, component_summary(G, H, f, cap=cap), ranks, connected)
 
 
 def full_case_report(G, H, cap=DEFAULT_CAP):
@@ -246,13 +219,8 @@ def full_case_report(G, H, cap=DEFAULT_CAP):
     """
     ranks = _component_ranks(H)
     facts = _instance_facts(G, H, connected_components(G), ranks)
-    rank_of = _rank_by_vertex(ranks)
     connected = facts["domain_connected"] and facts["codomain_connected"] and G.n >= 2
-    classified = []
-    for s in component_census(G, H, cap=cap):
-        entry = s.to_json()
-        entry.update(_summary_type(G, H, s, rank_of, connected).to_json())
-        classified.append(entry)
+    classified = [_report_entry(G, H, s, ranks, connected) for s in component_census(G, H, cap=cap)]
     n_factoring = sum(c["case"] == EDGE_COMPONENT for c in classified)
     if connected:
         if facts["domain_bipartite"]:

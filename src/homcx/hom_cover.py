@@ -125,11 +125,6 @@ class EfElement:
             set(a).issubset(b) for a, b in zip(self._key, other._key)
         )
 
-    def target_hom(self):
-        """Pointwise walk targets: the projection back into the base poset."""
-        f = self.base_hom
-        return SetValuedHom(f.domain, f.codomain, ({w[-1] for w in s} for s in self._key))
-
     def as_homotopy(self):
         if not self.is_singleton():
             raise NotInFiber("only singleton elements are homotopies")
@@ -406,7 +401,8 @@ def _subsets(items):
 
 
 def _projection(phi):
-    """phi.target_hom() as a tuple of int bitmasks, read off the key."""
+    """The pointwise walk targets of phi, its projection back into the base
+    poset, as a tuple of int bitmasks read off the key."""
     return tuple(sum(1 << w[-1] for w in s) for s in phi.key())
 
 

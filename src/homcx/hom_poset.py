@@ -96,10 +96,6 @@ class SetValuedHom:
     def key(self):
         return tuple(tuple(sorted(s)) for s in self.sets)
 
-    def leq(self, other):
-        """Pointwise inclusion."""
-        return all(a <= b for a, b in zip(self.sets, other.sets))
-
     def is_singleton(self):
         return all(len(s) == 1 for s in self.sets)
 
@@ -107,9 +103,6 @@ class SetValuedHom:
         if not self.is_singleton():
             raise NotHomomorphism("not singleton-valued")
         return GraphHom(self.domain, self.codomain, (min(s) for s in self.sets))
-
-    def norm(self):
-        return sum(len(s) for s in self.sets)
 
     def __eq__(self, other):
         return (

@@ -32,22 +32,6 @@ class TreeCover:
     at: dict = field(compare=False, repr=False)  # index, keyed by vertex tuples
     graph: Graph = field(compare=False)
 
-    @classmethod
-    def build(cls, base, basepoint, radius):
-        """The window of walks up to radius; more than DEFAULT_CAP walks
-        raises ExplosionGuard."""
-        if radius < 0:
-            raise ValueError(f"radius must be a nonnegative integer, got {radius}")
-        require_vertex(base, basepoint)
-        if not is_connected(base):
-            raise NotConnected("covers are built over connected graphs")
-        walks = tuple(reduced_walks_from(base, basepoint, radius))
-        index = {w: i for i, w in enumerate(walks)}
-        at = {w.vertices: i for i, w in enumerate(walks)}
-        edges = [(at[w.vertices[:-1]], i) for i, w in enumerate(walks) if w.length]
-        graph = Graph(len(walks), edges)
-        return cls(base, basepoint, radius, walks, index, at, graph)
-
     def project(self, vid):
         return self.walks[vid].target
 
@@ -78,8 +62,17 @@ class TreeCover:
 
 def tree_cover(base, basepoint, radius):
     """The universal cover of base at basepoint, cut to the reduced walks of
-    length at most radius."""
-    return TreeCover.build(base, basepoint, radius)
+    length at most radius; more than DEFAULT_CAP walks raises ExplosionGuard."""
+    if radius < 0:
+        raise ValueError(f"radius must be a nonnegative integer, got {radius}")
+    require_vertex(base, basepoint)
+    if not is_connected(base):
+        raise NotConnected("covers are built over connected graphs")
+    walks = tuple(reduced_walks_from(base, basepoint, radius))
+    index = {w: i for i, w in enumerate(walks)}
+    at = {w.vertices: i for i, w in enumerate(walks)}
+    edges = [(at[w.vertices[:-1]], i) for i, w in enumerate(walks) if w.length]
+    return TreeCover(base, basepoint, radius, walks, index, at, Graph(len(walks), edges))
 
 
 def lift_walk(cover, start, xi):

@@ -29,11 +29,13 @@ tree-cover lift by walk products, and the Smith normal form of a small
 dense matrix, which confirms that a sampled boundary carries no torsion.
 
 The proof steps: the edge walks and pushed walks that the references build
-from, the identity fiber element, the sink-truncation filtration of the
-fiber (its stages, indexed by the simple paths of the domain grown on an
-explicit stack, and the closure and interior operators between them), and
-the maps that a homomorphism and a fiber element over it induce between
-tree covers. None of this runs outside the tests.
+from, the pointwise order and norm of set-valued homomorphisms and the
+projection of a fiber element onto one, the identity fiber element, the
+sink-truncation filtration of the fiber (its stages, indexed by the simple
+paths of the domain grown on an explicit stack, and the closure and
+interior operators between them), and the maps that a homomorphism and a
+fiber element over it induce between tree covers. None of this runs
+outside the tests.
 """
 
 from __future__ import annotations
@@ -525,6 +527,23 @@ def fiber_candidates_bounded(f, max_norm, cap=DEFAULT_CAP):
     )
     elements = {EfElement(f, (a[1, u] for u in G.vertices())) for a in found}
     return sorted(elements, key=lambda e: e.key())
+
+
+def set_leq(phi, psi):
+    """Pointwise inclusion of two set-valued homomorphisms."""
+    return all(a <= b for a, b in zip(phi.sets, psi.sets))
+
+
+def set_norm(phi):
+    """The total size of the image sets of a set-valued homomorphism."""
+    return sum(len(s) for s in phi.sets)
+
+
+def target_hom(phi):
+    """The pointwise walk targets of a fiber element: its projection back
+    into the base poset, as a SetValuedHom."""
+    f = phi.base_hom
+    return SetValuedHom(f.domain, f.codomain, ({w[-1] for w in s} for s in phi.key()))
 
 
 def identity_element(f):

@@ -43,6 +43,8 @@ from oracles import (
     cell_masks,
     component_census_reference,
     hom_adjacent,
+    set_leq,
+    set_norm,
     smaller_cells,
     walked_component,
 )
@@ -140,7 +142,7 @@ def zigzag_components(elements):
         return a
 
     for i, j in itertools.combinations(range(len(elements)), 2):
-        if elements[i].leq(elements[j]) or elements[j].leq(elements[i]):
+        if set_leq(elements[i], elements[j]) or set_leq(elements[j], elements[i]):
             parent[find(i)] = find(j)
     groups = {}
     for i in range(len(elements)):
@@ -169,9 +171,9 @@ class TestSetValuedHom:
     def test_order_and_norm(self):
         small = SetValuedHom(K2, C5, ({0}, {1}))
         big = SetValuedHom(K2, C5, ({0}, {1, 4}))
-        assert small.leq(big) and not big.leq(small)
-        assert small.leq(small)
-        assert small.norm() == 2 and big.norm() == 3
+        assert set_leq(small, big) and not set_leq(big, small)
+        assert set_leq(small, small)
+        assert set_norm(small) == 2 and set_norm(big) == 3
         assert small.is_singleton() and not big.is_singleton()
         assert big.to_json() == {"sets": [[0], [1, 4]]}
 

@@ -2,15 +2,20 @@
 
 Each `homcx` line of the first shell block under "## Command line" runs
 through cli.main and exits 0, the documented `classify` result holds, and
-the "## Library" snippet prints what its comment says, and every function
-the package exports has the docstring that section promises.
+the "## Library" snippet prints what its comment says, every function
+the package exports has the docstring that section promises, and every
+backticked dotted name that starts with a `homcx` module names something
+in that module.
 """
 
 import contextlib
+import functools
+import importlib
 import inspect
 import io
 import json
 import pathlib
+import pkgutil
 import re
 import shlex
 
@@ -73,3 +78,25 @@ def test_every_exported_function_has_a_docstring():
         if not name.startswith("_") and inspect.isfunction(obj) and not (obj.__doc__ or "").strip()
     ]
     assert missing == []
+
+
+def test_dotted_module_names_resolve():
+    # `hom_poset.larger_cells` and the like must still exist, so a deletion
+    # that leaves the README naming it fails here
+    modules = {m.name for m in pkgutil.iter_modules(homcx.__path__)}
+    names = {
+        name
+        for name in re.findall(r"`([A-Za-z_]\w*(?:\.\w+)+)`", README)
+        if name.split(".")[0] in modules
+    }
+    assert "hom_poset.larger_cells" in names
+
+    def resolves(name):
+        head, *rest = name.split(".")
+        try:
+            functools.reduce(getattr, rest, importlib.import_module(f"homcx.{head}"))
+        except AttributeError:
+            return False
+        return True
+
+    assert sorted(name for name in names if not resolves(name)) == []

@@ -31,7 +31,13 @@ from homcx import (
     walk_product,
 )
 
-from oracles import identity_element, induced_cover_map, lift_walk_by_products, psi_apply
+from oracles import (
+    identity_element,
+    induced_cover_map,
+    lift_walk_by_products,
+    psi_apply,
+    target_hom,
+)
 
 C5 = cycle_graph(5)
 C10 = cycle_graph(10)
@@ -196,7 +202,7 @@ class TestInducedMaps:
         cover_H = tree_cover(C5, 0, 8)
         for phi in enumerate_Ef_bounded(f, 4):
             transported = psi_apply(phi, cover_G, cover_H)
-            targets = phi.target_hom()
+            targets = target_hom(phi)
             for i in range(len(cover_G.walks)):
                 downstairs = {cover_H.project(x) for x in transported.sets[i]}
                 assert downstairs == set(targets.sets[cover_G.project(i)])
