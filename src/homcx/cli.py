@@ -210,20 +210,10 @@ def emit_report(obj, out):
 
 
 def resolve_cap(args):
-    """The enumeration cap: --cap, else HOMCX_CAP, else the default."""
-    if args.cap is not None:
-        setting, cap = "--cap", args.cap
-    elif os.environ.get("HOMCX_CAP"):
-        setting, text = "HOMCX_CAP", os.environ["HOMCX_CAP"]
-        try:
-            cap = int(text)
-        except ValueError:
-            raise ValueError(f"HOMCX_CAP must be an integer, got {text!r}") from None
-    else:
-        return DEFAULT_CAP
-    if cap <= 0:
-        raise ValueError(f"{setting} must be a positive integer, got {cap}")
-    return cap
+    """The enumeration cap set by --cap, which defaults to DEFAULT_CAP."""
+    if args.cap <= 0:
+        raise ValueError(f"--cap must be a positive integer, got {args.cap}")
+    return args.cap
 
 
 def run_check(args):
@@ -413,8 +403,8 @@ def build_parser():
         sp.add_argument(
             "--cap",
             type=int,
-            default=None,
-            help="enumeration cap (defaults to HOMCX_CAP or 200000)",
+            default=DEFAULT_CAP,
+            help="enumeration cap (default %(default)s)",
         )
 
     sp = sub.add_parser("check", help="hypothesis checks for one graph")
@@ -458,7 +448,6 @@ def build_parser():
     sp.set_defaults(run=run_cover)
 
     sp = sub.add_parser("verify", help="run the built-in cross-check battery")
-    sp.add_argument("--suite", choices=["core"], default="core")
     sp.add_argument("--seed", type=int, default=0)
     add_out(sp)
     sp.set_defaults(run=run_verify)

@@ -10,6 +10,7 @@ bipartition, the BFS vertex order and values spread along the BFS tree
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import (
@@ -415,16 +416,17 @@ def _over_cap(stage, count, cap):
 
 
 def _require_cap(cap):
-    """Raise ValueError unless cap is None or an int of at least 1: a cap
-    that no enumeration can meet is bad input, not a tripped guard."""
-    if cap is not None and (isinstance(cap, bool) or cap < 1):
-        raise ValueError(f"the cap must be a positive integer or None, got {cap!r}")
+    """Raise ValueError unless cap is a number of at least 1; math.inf means
+    no cap. A cap that no enumeration can meet, or NaN, which no count
+    exceeds, is bad input, not a tripped guard."""
+    if type(cap) not in (int, float) or not cap >= 1:
+        raise ValueError(f"the cap must be a positive integer or math.inf, got {cap!r}")
 
 
-def closure(start, moves, cap=None, stage="closure"):
+def closure(start, moves, cap=math.inf, stage="closure"):
     """The set of states reachable from start through moves(state).
 
-    More than cap states raises ExplosionGuard; cap None means no cap.
+    More than cap states raises ExplosionGuard; math.inf means no cap.
     """
     _require_cap(cap)
     seen = {start}
@@ -433,7 +435,7 @@ def closure(start, moves, cap=None, stage="closure"):
         for nxt in moves(queue.pop()):
             if nxt not in seen:
                 seen.add(nxt)
-                if cap is not None and len(seen) > cap:
+                if len(seen) > cap:
                     raise _over_cap(stage, len(seen), cap)
                 queue.append(nxt)
     return seen

@@ -329,7 +329,7 @@ def fiber_component_bounded(f, max_norm, cap=DEFAULT_CAP):
     keys = []
 
     def check(more):
-        if cap is not None and len(keys) + more > cap:
+        if len(keys) + more > cap:
             raise _over_cap("fiber elements", cap + 1, cap)
 
     def visit(h):

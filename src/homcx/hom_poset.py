@@ -141,7 +141,7 @@ def _hom_mappings(G, H, cap=DEFAULT_CAP):
     while i >= 0:
         if i == m:
             count += 1
-            if cap is not None and count > cap:
+            if count > cap:
                 raise _over_cap("graph homomorphisms", count, cap)
             yield tuple(image)
             i -= 1
@@ -230,17 +230,16 @@ def _submasks(mask):
 
 
 def enumerate_component(G, H, f, cap=DEFAULT_CAP):
-    """The full poset component of f, a GraphHom or a SetValuedHom.
+    """The full poset component of the GraphHom f.
 
     The walk is a closure over the homomorphisms, moving one vertex u to
-    another common neighbor of the images of its neighbors; a SetValuedHom
-    starts from the least vertex of each set. Each homomorphism h is visited
-    once: its rooms, the common neighbors at each u, give its moves and the
-    cells whose least homomorphism it is, where u grows by a subset of its
-    room above h(u), cut down to the common neighbors of each earlier
-    neighbor's set. More than cap homomorphisms, or more than cap cells,
-    raises ExplosionGuard; the cells are counted as they grow, and each
-    partial cell grows into at least one cell. A seed that is not a map
+    another common neighbor of the images of its neighbors. Each
+    homomorphism h is visited once: its rooms, the common neighbors at each
+    u, give its moves and the cells whose least homomorphism it is, where u
+    grows by a subset of its room above h(u), cut down to the common
+    neighbors of each earlier neighbor's set. More than cap homomorphisms,
+    or more than cap cells, raises ExplosionGuard; the cells are counted as
+    they grow, and each partial cell grows into at least one cell. A seed that is not a map
     G -> H raises NotHomomorphism.
     """
     homs, cells, _, _ = _walk(G, H, f, cap, G.n)
@@ -262,7 +261,7 @@ def _walk(G, H, f, cap, start):
     the kept cells, the count of all cells and the top dimension of those not
     kept (negative if none). start = |V(G)| keeps every cell."""
     _require_cap(cap)
-    if f.domain != G or f.codomain != H:
+    if not isinstance(f, GraphHom) or f.domain != G or f.codomain != H:
         raise NotHomomorphism("the seed does not map the given domain to the given target")
     n = H.n
     nbr = H.adj_masks
@@ -272,7 +271,7 @@ def _walk(G, H, f, cap, start):
     dropped = top = 0  # cells counted but not kept, and their top popcount
 
     def check(more):
-        if cap is not None and len(kept) + dropped + more > cap:
+        if len(kept) + dropped + more > cap:
             raise _over_cap("component elements", cap + 1, cap)
 
     def visit(h):
@@ -327,8 +326,7 @@ def _walk(G, H, f, cap, start):
         check(0)
         return moves
 
-    seed = tuple(f.mapping) if isinstance(f, GraphHom) else tuple(min(s) for s in f.sets)
-    homs = closure(seed, visit, cap, "component elements")
+    homs = closure(f.mapping, visit, cap, "component elements")
     return tuple(sorted(homs)), kept, len(kept) + dropped, top - G.n
 
 

@@ -65,7 +65,7 @@ def complex_from_chains(n_vertices, greater, cap=DEFAULT_CAP):
     the poset order, so each chain arises exactly once; a chain is recorded
     as its sorted vertex tuple because poset order need not respect the
     numbering of the elements. More than cap chains raises ExplosionGuard;
-    cap None means no cap.
+    math.inf means no cap.
     """
     _require_cap(cap)
     levels = []
@@ -73,7 +73,7 @@ def complex_from_chains(n_vertices, greater, cap=DEFAULT_CAP):
     total = 0
     while frontier:
         total += len(frontier)
-        if cap is not None and total > cap:
+        if total > cap:
             raise _over_cap("order complex chains", total, cap)
         levels.append(tuple(sorted(tuple(sorted(chain)) for chain in frontier)))
         nxt = []

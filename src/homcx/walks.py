@@ -185,14 +185,16 @@ def _reduced_walks(graph, sources, max_len, cap):
     """All reduced walks of length <= max_len from the sorted sources, in
     (length, vertex sequence) order, as each level extends the last in order.
     More than cap of them raises ExplosionGuard as soon as a level passes it;
-    cap None means no cap."""
+    math.inf means no cap. A max_len below 0 raises ValueError."""
     _require_cap(cap)
+    if not max_len >= 0:
+        raise ValueError(f"max_len must be a nonnegative integer, got {max_len!r}")
     out = []
     frontier = [(s,) for s in sources]
     level = 0
     while frontier and level <= max_len:
         out.extend(frontier)
-        if cap is not None and len(out) > cap:
+        if len(out) > cap:
             raise _over_cap("reduced walks", len(out), cap)
         frontier = [
             w + (y,) for w in frontier for y in graph.neighbors(w[-1]) if len(w) < 2 or w[-2] != y

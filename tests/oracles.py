@@ -101,19 +101,18 @@ from homcx.walks import (
 )
 
 
-def backtrack(order, candidates, cap=None, stage="search"):
+def backtrack(order, candidates, cap=math.inf, stage="search"):
     """Every complete assignment of values to the keys in order, depth first.
 
     candidates(u, partial) returns the ordered list of values for u that are
     compatible with partial, the dict of keys already assigned (exactly those
     before u in order). Assignments are yielded in first-found order as the
     live dict, which the next step changes: copy what you keep. More than cap
-    of them raises ExplosionGuard; cap None means no cap.
+    of them raises ExplosionGuard; a cap is at least 1, and math.inf means
+    no cap, as in the package.
     """
     partial = {}
     if not order:
-        if cap is not None and cap < 1:
-            raise _over_cap(stage, 1, cap)
         yield partial
         return
     count = 0
@@ -127,7 +126,7 @@ def backtrack(order, candidates, cap=None, stage="search"):
                 stack.append(iter(candidates(order[k + 1], partial)))
                 break
             count += 1
-            if cap is not None and count > cap:
+            if count > cap:
                 raise _over_cap(stage, count, cap)
             yield partial
         else:

@@ -299,7 +299,7 @@ def test_criterion_14_byte_determinism(tmp_path):
             ["classify", "--domain", "C6", "--codomain", "C3"],
             ["ef", "--domain", "K2", "--codomain", "C5", "--seed-hom", "0,1", "--max-norm", "8"],
             ["cover", "--graph", "C5", "--radius", "4"],
-            ["verify", "--suite", "core", "--seed", "11"],
+            ["verify", "--seed", "11"],
         ]
         for argv in runs:
             a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -6,6 +6,7 @@ command-line usage, 3 rejected hypothesis (4-cycle in the target, empty hom
 set, disconnected input where a connected one is needed).
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -240,7 +241,7 @@ class TestReports:
         assert main(["cover", "--graph", str(p), "--radius", "2"]) == 3
 
     def test_verify(self, capsys):
-        code, rep = run(capsys, "verify", "--suite", "core", "--seed", "7")
+        code, rep = run(capsys, "verify", "--seed", "7")
         assert code == 0
         assert rep["ok"] is True
         assert rep["seed"] == 7
@@ -437,26 +438,19 @@ class TestCaps:
             "cap reached: graph homomorphisms: reached 6, over the cap of 5\n"
         )
 
-    def test_cap_env(self, monkeypatch, capsys):
+    def test_the_environment_sets_no_cap(self, monkeypatch, capsys):
+        # --cap is the one setting: the 10 homomorphisms and 20 cells of
+        # K2 -> C5 stay under the default, whatever HOMCX_CAP says
         monkeypatch.setenv("HOMCX_CAP", "5")
-        assert main(["census", "--domain", "K2", "--codomain", "C5"]) == 2
-
-    def test_flag_beats_env(self, monkeypatch, capsys):
-        monkeypatch.setenv("HOMCX_CAP", "5")
-        code, rep = run(
-            capsys, "census", "--domain", "K2", "--codomain", "C5", "--cap", "200000"
-        )
+        code, rep = run(capsys, "census", "--domain", "K2", "--codomain", "C5")
         assert code == 0
+        assert [c["size"] for c in rep["components"]] == [20]
 
-    def test_nonpositive_cap_is_bad_input(self, monkeypatch, capsys):
+    def test_nonpositive_cap_is_bad_input(self, capsys):
         base = ["census", "--domain", "K2", "--codomain", "C5"]
         for cap in ("0", "-3"):
             assert main(base + ["--cap", cap]) == 1
             assert "--cap" in capsys.readouterr().err
-        for env in ("0", "many"):
-            monkeypatch.setenv("HOMCX_CAP", env)
-            assert main(base) == 1
-            assert "HOMCX_CAP" in capsys.readouterr().err
 
     def test_component_cap_is_the_only_cap(self, capsys):
         # the order complex of this component has more chains than the
@@ -500,6 +494,42 @@ class TestParser:
     def test_non_integer_cap(self, capsys):
         # a cap of 0 is bad input (exit 1); a cap that is no integer never parses
         self.usage_error(capsys, ["census", "--domain", "K2", "--codomain", "C5", "--cap", "abc"])
+
+
+# a small command line for each subcommand, every other option at its default
+_SMALL = {
+    "check": ["--graph", "C5"],
+    "product": ["--graph", "C5"],
+    "census": ["--domain", "K2", "--codomain", "C5"],
+    "classify": ["--domain", "K2", "--codomain", "C5"],
+    "ef": ["--domain", "K2", "--codomain", "C5", "--seed-hom", "0,1", "--max-norm", "2"],
+    "cover": ["--graph", "C5", "--radius", "2"],
+    "verify": [],
+}
+
+
+class TestOptions:
+    @pytest.mark.parametrize("command", sorted(_SMALL))
+    def test_every_option_is_read(self, command, monkeypatch, tmp_path):
+        # an option that nothing reads is a setting that changes nothing:
+        # main, resolve_cap or the subcommand's run_* reads each one
+        parser = cli.build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert sorted(sub.choices) == sorted(_SMALL)
+        read = set()
+
+        class Recording(argparse.Namespace):
+            def __getattribute__(self, name):
+                read.add(name)
+                return super().__getattribute__(name)
+
+        argv = [command, *_SMALL[command], "--out", str(tmp_path / "report.json")]
+        args = Recording(**vars(parser.parse_args(argv)))
+        recording_parser = argparse.Namespace(parse_args=lambda _: args)
+        monkeypatch.setattr(cli, "build_parser", lambda: recording_parser)
+        assert main(argv) == 0
+        options = {a.dest for a in sub.choices[command]._actions if a.dest != "help"}
+        assert options - read == set()
 
 
 class TestBounds:

@@ -5,6 +5,8 @@ the engine, and a tripped cap must say which stage tripped, how far the
 count got, and what the cap was.
 """
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -76,8 +78,8 @@ class TestCallers:
         # the same sequence, uncapped, under a drawn cap, and under a cap
         # one below the count, which must trip after every other mapping; a
         # cap below 1 is bad input
-        every = list(hom_mappings_reference(G, H, None))
-        assert list(_hom_mappings(G, H, None)) == every
+        every = list(hom_mappings_reference(G, H, math.inf))
+        assert list(_hom_mappings(G, H, math.inf)) == every
         for c in (cap, len(every) - 1):
             if c < 1:
                 with pytest.raises(ValueError):
@@ -126,10 +128,11 @@ class TestGuardMessages:
 
 
 class TestCapInput:
-    @pytest.mark.parametrize("cap", [0, -1, True, False])
+    @pytest.mark.parametrize("cap", [0, -1, True, False, None, float("nan")])
     def test_a_cap_below_one_is_bad_input(self, cap):
         # every enumeration rejects it before it counts anything, so it is
-        # not mistaken for a tripped guard
+        # not mistaken for a tripped guard; no count exceeds a NaN cap, so it
+        # would turn every guard off
         K2, C5 = complete_graph(2), cycle_graph(5)
         f = GraphHom(K2, C5, (0, 1))
         calls = [
@@ -143,11 +146,11 @@ class TestCapInput:
             lambda: complex_from_chains(2, [[1], []], cap=cap),
         ]
         for call in calls:
-            with pytest.raises(ValueError, match="positive integer or None"):
+            with pytest.raises(ValueError, match="positive integer or math.inf"):
                 call()
 
     def test_no_cap_builds_the_order_complex(self):
-        assert complex_from_chains(3, [[1, 2], [2], []], cap=None).counts() == (3, 3, 1)
+        assert complex_from_chains(3, [[1, 2], [2], []], cap=math.inf).counts() == (3, 3, 1)
 
     def test_a_cap_of_one_counts(self):
         (s,) = component_census(Graph(0), cycle_graph(5), cap=1)

@@ -9,6 +9,7 @@ oracles.walked_component.
 """
 
 import itertools
+import math
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
@@ -232,6 +233,7 @@ class TestComponents:
             GraphHom(K2, complete_graph(4), (0, 2)),  # (0, 2) is no edge of C5
             GraphHom(K2, C6, (0, 5)),  # 5 is no vertex of C5
             SetValuedHom(K2, C6, [{0}, {1, 5}]),
+            SetValuedHom(K2, C5, [{0}, {1, 4}]),  # not a GraphHom
             GraphHom(P3, C5, (0, 1, 0)),  # the domain is not K2
         ],
     )
@@ -287,11 +289,11 @@ class TestComponents:
         assert len(enumerate_component(K2, C5, GraphHom(K2, C5, (0, 1)), cap=20)) == 20
 
     def test_no_cap(self):
-        P = enumerate_component(C6, C3, GraphHom(C6, C3, (0, 1, 0, 1, 0, 1)), cap=None)
+        P = enumerate_component(C6, C3, GraphHom(C6, C3, (0, 1, 0, 1, 0, 1)), cap=math.inf)
         assert len(P) == 228
         # one vertex, no edges: every nonempty subset of the target is a cell
         K1 = Graph(1, [])
-        assert len(enumerate_component(K1, C6, GraphHom(K1, C6, (3,)), cap=None)) == 63
+        assert len(enumerate_component(K1, C6, GraphHom(K1, C6, (3,)), cap=math.inf)) == 63
 
     def test_move_halves_are_the_covering_relations(self):
         # each half lists exactly the cells one image vertex away, each once
@@ -317,7 +319,7 @@ class TestComponents:
     )
     def test_mask_walk_matches_zigzag_oracle(self, G, H, data):
         # targets with four-cycles included; start from a homomorphism and
-        # from a larger element of the same component
+        # from the least homomorphism of a larger element of the component
         elements = all_set_valued(G, H)
         assume(elements and len(elements) <= 400)
         group = data.draw(st.sampled_from(zigzag_components(elements)))
@@ -325,7 +327,8 @@ class TestComponents:
         f = data.draw(st.sampled_from([e for e in group if e.is_singleton()]))
         wide = [e for e in group if not e.is_singleton()]
         start = data.draw(st.sampled_from(wide or group))
-        for seed in (f.as_graph_hom(), start):
+        least = GraphHom(G, H, (min(s) for s in start.sets))
+        for seed in (f.as_graph_hom(), least):
             P = enumerate_component(G, H, seed)
             assert list(P.cells) == sorted(set(P.cells))
             assert sorted(cell_keys(P)) == expected
@@ -349,8 +352,8 @@ class TestComponents:
         cells, _ = expected
         assert list(cells) == sorted(set(cells))
         top = cell_masks(G, H, max(cells, key=int.bit_count))
-        wide = SetValuedHom(G, H, map(mask_bits, top))
-        assert cells_or_guard(enumerate_component, G, H, wide, cap) == expected
+        least = GraphHom(G, H, (min(mask_bits(s)) for s in top))
+        assert cells_or_guard(enumerate_component, G, H, least, cap) == expected
 
 
 class TestCensus:

@@ -10,6 +10,7 @@ chain complex.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -639,8 +640,8 @@ class TestFoldedWalk:
     def test_examples(self, G, H, start, kept):
         assert _fold_start(G) == start
         f = GraphHom(G, H, min(_hom_mappings(G, H)))
-        assert len(_walk(G, H, f, None, start)[1]) == kept
-        assert folded_or_guard(G, H, f, None) == full_or_guard(G, H, f, None)
+        assert len(_walk(G, H, f, math.inf, start)[1]) == kept
+        assert folded_or_guard(G, H, f, math.inf) == full_or_guard(G, H, f, math.inf)
 
     def test_critical_two_cells_take_one_full_walk(self, monkeypatch):
         built = []

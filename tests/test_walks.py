@@ -22,6 +22,7 @@ from homcx import (
     is_cyclically_reduced,
     is_f_tight,
     map_walk,
+    materialize_pi,
     path_graph,
     petersen_graph,
     reduce_walk,
@@ -169,6 +170,20 @@ class TestEnumeration:
 
     def test_all_reduced_walks_window_count(self):
         assert len(all_reduced_walks(C5, 1)) == 15  # 5 trivial + 10 oriented edges
+
+    @pytest.mark.parametrize("max_len", [-1, -3, float("nan")])
+    def test_a_negative_length_bound_is_bad_input(self, max_len):
+        # not an empty window, as tree_cover and the fiber reject a negative
+        # radius or norm bound
+        calls = [
+            lambda: reduced_walks_from(C5, 0, max_len),
+            lambda: all_reduced_walks(C5, max_len),
+            lambda: closed_reduced_walks_at(C5, 0, max_len),
+            lambda: materialize_pi(C5, max_len),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="max_len must be a nonnegative integer"):
+                call()
 
 
 class TestMappings:
