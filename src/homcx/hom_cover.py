@@ -8,12 +8,15 @@ covers the component of f; taking walk targets pointwise is the covering
 projection.
 
 Its bounded part is walked over the singleton elements, each growing, once,
-the elements whose least walks it holds. Each walk and cross pair is tested
-as it is added, so the walked elements, and the deck transformations read
-off them, skip the constructor's checks. An element is held as its key
-alone, the sorted vertex tuples of each walk set, which the walk, the
-checks and the readers here all use; `EfElement.sets` builds the
-`ReducedWalk`s on demand for the operations that take or return walks.
+the elements whose least walks it holds. A singleton's candidate walks at a
+vertex are the conjugates of its walk at that vertex's first neighbor, built
+once per walk and shared by every singleton that holds it. Each walk and
+cross pair is tested as it is added, so the walked elements, and the deck
+transformations read off them, skip the constructor's checks. An element is
+held as its key, the sorted vertex tuples of each walk set, which the walk,
+the checks and the readers here all use, and its norm, which the walk
+counts as it grows the element; `EfElement.sets` builds the `ReducedWalk`s
+on demand for the operations that take or return walks.
 
 Membership in that component has a closed-form test when H is square-free:
 all walk lengths must be even, and any vertex lying on a tight closed walk
@@ -61,9 +64,10 @@ from .walks import ReducedWalk, conjugate, trivial_walk, walk_inverse, walk_prod
 
 class EfElement:
     """A fiber element: vertex-indexed sets of reduced walks over f, held as
-    its key, the sorted vertex tuples of each set."""
+    its key, the sorted vertex tuples of each set, and its norm, the sum
+    over vertices of the longest walk's length."""
 
-    __slots__ = ("base_hom", "_key", "_hash")
+    __slots__ = ("base_hom", "_key", "_hash", "_norm")
 
     def __init__(self, base_hom, sets):
         f = base_hom
@@ -85,12 +89,15 @@ class EfElement:
                 if not walks_adjacent(H, a, b):
                     raise NotNeighbor(f"walks {a} at {u} and {b} at {v} are not adjacent")
         self.base_hom, self._key, self._hash = f, key, hash((f, key))
+        self._norm = sum(max(map(len, s)) - 1 for s in key)
 
     @classmethod
-    def _from_checked(cls, base_hom, key):
-        """An element whose key passed every check of __init__."""
+    def _from_checked(cls, base_hom, key, norm):
+        """An element whose key passed every check of __init__, and whose
+        norm is norm."""
         self = object.__new__(cls)
         self.base_hom, self._key, self._hash = base_hom, key, hash((base_hom, key))
+        self._norm = norm
         return self
 
     @property
@@ -106,10 +113,10 @@ class EfElement:
         return max(map(len, self._key[u])) - 1
 
     def norm(self):
-        return sum(max(map(len, s)) - 1 for s in self._key)
+        return self._norm
 
     def is_singleton(self):
-        return all(len(s) == 1 for s in self._key)
+        return max(map(len, self._key), default=1) == 1
 
     def maximal_walks(self, u):
         """The longest walks at u, as vertex tuples in ascending order."""
@@ -307,11 +314,16 @@ def fiber_component_bounded(f, max_norm, cap=DEFAULT_CAP):
     visits each once. h's room at u: the conjugates conjugate(f(u), h(v), y)
     of its walk at u's first neighbor v adjacent to h at the other neighbors
     and within the norm bound; a move swaps h(u) for another walk of the room.
-    h grows the elements whose least walk at every vertex is h's: u adds a
-    subset of its room above h(u), cut down to the walks adjacent to every
-    walk at each earlier neighbor, pruned by norm. The norm is monotone, so
-    each element is built once, from its least singleton. Singletons, then
-    elements, count against the cap. Equal walk sets share one tuple.
+    The sorted conjugates of each walk at u's first neighbor are built once
+    per call and shared by every singleton holding that walk. h grows the
+    elements whose least walk at every vertex is h's: u adds a subset of its
+    room above h(u), cut down to the walks adjacent to every walk at each
+    earlier neighbor, pruned by norm. Each element carries a running count
+    of the vertices of its longest walks, which is its norm plus |V(G)|, so
+    the bound is a cap on that count and the element keeps its norm. The
+    norm is monotone, so each element is built once, from its least
+    singleton. Singletons, then elements, count against the cap. Equal walk
+    sets share one tuple.
 
     Every cross pair is tested once, as it is built: a room walk is a reduced
     walk from f(u), adjacent to the walk it conjugates and tested against h
@@ -319,59 +331,74 @@ def fiber_component_bounded(f, max_norm, cap=DEFAULT_CAP):
     added at an earlier neighbor. So the elements are returned without
     EfElement's checks.
     """
-    if max_norm < 0:
+    if not max_norm >= 0:
         raise ValueError(f"max_norm must be a nonnegative integer, got {max_norm}")
     if f.domain.n < 2 or not is_connected(f.domain):
         raise NotConnected("the domain must be connected with at least two vertices")
     G, H, m = f.domain, f.codomain, f.mapping
     nbrs = [G.neighbors(u) for u in G.vertices()]
+    others = [vs[1:] for vs in nbrs]
+    earlier = [[v for v in vs if v < u] for u, vs in enumerate(nbrs)]
+    limit = max_norm + G.n  # the most vertices an element's longest walks may hold
     interned = [{} for _ in nbrs]  # the walk sets at each vertex
-    keys = []
+    rooms = [{} for _ in nbrs]  # the sorted conjugates of each first neighbor's walk
+    elements = []
 
     def check(more):
-        if len(keys) + more > cap:
+        if len(elements) + more > cap:
             raise _over_cap("fiber elements", cap + 1, cap)
 
     def visit(h):
         """Grow the elements whose least singleton is h; return h's moves."""
-        lens = [len(w) - 1 for w in h]
-        slack = max_norm - sum(lens)
+        size = sum(map(len, h))
         moves = []
-        level = [(tuple(interned[u].setdefault((w,), (w,)) for u, w in enumerate(h)), 0)]
+        level = [(tuple(interned[u].setdefault((w,), (w,)) for u, w in enumerate(h)), size)]
         for u, w in enumerate(h):
-            first = h[nbrs[u][0]]
-            room = sorted(
-                c
-                for c in (conjugate(m[u], first, y) for y in H.neighbors(first[-1]))
-                if len(c) - 1 - lens[u] <= slack
-                and all(walks_adjacent(H, c, h[v]) for v in nbrs[u][1:])
-            )
-            moves.extend(h[:u] + (c,) + h[u + 1 :] for c in room if c != w)
-            above = [c for c in room if c > w]
+            first, rest = h[nbrs[u][0]], others[u]
+            conjugates = rooms[u].get(first)
+            if conjugates is None:
+                conjugates = rooms[u][first] = sorted(
+                    conjugate(m[u], first, y) for y in H.neighbors(first[-1])
+                )
+            top = limit - size + len(w)
+            above = []
+            for c in conjugates:
+                if (
+                    len(c) <= top
+                    and c != w
+                    and (not rest or all(walks_adjacent(H, c, h[v]) for v in rest))
+                ):
+                    moves.append(h[:u] + (c,) + h[u + 1 :])
+                    if c > w:
+                        above.append(c)
             if not above:
                 continue
+            prior = earlier[u]
             grown = []
-            for key, extra in level:
+            for key, n in level:
+                top = limit - n + len(w)
                 fit = [
                     c
                     for c in above
-                    if len(c) - 1 - lens[u] <= slack - extra
-                    and all(walks_adjacent(H, c, b) for v in nbrs[u] if v < u for b in key[v][1:])
+                    if len(c) <= top
+                    and (
+                        not prior
+                        or all(walks_adjacent(H, c, b) for v in prior for b in key[v][1:])
+                    )
                 ]
                 check(len(grown) + (1 << len(fit)))
                 for sub in _subsets(fit):
                     s = (w,) + sub
                     s = interned[u].setdefault(s, s)
-                    rise = max(0, max(map(len, s)) - 1 - lens[u])
-                    grown.append((key[:u] + (s,) + key[u + 1 :], extra + rise))
+                    grown.append((key[:u] + (s,) + key[u + 1 :], n - len(w) + max(map(len, s))))
             level = grown
         check(len(level))
-        keys.extend(key for key, _ in level)
+        elements.extend(EfElement._from_checked(f, key, n - G.n) for key, n in level)
         return moves
 
     closure(tuple((x,) for x in m), visit, cap, "fiber elements")
-    keys.sort()
-    return [EfElement._from_checked(f, key) for key in keys]
+    elements.sort(key=EfElement.key)
+    return elements
 
 
 def enumerate_Ef_bounded(f, max_norm, cap=DEFAULT_CAP):
@@ -442,9 +469,10 @@ def check_poset_covering_local(f, max_norm, cap=DEFAULT_CAP):
     """
     G, H = f.domain, f.codomain
     elements = fiber_component_bounded(f, max_norm, cap=cap)
+    bases = [_projection(e) for e in elements]
     over = {}
-    for e in elements:
-        over.setdefault(_projection(e), []).append(e)
+    for e, base in zip(elements, bases):
+        over.setdefault(base, []).append(e)
     report = {
         "down_checks": 0,
         "up_checks": 0,
@@ -453,12 +481,12 @@ def check_poset_covering_local(f, max_norm, cap=DEFAULT_CAP):
         "square_free": is_square_free(H),
         "violations": [],
     }
-    for phi in elements:
-        base = _projection(phi)
+    for phi, base in zip(elements, bases):
+        norm = phi.norm()
         checks = []
-        if phi.norm() <= max_norm - 2:
+        if norm <= max_norm - 2:
             checks.append(("down", _targets_below(base), lambda e: e.leq(phi)))
-        if phi.norm() <= max_norm - 2 * G.n:
+        if norm <= max_norm - 2 * G.n:
             checks.append(("up", _upsets_in_base(G, H, base, cap), phi.leq))
         for direction, targets, comparable in checks:
             for cell in targets:
@@ -550,7 +578,7 @@ def deck_transformations(f, u, elements):
     raises GraphInputError."""
     require_vertex(f.domain, u)
     out = [
-        GammaElement._from_checked(f, e.key())
+        GammaElement._from_checked(f, e.key(), e.norm())
         for e in elements
         if e.is_singleton() and all(s[0][-1] == x for s, x in zip(e.key(), f.mapping))
     ]

@@ -586,7 +586,7 @@ def fiber_component_reference(f, max_norm, cap=DEFAULT_CAP):
     Every move builds and validates the EfElement it reaches, and candidate
     walks come from pi_neighbor's walk products rather than vertex tuples.
     """
-    if max_norm < 0:
+    if not max_norm >= 0:
         raise ValueError(f"max_norm must be a nonnegative integer, got {max_norm}")
     if f.domain.n < 2 or not is_connected(f.domain):
         raise NotConnected("the domain must be connected with at least two vertices")

@@ -356,10 +356,17 @@ class TestBoundedEnumeration:
         f = data.draw(st.sampled_from(homs))
 
         def outcome(walk):
+            # the reference builds every element through EfElement.__init__,
+            # so the norms the walk carries are held to ones read off the key
             try:
-                return walk(f, max_norm, cap=cap)
+                elements = walk(f, max_norm, cap=cap)
             except ExplosionGuard as exc:
                 return str(exc)
+            return (
+                elements,
+                [e.norm() for e in elements],
+                [e.is_singleton() for e in elements],
+            )
 
         assert outcome(fiber_component_bounded) == outcome(fiber_component_reference)
 
@@ -393,6 +400,22 @@ class TestBoundedEnumeration:
             messages.append(str(info.value))
         assert messages[0] == messages[1]
         assert messages[0] == f"fiber elements: reached {count}, over the cap of {count - 1}"
+
+    @pytest.mark.parametrize("max_norm", [-1, float("nan")])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            fiber_component_bounded,
+            enumerate_Ef_bounded,
+            lambda f, max_norm: gamma_elements_bounded(f, 0, max_norm),
+            check_poset_covering_local,
+        ],
+        ids=["fiber", "enumerate", "gamma", "covering"],
+    )
+    def test_a_bound_below_zero_or_nan_is_rejected(self, call, max_norm):
+        # NaN passes `max_norm < 0`, and walked as if the bound were 0
+        with pytest.raises(ValueError, match="max_norm must be a nonnegative integer"):
+            call(EDGE_IN_C5, max_norm)
 
     def test_enumeration_is_norm_monotone(self):
         small = set(enumerate_Ef_bounded(EDGE_IN_C5, 4))

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from homcx import (
     EfElement,
+    Graph,
     GraphHom,
     Homotopy,
     NotInFiber,
@@ -130,7 +131,9 @@ class TestTrustedAgainstChecked:
         H = f.codomain
         for e in enumerate_Ef_bounded(f, max_norm):
             sets = e.sets
-            assert EfElement(f, sets) == e
+            again = EfElement(f, sets)
+            assert again == e and hash(again) == hash(e)
+            assert again.norm() == e.norm() and again.is_singleton() == e.is_singleton()
             for s in sets:
                 for w in s:
                     rechecked(w)
@@ -141,6 +144,11 @@ class TestTrustedAgainstChecked:
         for g in gamma_elements_bounded(f, 0, max_norm):
             for w in g.walks:
                 rechecked(w)
+
+
+def test_an_element_over_no_vertices_is_a_singleton_of_norm_zero():
+    e = EfElement(GraphHom(Graph(0), cycle_graph(5), ()), ())
+    assert e.key() == () and e.norm() == 0 and e.is_singleton()
 
 
 def test_window_cover_and_lifts_run_no_walk_check(monkeypatch):
